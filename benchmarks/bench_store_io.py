@@ -5,16 +5,18 @@ screen leans on once docking itself is no longer the bottleneck:
 
 * ``pack``     — ``.rlig`` encode and streamed decode throughput over a
   synthetic ligand library (``>= 10^4`` ligands in a full run);
-* ``manifest`` — steady-state per-job cost of the sharded NDJSON append
-  log vs rewriting a single-file JSON manifest of the same size on every
-  completion (the O(n) rewrite the shards exist to kill);
+* ``manifest`` — steady-state per-job cost of the NDJSON append log vs
+  rewriting one JSON document of the same size on every completion (the
+  O(n) rewrite the retired single-file manifest paid, timed through
+  ``atomic_write_json``: the recorded reason the log is the only
+  manifest format);
 * ``store``    — grid-map load latency cold (text ``.map`` parse + flat
   build) vs warm (mmap'd ``.npy`` blob from the :class:`BlobStore`);
 * ``screen``   — a small end-to-end :class:`VirtualScreen` from an
   ``.rlig`` pack, cold store vs warm store, with per-span counts from
   the trace log: a warm worker must show **zero** ``parse.ligand`` /
-  ``parse.maps`` / ``grid.build`` spans, and the warm sharded-manifest
-  ranking must merge to exactly the cold single-file ranking.
+  ``parse.maps`` / ``grid.build`` spans, and the warm 2-shard manifest
+  ranking must merge to exactly the cold 1-shard ranking.
 
 The result is written as ``BENCH_store_io.json``; the committed copy at
 the repository root is the baseline CI's store-smoke job gates against
@@ -250,7 +252,7 @@ def bench_screen(n_ligands: int, workdir: Path) -> dict:
     pack_rlig(pack, ligands)
     store = workdir / "store"
 
-    def _run(tag: str, manifest_shards: int | None) -> tuple[dict, object]:
+    def _run(tag: str, manifest_shards: int) -> tuple[dict, object]:
         trace = workdir / f"trace-{tag}.jsonl"
         screen = VirtualScreen(fld=fld, rlig=pack, config=config,
                                n_runs=1, seed=17)
@@ -271,10 +273,10 @@ def bench_screen(n_ligands: int, workdir: Path) -> dict:
         }
         return section, report
 
-    cold, cold_report = _run("cold", manifest_shards=0)   # single file
-    warm, warm_report = _run("warm", manifest_shards=2)   # sharded
+    cold, cold_report = _run("cold", manifest_shards=1)
+    warm, warm_report = _run("warm", manifest_shards=2)
 
-    # the sharded warm manifest must merge to the cold single-file
+    # the 2-shard warm manifest must merge to the cold 1-shard
     # ranking (same seed, same library => same jobs, same scores)
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
     from tools.merge_manifests import merge

@@ -282,7 +282,7 @@ def build_screen_parser() -> argparse.ArgumentParser:
         description="Virtual screening service: fan a ligand library "
                     "across a sharded worker pool (repro.serve), with a "
                     "content-addressed grid cache, crash recovery and a "
-                    "resumable ranked manifest.")
+                    "resumable append-only manifest log.")
     t = p.add_argument_group("target (pick one style)")
     t.add_argument("-ffile", default=None,
                    help="AutoGrid .maps.fld index shared by every ligand")
@@ -322,16 +322,14 @@ def build_screen_parser() -> argparse.ArgumentParser:
     p.add_argument("--pop", type=int, default=16, help="population size")
     p.add_argument("--lsit", type=int, default=20,
                    help="max local-search iterations")
-    p.add_argument("--manifest", default="screen_manifest.json",
-                   help="resumable ranked manifest path (JSON, written "
-                        "atomically after every job)")
-    p.add_argument("--manifest-shards", type=int, default=None,
-                   metavar="N",
-                   help="write the manifest as N per-shard NDJSON append "
-                        "logs under a directory at --manifest (O(record) "
-                        "appends; merge with tools/merge_manifests.py). "
-                        "Default: auto — single-file below 10k ligands, "
-                        "sharded above; 0 forces single-file")
+    p.add_argument("--manifest", default="screen_manifest",
+                   help="resumable manifest log directory (one NDJSON "
+                        "line appended per completed job; rank or merge "
+                        "logs with tools/merge_manifests.py)")
+    p.add_argument("--manifest-shards", type=int, default=1, metavar="N",
+                   help="shard count of a new manifest log: N append-only "
+                        "NDJSON files partitioned by job-id hash "
+                        "(default 1; an existing log keeps its own)")
     p.add_argument("--store", default=None, metavar="DIR",
                    help="shared disk cache tier: content-addressed "
                         "mmap-able blobs (flat grid buffers, assembled "
@@ -601,7 +599,8 @@ def build_gateway_parser() -> argparse.ArgumentParser:
                    default=_default_heartbeat(), metavar="SEC",
                    help="worker heartbeat interval")
     s.add_argument("--manifest", default=None,
-                   help="ranked manifest path (atomic rewrite per job)")
+                   help="manifest log directory (one NDJSON line appended "
+                        "per completed job, before it is streamed)")
     s.add_argument("--trace", default=None, metavar="JSONL")
     s.add_argument("--bench", default=None, metavar="JSON",
                    help="predictor calibration file (default: the "

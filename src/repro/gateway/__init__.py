@@ -9,7 +9,7 @@ The production-facing layer over :mod:`repro.serve`:
   control, shard routing, weighted-deficit-round-robin tenant fairness
   and backlog-based autoscaling;
 * :mod:`repro.gateway.server` — the :class:`Gateway`: asyncio front-end,
-  one worker-pool thread per content-hash shard, atomic ranked manifest;
+  one worker-pool thread per content-hash shard, append-only manifest log;
 * :mod:`repro.gateway.client` — :class:`GatewayClient` for the CLI's
   ``gateway submit``/``watch`` subcommands and the tests.
 """

@@ -22,7 +22,7 @@ Endpoints (JSON in, JSON/NDJSON out, ``Connection: close``):
                           every known job is terminal (``?once=1`` dumps
                           and closes)
 ``GET /v1/stats``         scheduler snapshot + gateway counters
-``GET /v1/manifest``      ranked manifest of completed jobs
+``GET /v1/manifest``      every job record (in memory) and their ranking
 ``GET /healthz``          liveness
 ``POST /v1/shutdown``     graceful stop
 ========================  ==================================================
@@ -30,7 +30,10 @@ Endpoints (JSON in, JSON/NDJSON out, ``Connection: close``):
 Completion stays idempotent end to end: job identity is the content
 hash, duplicate submissions return the existing record, and each shard's
 pool inherits the dedup/retry/dead-letter semantics of
-:mod:`repro.serve`.
+:mod:`repro.serve`.  With ``manifest`` set, a terminal record is
+appended to the manifest log (:class:`~repro.serve.manifest
+.ShardedManifest`) before ``/v1/stream`` can show it, so a streamed
+result is already on disk.
 """
 
 from __future__ import annotations
@@ -39,19 +42,17 @@ import asyncio
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.gateway.protocol import (HttpRequest, ProtocolError,
                                     job_from_request, json_response,
                                     ndjson_line, read_request)
 from repro.gateway.scheduler import AdmissionError, SLOScheduler
 from repro.obs import get_metrics, get_tracer
+from repro.serve.manifest import ShardedManifest, rank_records
 from repro.serve.pool import (DEFAULT_HEARTBEAT_SECONDS, JobResult,
                               WorkerPool)
 
 __all__ = ["Gateway", "GatewayConfig"]
-
-MANIFEST_VERSION = 1
 
 
 @dataclass
@@ -81,12 +82,11 @@ class GatewayConfig:
     job_wall_seconds: float | None = None
     heartbeat_seconds: float = DEFAULT_HEARTBEAT_SECONDS
     include_history: bool = False
+    #: manifest log directory (:class:`repro.serve.manifest
+    #: .ShardedManifest`): one appended line per terminal record
     manifest: str | None = None
-    #: > 0 writes the manifest as per-shard NDJSON append logs
-    #: (:class:`repro.serve.manifest.ShardedManifest`) instead of
-    #: rewriting one JSON document per completion; ``/v1/manifest``
-    #: still serves the merged in-memory view
-    manifest_shards: int = 0
+    #: shard count of a new manifest log (an existing one keeps its own)
+    manifest_shards: int = 1
     #: shared disk cache tier root (:class:`repro.serve.store.BlobStore`)
     #: fronted by every shard's worker caches
     store: str | None = None
@@ -126,12 +126,11 @@ class Gateway:
             from repro.obs import configure
             configure(self.config.trace, source="gateway")
         self._lock = threading.Lock()
+        #: serialises appends and their publication across shard threads
         self._manifest_lock = threading.Lock()
-        self._sharded = None
-        if self.config.manifest and self.config.manifest_shards > 0:
-            from repro.serve.manifest import ShardedManifest
-            self._sharded = ShardedManifest(
-                self.config.manifest, n_shards=self.config.manifest_shards)
+        self._manifest = (ShardedManifest(self.config.manifest,
+                                          n_shards=self.config.manifest_shards)
+                          if self.config.manifest else None)
         #: job_id -> record dict (see ``_record``); insertion-ordered
         self.jobs: dict[str, dict] = {}
         self._stop = threading.Event()
@@ -207,24 +206,14 @@ class Gateway:
                         staged = dict(rec) if rec is not None else None
                     if staged is not None:
                         self._apply_result(staged, result)
-                        # write-ahead: persist the terminal record
-                        # BEFORE it becomes visible to /v1/stream — a
-                        # client acting on a streamed result must find
-                        # it in the on-disk manifest.  Persist and
-                        # publish under one manifest-lock hold, else a
-                        # sibling shard snapshots between our write and
-                        # our publish and its (later) write drops this
-                        # record from the on-disk ranking.
+                        # append the terminal record BEFORE it becomes
+                        # visible to /v1/stream: a client acting on a
+                        # streamed result must find it on disk
                         with self._manifest_lock:
-                            if self._sharded is not None:
-                                # O(record) append, not O(jobs) rewrite
-                                self._sharded.append(staged)
-                            elif cfg.manifest:
-                                self._write_manifest_locked(staged)
+                            if self._manifest is not None:
+                                self._manifest.append(staged)
                             with self._lock:
-                                live = self.jobs.get(result.job_id)
-                                if live is not None:
-                                    live.update(staged)
+                                self.jobs[result.job_id].update(staged)
                     tracer.event("gateway.done", job_id=result.job_id,
                                  shard=shard, status=result.status,
                                  wall_seconds=result.wall_seconds,
@@ -251,51 +240,19 @@ class Gateway:
     # ------------------------------------------------------------------
     # manifest
 
-    @staticmethod
-    def _ranking(records) -> list[dict]:
-        done = [r for r in records
-                if r["status"] == "ok" and r["best_score"] is not None]
-        done.sort(key=lambda r: r["best_score"])
-        return [{"rank": k + 1, "label": r["label"],
-                 "job_id": r["job_id"], "best_score": r["best_score"],
-                 "status": r["status"], "shard": r["shard"]}
-                for k, r in enumerate(done)]
+    def _header(self) -> dict:
+        return {"n_shards": self.config.n_shards,
+                "route": self.config.route,
+                "slo_seconds": self.config.slo_seconds,
+                "written_at": time.time()}
 
-    def _manifest_doc(self, override: dict | None = None) -> dict:
-        """Snapshot of all job records; ``override`` swaps in a staged
-        terminal record not yet published to ``self.jobs`` (the
-        write-ahead path in the shard runner)."""
+    def _manifest_doc(self) -> dict:
+        """``/v1/manifest``: every job record held in memory, ranked."""
         with self._lock:
             jobs = {jid: dict(rec) for jid, rec in self.jobs.items()}
-        if override is not None:
-            jobs[override["job_id"]] = dict(override)
-        ranking = self._ranking(jobs.values())
-        return {"version": MANIFEST_VERSION,
-                "gateway": {"n_shards": self.config.n_shards,
-                            "route": self.config.route,
-                            "slo_seconds": self.config.slo_seconds,
-                            "written_at": time.time()},
-                "jobs": jobs,
-                "ranking": ranking,
+        return {"gateway": self._header(), "jobs": jobs,
+                "ranking": rank_records(jobs.values()),
                 "scheduler": self.scheduler.snapshot()}
-
-    def _write_manifest(self, override: dict | None = None) -> None:
-        """Durable atomic manifest write (fsync + unique tmp +
-        ``os.replace`` — see :func:`repro.serve.manifest
-        .atomic_write_json`).
-
-        Snapshot and write happen under the manifest lock: without it,
-        two shard threads snapshot concurrently and the slower *writer*
-        can publish the older snapshot, dropping the other shard's
-        just-completed job from the on-disk ranking.
-        """
-        with self._manifest_lock:
-            self._write_manifest_locked(override)
-
-    def _write_manifest_locked(self, override: dict | None = None) -> None:
-        from repro.serve.manifest import atomic_write_json
-        atomic_write_json(Path(self.config.manifest),
-                          self._manifest_doc(override))
 
     # ------------------------------------------------------------------
     # HTTP handlers
@@ -485,16 +442,13 @@ class Gateway:
             t.join(timeout)
         if self._loop_thread is not None:
             self._loop_thread.join(timeout)
-        if self._sharded is not None:
+        if self._manifest is not None:
             with self._manifest_lock:
-                doc = self._manifest_doc()
-                self._sharded.write_meta(
-                    screen=doc["gateway"],
-                    stats={"scheduler": doc["scheduler"]})
-                self._sharded.compact()
-                self._sharded.close()
-        elif self.config.manifest:
-            self._write_manifest()
+                self._manifest.write_meta(
+                    screen=self._header(),
+                    stats={"scheduler": self.scheduler.snapshot()})
+                self._manifest.compact()
+                self._manifest.close()
         get_tracer().flush()
 
     def run(self) -> int:

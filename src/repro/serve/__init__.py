@@ -10,17 +10,23 @@ throughput argument is about (screening large ligand libraries):
 * :mod:`repro.serve.cache` — per-worker content-addressed LRU
   :class:`ContentCache` so a screen parses its receptor grids once, not
   once per ligand;
+* :mod:`repro.serve.ledger` — the I/O-free :class:`JobLedger`, the one
+  completion state machine (retries, cohort splits, quarantine
+  re-dispatch, dead letters) behind both pool executors;
 * :mod:`repro.serve.pool` — spawn-safe multiprocessing
   :class:`WorkerPool` with crash recovery, watchdog timeouts and
   retry-with-backoff;
+* :mod:`repro.serve.manifest` — the append-only NDJSON manifest log
+  (:class:`ShardedManifest`) and the one ranking, :func:`rank_records`;
 * :mod:`repro.serve.screen` — the high-level :class:`VirtualScreen` API:
-  streamed :class:`JobResult` records, an atomic resumable manifest and
-  a ranked hit list (also the ``screen`` CLI subcommand).
+  streamed :class:`JobResult` records, a resumable manifest log and a
+  ranked hit list (also the ``screen`` CLI subcommand).
 """
 
 from repro.serve.cache import ContentCache, file_sha256, maps_digest
+from repro.serve.ledger import JobLedger
 from repro.serve.manifest import (ShardedManifest, atomic_write_json,
-                                  load_manifest_jobs)
+                                  load_manifest_jobs, rank_records)
 from repro.serve.pool import (DEFAULT_HEARTBEAT_SECONDS, JobResult,
                               WorkerPool, execute_cohort, execute_job,
                               validate_result_payload)
@@ -46,6 +52,7 @@ __all__ = [
     "ContentCache",
     "DEFAULT_HEARTBEAT_SECONDS",
     "DockingJob",
+    "JobLedger",
     "JobQueue",
     "JobResult",
     "QueueFull",
@@ -61,6 +68,7 @@ __all__ = [
     "load_manifest_jobs",
     "maps_digest",
     "pack_cohorts",
+    "rank_records",
     "seed_from_spec",
     "shard_for",
     "shard_key",

@@ -1,9 +1,7 @@
-"""Manifest persistence: durable single-file writes and sharded logs.
+"""Manifest persistence: the append-only NDJSON result log.
 
-The single-file manifest (:class:`VirtualScreen` default) serialises
-*every* terminal job and rewrites the whole JSON after each completion —
-perfect for thousands of ligands, O(n²) I/O at 10^5–10^6.  This module
-adds the large-screen format: per-shard append-only NDJSON result logs,
+Every screen and the gateway write one format, a directory of per-shard
+append-only logs,
 
 .. code-block:: text
 
@@ -15,10 +13,17 @@ adds the large-screen format: per-shard append-only NDJSON result logs,
 where a result lands in shard ``shard_for(job_id, n_shards)`` — the same
 coordination-free content-hash partition the queue and gateway use — so
 appends from independent screens or gateway shard runners never contend
-on one file.  Appending is O(record); a crash tears at most the final
+on one file; ``n_shards=1`` is the small-screen case.  Appending is
+O(record), where rewriting one JSON document per completion was
+O(screen) (``BENCH_store_io.json``); a crash tears at most the final
 line, which loaders skip.  Re-appended job ids (retries, resumed
 overwrites) are resolved last-record-wins at load time and squeezed out
 by periodic :meth:`ShardedManifest.compact`.
+
+:func:`load_manifest_jobs` reads a log directory, and still reads the
+retired single-file ``manifest.json`` format; nothing writes that
+format any more.  :func:`rank_records` is the one ranking of terminal
+records, for screens, the gateway and ``tools/merge_manifests.py``.
 
 :func:`atomic_write_json` is the shared durable-write primitive (tmp in
 the same directory, ``fsync``, atomic ``os.replace``, directory fsync);
@@ -38,15 +43,12 @@ from pathlib import Path
 from repro.serve.queue import shard_for
 
 __all__ = ["ShardedManifest", "atomic_write_json", "load_manifest_jobs",
-           "SHARD_AUTO_THRESHOLD", "DEFAULT_MANIFEST_SHARDS"]
+           "rank_records"]
 
 SHARDED_MANIFEST_VERSION = 1
 
-#: library size at which ``manifest_shards=None`` switches to sharded logs
-SHARD_AUTO_THRESHOLD = 10_000
-
-#: shard count used when the auto threshold trips
-DEFAULT_MANIFEST_SHARDS = 8
+#: version of the retired single-file ``manifest.json`` (read-only)
+LEGACY_MANIFEST_VERSION = 1
 
 _META_NAME = "meta.json"
 
@@ -62,11 +64,17 @@ def atomic_write_json(path: str | Path, payload: dict,
     never truncate or steal each other's in-flight tmp.  The directory
     entry is fsynced after the replace where the platform allows it.
     """
-    path = Path(path)
+    _replace_durably(Path(path),
+                     lambda fh: json.dump(payload, fh, indent=indent))
+
+
+def _replace_durably(path: Path, write) -> None:
+    """Replace ``path`` with what ``write(fh)`` writes, the
+    :func:`atomic_write_json` way."""
     tmp = path.with_name(
         f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
     with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=indent)
+        write(fh)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
@@ -75,7 +83,7 @@ def atomic_write_json(path: str | Path, payload: dict,
 
 
 class ShardedManifest:
-    """Append-friendly sharded result log for large screens.
+    """Append-only sharded result log: the screen and gateway manifest.
 
     Parameters
     ----------
@@ -96,6 +104,9 @@ class ShardedManifest:
     def __init__(self, path: str | Path, n_shards: int | None = None,
                  compact_every: int = 4096, fsync_every: int = 64) -> None:
         self.path = Path(path)
+        if self.path.is_file():
+            raise ValueError(f"{self.path} is a single-file manifest, "
+                             f"now read-only: write to a new path")
         self.path.mkdir(parents=True, exist_ok=True)
         self.compact_every = int(compact_every)
         self.fsync_every = int(fsync_every)
@@ -105,7 +116,7 @@ class ShardedManifest:
         else:
             if n_shards is None or n_shards <= 0:
                 raise ValueError(
-                    f"new sharded manifest {self.path} needs n_shards >= 1")
+                    f"new manifest log {self.path} needs n_shards >= 1")
             self.n_shards = int(n_shards)
             self.write_meta()
         self._handles: dict[int, object] = {}
@@ -115,7 +126,7 @@ class ShardedManifest:
 
     @staticmethod
     def is_sharded(path: str | Path) -> bool:
-        """True if ``path`` is (or will resume as) a sharded manifest."""
+        """True if ``path`` is a manifest log directory."""
         return (Path(path) / _META_NAME).is_file()
 
     def shard_path(self, shard: int) -> Path:
@@ -134,16 +145,12 @@ class ShardedManifest:
     def write_meta(self, screen: dict | None = None,
                    stats: dict | None = None) -> None:
         """Durably (re)write ``meta.json``; job records live in shards."""
-        payload = {"version": SHARDED_MANIFEST_VERSION,
-                   "n_shards": getattr(self, "n_shards", None),
-                   "written_at": time.time()}
         prior = self._read_meta() or {}
-        payload["screen"] = screen if screen is not None \
-            else prior.get("screen")
-        payload["stats"] = stats if stats is not None else prior.get("stats")
-        if payload["n_shards"] is None:
-            payload["n_shards"] = prior.get("n_shards")
-        atomic_write_json(self.path / _META_NAME, payload)
+        atomic_write_json(self.path / _META_NAME, {
+            "version": SHARDED_MANIFEST_VERSION, "n_shards": self.n_shards,
+            "written_at": time.time(),
+            "screen": prior.get("screen") if screen is None else screen,
+            "stats": prior.get("stats") if stats is None else stats})
 
     # ------------------------------------------------------------------
 
@@ -153,8 +160,9 @@ class ShardedManifest:
         shard = shard_for(job_id, self.n_shards)
         fh = self._handles.get(shard)
         if fh is None:
-            fh = open(self.shard_path(shard), "a")
-            self._handles[shard] = fh
+            fh = self._handles[shard] = open(self.shard_path(shard), "a")
+            if fh.tell() and not _ends_with_newline(self.shard_path(shard)):
+                fh.write("\n")     # a crash tore the last line: end it
         fh.write(json.dumps(record, separators=(",", ":")) + "\n")
         fh.flush()
         n = self._appends.get(shard, 0) + 1
@@ -210,15 +218,9 @@ class ShardedManifest:
             fh = self._handles.pop(k, None)
             if fh is not None:
                 fh.close()
-            path = self.shard_path(k)
-            tmp = path.with_name(
-                f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
-            with open(tmp, "w") as out:
-                for rec in latest.values():
-                    out.write(json.dumps(rec, separators=(",", ":")) + "\n")
-                out.flush()
-                os.fsync(out.fileno())
-            os.replace(tmp, path)
+            _replace_durably(self.shard_path(k), lambda out: out.writelines(
+                json.dumps(rec, separators=(",", ":")) + "\n"
+                for rec in latest.values()))
 
     def close(self) -> None:
         for fh in self._handles.values():
@@ -237,19 +239,57 @@ class ShardedManifest:
         self.close()
 
 
-def load_manifest_jobs(path: str | Path) -> dict[str, dict]:
-    """``job_id -> record`` from either manifest format.
+def _ends_with_newline(path: Path) -> bool:
+    with open(path, "rb") as fh:
+        fh.seek(-1, os.SEEK_END)
+        return fh.read(1) == b"\n"
 
-    Dispatches on what is on disk: a directory with a ``meta.json`` loads
-    shard logs; a plain file loads the single-file JSON format.
+
+def load_manifest_jobs(path: str | Path) -> dict[str, dict]:
+    """``job_id -> record`` from a manifest log directory.
+
+    A plain file loads as the retired single-file JSON format (read
+    only, for manifests written before the log was the only format).
     """
     path = Path(path)
     if ShardedManifest.is_sharded(path):
         with ShardedManifest(path) as sm:
             return sm.load()
     payload = json.loads(path.read_text())
-    from repro.serve.screen import MANIFEST_VERSION
-    if payload.get("version") != MANIFEST_VERSION:
+    if payload.get("version") != LEGACY_MANIFEST_VERSION:
         raise ValueError(
             f"unsupported manifest version {payload.get('version')!r}")
     return payload.get("jobs", {})
+
+
+def _docking_result(record: dict) -> dict | None:
+    """The docking result of a terminal record: at ``record["result"]``
+    in a :class:`JobResult` dict, one level deeper in a gateway record
+    (whose ``result`` is the whole JobResult dict)."""
+    result = record.get("result")
+    if isinstance(result, dict) and "runs" not in result:
+        result = result.get("result")
+    if isinstance(result, dict) and result.get("runs"):
+        return result
+    return None
+
+
+def rank_records(records) -> list[dict]:
+    """Ranked hit list of terminal records, best score first.
+
+    Ranks ``ok``/``cached`` records that carry a docking result, by best
+    score (the min over runs) with ties broken by job id, so the order
+    depends on neither completion order nor shard order.
+    """
+    scored = []
+    for rec in records:
+        result = _docking_result(rec)
+        if rec.get("status") in ("ok", "cached") and result is not None:
+            best = min(r["best_score"] for r in result["runs"])
+            scored.append((best, rec["job_id"], rec, result))
+    scored.sort(key=lambda row: row[:2])
+    return [{"rank": k + 1, "label": rec.get("label", ""),
+             "job_id": job_id, "best_score": best,
+             "total_evals": result.get("total_evals"),
+             "status": rec["status"]}
+            for k, (best, job_id, rec, result) in enumerate(scored)]

@@ -12,8 +12,10 @@ replacement worker spawned.  Per-job wall-clock budgets reuse the
 cooperative :class:`~repro.robustness.Watchdog` inside the worker, backed
 by a parent-side hard lease for workers too wedged to cooperate.
 
-Completions are idempotent by job id, so the at-least-once dispatch that
-crash recovery implies can never produce duplicate results.
+Both executors — inline (``workers=0``) and process — report what
+happened to one :class:`~repro.serve.ledger.JobLedger` and carry out the
+actions it returns: one set of retry, split, quarantine and dead-letter
+rules, with completions idempotent by job id.
 
 Fault containment
 -----------------
@@ -27,21 +29,23 @@ Cohorts complete *partially*: healthy members complete straight from the
 batched run, and only members the lock-step engine quarantined (see
 :class:`~repro.robustness.LaneQuarantine`) are re-dispatched
 individually with a fresh per-member retry budget; the whole-cohort
-split remains only as the backstop for crashes, where no per-member
-attribution exists.
+split remains only as the backstop for crashes and raised errors, where
+no per-member attribution exists.
 """
 
 from __future__ import annotations
 
-import math
+import heapq
+import itertools
 import multiprocessing as mp
 import os
 import time
 import traceback
-from dataclasses import dataclass, field
 
 from repro.obs import get_metrics, get_tracer
 from repro.serve.cache import DEFAULT_CAPACITY, ContentCache, load_case
+from repro.serve.ledger import (Dispatch, JobLedger, JobResult, Note,
+                                validate_result_payload)
 from repro.serve.queue import CohortJob, DockingJob, seed_from_spec
 
 __all__ = ["DEFAULT_HEARTBEAT_SECONDS", "JobResult", "WorkerPool",
@@ -50,46 +54,12 @@ __all__ = ["DEFAULT_HEARTBEAT_SECONDS", "JobResult", "WorkerPool",
 #: exit code a worker uses for the injected-crash test hook
 _CRASH_EXIT = 17
 
-
-@dataclass
-class JobResult:
-    """Terminal record of one job (streamed and manifest-persisted)."""
-
-    job_id: str
-    label: str
-    status: str                       # "ok" | "failed" | "dead" | "cached"
-    attempts: int = 1
-    worker_id: int | None = None
-    wall_seconds: float = 0.0
-    #: serialized :class:`~repro.core.engine.DockingResult` (``ok`` only)
-    result: dict | None = None
-    #: per-job cache hit/miss/eviction deltas
-    cache: dict | None = None
-    error: dict | None = None
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def best_score(self) -> float | None:
-        if self.result is None:
-            return None
-        return min(r["best_score"] for r in self.result["runs"])
-
-    def to_dict(self) -> dict:
-        return {"job_id": self.job_id, "label": self.label,
-                "status": self.status, "attempts": self.attempts,
-                "worker_id": self.worker_id,
-                "wall_seconds": self.wall_seconds, "result": self.result,
-                "cache": self.cache, "error": self.error,
-                "extra": dict(self.extra)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "JobResult":
-        return cls(job_id=d["job_id"], label=d.get("label", ""),
-                   status=d["status"], attempts=int(d.get("attempts", 1)),
-                   worker_id=d.get("worker_id"),
-                   wall_seconds=float(d.get("wall_seconds", 0.0)),
-                   result=d.get("result"), cache=d.get("cache"),
-                   error=d.get("error"), extra=d.get("extra", {}))
+#: pool metrics counter bumped by each ledger note of that name
+_COUNTERS = {"job.retry": "pool.retries",
+             "job.corrupt_result": "pool.corrupt_results",
+             "job.dead": "pool.dead_letters",
+             "cohort.split": "pool.cohort_splits",
+             "cohort.quarantine_redispatch": "pool.quarantines"}
 
 
 def _apply_poison(case, spec: dict):
@@ -108,30 +78,6 @@ def _apply_poison(case, spec: dict):
     maps = replace(case.maps,
                    affinity=np.full_like(case.maps.affinity, np.nan))
     return replace(case, maps=maps)
-
-
-def validate_result_payload(payload: dict) -> dict | None:
-    """Parent-side result validation; returns an error dict or ``None``.
-
-    A worker can crash, but it can also *lie* — a wedged allocator or an
-    injected fault can hand back a structurally-broken or non-finite
-    result.  Completion therefore requires the payload to carry a
-    non-empty run list with finite best scores; anything else counts as
-    a failed (retryable) attempt, never as a completion.
-    """
-    result = payload.get("result") if isinstance(payload, dict) else None
-    runs = result.get("runs") if isinstance(result, dict) else None
-    if not isinstance(runs, list) or not runs:
-        return {"error_type": "CorruptResult",
-                "message": "result payload has no runs",
-                "retryable": True}
-    for i, run in enumerate(runs):
-        score = run.get("best_score") if isinstance(run, dict) else None
-        if not isinstance(score, (int, float)) or not math.isfinite(score):
-            return {"error_type": "NonFiniteResult",
-                    "message": f"run {i} best_score is {score!r}",
-                    "retryable": True}
-    return None
 
 
 def execute_job(job: DockingJob, cache: ContentCache | None = None,
@@ -335,6 +281,27 @@ def _make_store(store_root: str | None):
     return BlobStore(store_root)
 
 
+def _execute(job: DockingJob | CohortJob, cache: ContentCache,
+             wall_seconds: float | None, include_history: bool) -> dict:
+    """One attempt at a job or cohort (worker loop and inline pool)."""
+    if isinstance(job, CohortJob):
+        return execute_cohort(job, cache, wall_seconds=wall_seconds,
+                              include_history=include_history)
+    return execute_job(job, cache, wall_seconds=wall_seconds,
+                       include_history=include_history)
+
+
+def _error_of(exc: Exception) -> dict:
+    """The ledger's error dict for an attempt that raised ``exc``."""
+    from repro.robustness import WatchdogTimeout
+    return {"error_type": type(exc).__name__,
+            "message": str(exc),
+            "traceback": traceback.format_exc(limit=10),
+            # watchdog aborts are deterministic: retrying burns the same
+            # budget again (the campaign convention)
+            "retryable": not isinstance(exc, WatchdogTimeout)}
+
+
 def _worker_main(task_q, result_q, worker_id: int, cache_bytes: int,
                  wall_seconds: float | None, include_history: bool,
                  trace_path: str | None = None,
@@ -372,29 +339,14 @@ def _worker_main(task_q, result_q, worker_id: int, cache_bytes: int,
         result_q.put(("started", job.job_id, worker_id, None))
         _maybe_inject_chaos(job)
         try:
-            if isinstance(job, CohortJob):
-                payload = execute_cohort(
-                    job, cache, wall_seconds=wall_seconds,
-                    include_history=include_history)
-            else:
-                payload = execute_job(
-                    job, cache, wall_seconds=wall_seconds,
-                    include_history=include_history)
+            payload = _execute(job, cache, wall_seconds, include_history)
             payload = _maybe_corrupt_result(job, payload)
             jobs_done += 1
             result_q.put(("done", job.job_id, worker_id, payload))
         except Exception as exc:
-            from repro.robustness import WatchdogTimeout
             jobs_failed += 1
             get_metrics().counter("worker.job_errors").inc()
-            result_q.put(("failed", job.job_id, worker_id, {
-                "error_type": type(exc).__name__,
-                "message": str(exc),
-                "traceback": traceback.format_exc(limit=10),
-                # watchdog aborts are deterministic: retrying burns the
-                # same budget again (the campaign convention)
-                "retryable": not isinstance(exc, WatchdogTimeout),
-            }))
+            result_q.put(("failed", job.job_id, worker_id, _error_of(exc)))
         hb = _heartbeat(worker_id, jobs_done, jobs_failed, cache,
                         interval_s=heartbeat_seconds)
         tracer.event("worker.heartbeat", **hb)
@@ -415,7 +367,7 @@ class WorkerPool:
         transient error.
     backoff:
         Base of the exponential re-queue delay: attempt ``k`` waits
-        ``backoff * 2**(k-1)`` seconds.
+        ``backoff * 2**(k-1)`` seconds, while every other ready job runs.
     job_wall_seconds:
         Cooperative per-job watchdog budget (``None`` disables).
     lease_seconds:
@@ -498,187 +450,79 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
 
-    def _dead(self, job, attempts: int, error: dict | None,
-              history: list[dict], worker_id: int | None = None
-              ) -> JobResult:
-        """Build, record and return a terminal dead-letter result."""
-        res = JobResult(
-            job_id=job.job_id, label=job.label, status="dead",
-            attempts=attempts, worker_id=worker_id, error=error,
-            extra={"attempt_history": list(history)})
-        self.dead_letters.append(res)
-        get_metrics().counter("pool.dead_letters").inc()
-        get_tracer().event("job.dead", job_id=job.job_id, label=job.label,
-                           attempts=attempts,
-                           error_type=(error or {}).get("error_type"))
-        return res
-
-    def _note_quarantines(self, cohort_id: str, quarantined: list[dict],
-                          history: dict) -> None:
-        """Account a cohort's quarantined members before re-dispatch."""
-        self.quarantines += len(quarantined)
-        get_metrics().counter("pool.quarantines").inc(len(quarantined))
-        for q in quarantined:
-            get_tracer().event(
-                "cohort.quarantine_redispatch", cohort=cohort_id,
-                job_id=q["job_id"], label=q["label"],
-                reason=q["quarantine"].get("reason"))
-            history.setdefault(q["job_id"], []).append({
-                "attempt": 0, "error_type": "LaneQuarantine",
-                "message": (f"{q['quarantine'].get('reason')}: "
-                            f"{q['quarantine'].get('detail', '')}")})
-
-    # ------------------------------------------------------------------
-
     def map(self, jobs: list[DockingJob]):
         """Yield one terminal :class:`JobResult` per job, as completed.
 
         Completion order follows execution, not submission; callers that
         need ranking sort afterwards.  Every job yields exactly one
-        result even across worker crashes (idempotent completion by job
-        id).
+        result even across worker crashes: both executors drive the same
+        :class:`~repro.serve.ledger.JobLedger`.
         """
-        if self.workers == 0:
-            yield from self._map_inline(jobs)
-            return
-        yield from self._map_processes(jobs)
+        run = self._map_inline if self.workers == 0 else self._map_processes
+        yield from run(jobs)
+
+    def _apply(self, actions: list, queue):
+        """Carry out ledger actions: record notes in the trace log and
+        the pool counters, hand dispatches to ``queue``, yield results."""
+        tracer, metrics = get_tracer(), get_metrics()
+        for act in actions:
+            if isinstance(act, Dispatch):
+                tracer.event("job.dispatch", job_id=act.job.job_id,
+                             label=act.job.label, reason=act.reason)
+                queue(act)
+            elif isinstance(act, Note):
+                tracer.event(act.name, **act.attrs)
+                if act.name in _COUNTERS:
+                    metrics.counter(_COUNTERS[act.name]).inc()
+                if act.name == "cohort.quarantine_redispatch":
+                    self.quarantines += 1
+            else:
+                if act.status == "dead":
+                    self.dead_letters.append(act)
+                yield act
 
     # -- inline (workers=0) -------------------------------------------
 
     def _map_inline(self, jobs):
-        """Inline execution: one cache and one set of counters.
+        """Run jobs in the caller's thread, earliest-due first.
 
-        The cache, the heartbeat's ``jobs_done``/``jobs_failed`` counters
-        and the completed-id set are shared across the cohort-split /
-        quarantine-re-dispatch recursion in :meth:`_run_inline`, so a
-        split cohort reuses the warm cache, the heartbeat counts stay
-        monotone across recursion, and a job can never complete twice
-        (idempotent completion, same contract as the process pool).
+        Only a retry waiting out its backoff with nothing else ready
+        sleeps here.  One cache serves the whole call, so split and
+        re-dispatched cohort members reuse it warm.
         """
         cache = ContentCache(self.cache_bytes,
                              store=_make_store(self.store_root))
-        state = {"done": 0, "failed": 0, "completed": set(),
-                 "history": {}}
-        yield from self._run_inline(list(jobs), cache, state)
+        ledger = JobLedger(self.retries, self.backoff)
+        ready: list = []                     # heap of (due, seq, job)
+        seq = itertools.count()
 
-    def _inline_heartbeat(self, cache, state) -> None:
-        hb = _heartbeat(-1, state["done"], state["failed"], cache,
-                        interval_s=self.heartbeat_seconds)
-        self.heartbeats["inline"] = hb
-        get_tracer().event("worker.heartbeat", **hb)
+        def queue(d: Dispatch) -> None:
+            heapq.heappush(ready, (d.at, next(seq), d.job))
 
-    def _run_inline(self, jobs, cache, state):
-        tracer = get_tracer()
-        for job in jobs:
-            if job.job_id in state["completed"]:
-                continue                 # already terminal via recursion
-            if isinstance(job, CohortJob):
-                tracer.event("job.dispatch", job_id=job.job_id,
-                             label=job.label, cohort=len(job.jobs))
-                try:
-                    payload = execute_cohort(
-                        job, cache, wall_seconds=self.job_wall_seconds,
-                        include_history=self.include_history)
-                except Exception as exc:
-                    # no per-member attribution on a raw exception: fall
-                    # back to the members individually (each gets the
-                    # normal retry budget; completed ids are skipped)
-                    get_metrics().counter("pool.cohort_splits").inc()
-                    tracer.event("cohort.split", job_id=job.job_id,
-                                 members=len(job.jobs),
-                                 error_type=type(exc).__name__)
-                    yield from self._run_inline(list(job.jobs), cache,
-                                                state)
-                    continue
-                members_by_id = {m.job_id: m for m in job.jobs}
-                redispatch = [members_by_id[q["job_id"]]
-                              for q in payload["quarantined"]]
-                self._note_quarantines(job.job_id, payload["quarantined"],
-                                       state["history"])
-                tracer.event("job.complete", job_id=job.job_id,
-                             label=job.label, attempts=1,
-                             wall_seconds=payload["wall_seconds"],
-                             cache=payload.get("cache"),
-                             cohort=len(job.jobs),
-                             quarantined=len(payload["quarantined"]))
-                for k, member in enumerate(payload["members"]):
-                    err = validate_result_payload(member["payload"])
-                    if err is not None:
-                        state["history"].setdefault(
-                            member["job_id"], []).append(
-                            {"attempt": 1, **err})
-                        redispatch.append(members_by_id[member["job_id"]])
-                        continue
-                    state["done"] += 1
-                    state["completed"].add(member["job_id"])
-                    yield JobResult(
-                        job_id=member["job_id"], label=member["label"],
-                        status="ok", attempts=1, worker_id=None,
-                        wall_seconds=member["payload"]["wall_seconds"],
-                        result=member["payload"]["result"],
-                        cache=payload.get("cache") if k == 0 else None,
-                        extra={"cohort": job.job_id,
-                               "cohort_size": len(job.jobs)})
-                self._inline_heartbeat(cache, state)
-                if redispatch:
-                    # quarantine-aware partial completion: only the
-                    # frozen/invalid members retry individually
-                    yield from self._run_inline(redispatch, cache, state)
+        jobs_done = jobs_failed = 0
+        yield from self._apply(ledger.submit(jobs, time.monotonic()), queue)
+        while ready:
+            due, _, job = heapq.heappop(ready)
+            if job.job_id not in ledger:
                 continue
-            attempts = 0
-            history = state["history"].setdefault(job.job_id, [])
-            tracer.event("job.dispatch", job_id=job.job_id,
-                         label=job.label)
-            while True:
-                attempts += 1
-                err = None
-                payload = None
-                try:
-                    payload = execute_job(
-                        job, cache, wall_seconds=self.job_wall_seconds,
-                        include_history=self.include_history)
-                    err = validate_result_payload(payload)
-                except Exception as exc:
-                    from repro.robustness import WatchdogTimeout
-                    err = {"error_type": type(exc).__name__,
-                           "message": str(exc),
-                           # watchdog aborts are deterministic: retrying
-                           # burns the same budget again
-                           "retryable": not isinstance(exc,
-                                                       WatchdogTimeout)}
-                if err is None:
-                    state["done"] += 1
-                    state["completed"].add(job.job_id)
-                    tracer.event("job.complete", job_id=job.job_id,
-                                 label=job.label, attempts=attempts,
-                                 wall_seconds=payload["wall_seconds"],
-                                 cache=payload.get("cache"))
-                    yield JobResult(
-                        job_id=job.job_id, label=job.label, status="ok",
-                        attempts=attempts, worker_id=None,
-                        wall_seconds=payload["wall_seconds"],
-                        result=payload["result"],
-                        cache=payload.get("cache"),
-                        extra=({"attempt_history": list(history)}
-                               if history else {}))
-                    break
-                history.append({"attempt": attempts,
-                                "error_type": err["error_type"],
-                                "message": err["message"]})
-                if err.get("retryable", True) and attempts <= self.retries:
-                    get_metrics().counter("pool.retries").inc()
-                    tracer.event("job.retry", job_id=job.job_id,
-                                 attempts=attempts)
-                    time.sleep(self.backoff * 2 ** (attempts - 1))
-                    continue
-                state["failed"] += 1
-                state["completed"].add(job.job_id)
-                tracer.event("job.failed", job_id=job.job_id,
-                             label=job.label, attempts=attempts,
-                             error_type=err["error_type"])
-                yield self._dead(job, attempts, err, history)
-                break
-            self._inline_heartbeat(cache, state)
+            time.sleep(max(due - time.monotonic(), 0.0))
+            ledger.started(job.job_id, None, time.monotonic())
+            try:
+                payload = _execute(job, cache, self.job_wall_seconds,
+                                   self.include_history)
+            except Exception as exc:
+                jobs_failed += 1
+                actions = ledger.failed(job.job_id, _error_of(exc), None,
+                                        time.monotonic())
+            else:
+                jobs_done += 1
+                actions = ledger.done(job.job_id, payload, None,
+                                      time.monotonic())
+            yield from self._apply(actions, queue)
+            hb = _heartbeat(-1, jobs_done, jobs_failed, cache,
+                            interval_s=self.heartbeat_seconds)
+            self.heartbeats["inline"] = hb
+            get_tracer().event("worker.heartbeat", **hb)
 
     # -- multiprocessing ----------------------------------------------
 
@@ -694,299 +538,113 @@ class WorkerPool:
         return proc
 
     def _map_processes(self, jobs):
+        """Feed worker reports to the ledger; keep the workers alive.
+
+        What stays here is process plumbing: the task/result queues,
+        liveness polling, hard leases (an expired lease terminates the
+        worker, which the ledger then sees as a crash), respawns with
+        the crash-loop breaker, and the lost-dispatch backstop.
+        """
         import queue as _queue
 
         tracer = get_tracer()
         ctx = mp.get_context(self.start_method)
         task_q = ctx.Queue()
         result_q = ctx.Queue()
-
-        pending: dict[str, DockingJob] = {}
-        attempts: dict[str, int] = {}
-        history: dict[str, list[dict]] = {}            # id -> attempt log
-        in_flight: dict[str, tuple[int, float]] = {}   # id -> (wid, t0)
-        worker_job: dict[int, str] = {}
-        retry_at: list[tuple[float, DockingJob]] = []
+        ledger = JobLedger(self.retries, self.backoff)
+        delayed: list = []        # heap of (due, seq, job) not yet queued
+        seq = itertools.count()
         procs: dict[int, mp.process.BaseProcess] = {}
-        respawns = {"n": 0}
-        self._next_wid = 0
+        respawns = 0
+        next_wid = 0
 
-        def clear_flight(job_id: str) -> None:
-            entry = in_flight.pop(job_id, None)
-            if entry is not None:
-                worker_job.pop(entry[0], None)
+        def queue(d: Dispatch) -> None:
+            heapq.heappush(delayed, (d.at, next(seq), d.job))
 
-        def schedule_retry(job: DockingJob) -> None:
-            delay = self.backoff * 2 ** max(attempts[job.job_id] - 1, 0)
-            retry_at.append((time.monotonic() + delay, job))
-            get_metrics().counter("pool.retries").inc()
-            tracer.event("job.retry", job_id=job.job_id,
-                         attempts=attempts[job.job_id], delay_s=delay)
+        def spawn() -> int:
+            nonlocal next_wid
+            procs[next_wid] = self._spawn_worker(ctx, task_q, result_q,
+                                                 next_wid)
+            next_wid += 1
+            return next_wid - 1
 
-        def split_cohort(cjob: CohortJob) -> None:
-            """Re-dispatch a failed/crashed cohort's members individually.
-
-            Splitting (rather than retrying the cohort) isolates the bad
-            member: the others run to completion and only the culprit
-            burns its retry budget.  Happens at most once per cohort —
-            members are plain jobs afterwards.
-            """
-            att = attempts.get(cjob.job_id, 1)
-            get_metrics().counter("pool.cohort_splits").inc()
-            tracer.event("cohort.split", job_id=cjob.job_id,
-                         members=len(cjob.jobs))
-            for member in cjob.jobs:
-                if member.job_id in pending:
-                    continue
-                pending[member.job_id] = member
-                # the member's "started" ack will re-increment; inherit
-                # the cohort's attempt count so budgets carry over
-                attempts[member.job_id] = max(att - 1, 0)
-                task_q.put(member)
-                tracer.event("job.dispatch", job_id=member.job_id,
-                             label=member.label,
-                             split_from=cjob.job_id)
-
-        def reap_dead_workers() -> list[JobResult]:
-            """Dead/over-lease workers: re-queue or fail their jobs."""
+        def reap():
+            """Terminate over-lease workers, report dead ones, respawn."""
+            nonlocal respawns
             now = time.monotonic()
             if self.lease_seconds is not None:
-                for jid, (wid, t0) in list(in_flight.items()):
+                for _jid, wid, since in ledger.in_flight():
                     proc = procs.get(wid)
-                    if (now - t0 > self.lease_seconds and proc is not None
-                            and proc.is_alive()):
-                        proc.terminate()     # handled as a crash below
-            lost: list[JobResult] = []
+                    if (now - since > self.lease_seconds
+                            and proc is not None and proc.is_alive()):
+                        proc.terminate()     # reaped as a crash
             for wid, proc in list(procs.items()):
                 if proc.is_alive():
                     continue
                 del procs[wid]
-                job_id = worker_job.pop(wid, None)
-                if job_id is not None and job_id in pending:
-                    in_flight.pop(job_id, None)
-                    job = pending[job_id]
-                    crash = {"error_type": "WorkerCrash",
-                             "message": f"worker {wid} died "
-                                        f"(exit {proc.exitcode})",
-                             "retryable": False}
-                    history.setdefault(job_id, []).append(
-                        {"attempt": attempts[job_id],
-                         "error_type": crash["error_type"],
-                         "message": crash["message"]})
-                    if isinstance(job, CohortJob):
-                        pending.pop(job_id)
-                        split_cohort(job)
-                    elif attempts[job_id] <= self.retries:
-                        schedule_retry(job)
-                    else:
-                        pending.pop(job_id)
-                        lost.append(self._dead(
-                            job, attempts[job_id], crash,
-                            history[job_id], worker_id=wid))
-                if pending:                  # keep the pool at strength
-                    if respawns["n"] >= self.max_respawns:
-                        raise RuntimeError(
-                            f"worker pool crash-looping: "
-                            f"{respawns['n']} workers replaced (cap "
-                            f"{self.max_respawns}) with "
-                            f"{len(pending)} jobs unfinished — the "
-                            f"worker environment is broken (last exit "
-                            f"code {proc.exitcode})")
-                    procs[self._next_wid] = self._spawn_worker(
-                        ctx, task_q, result_q, self._next_wid)
-                    self._next_wid += 1
-                    respawns["n"] += 1
-                    self.workers_replaced += 1
-                    get_metrics().counter("pool.crashes").inc()
-                    tracer.event("worker.respawn", died=wid,
-                                 replacement=self._next_wid - 1,
-                                 exitcode=proc.exitcode)
-            return lost
+                job_id = next((jid for jid, w, _ in ledger.in_flight()
+                               if w == wid), None)
+                if job_id is not None:
+                    yield from self._apply(ledger.crashed(
+                        job_id, wid, now,
+                        f"worker {wid} died (exit {proc.exitcode})"), queue)
+                if not ledger:
+                    continue
+                # keep the pool at strength
+                if respawns >= self.max_respawns:
+                    raise RuntimeError(
+                        f"worker pool crash-looping: {respawns} workers "
+                        f"replaced (cap {self.max_respawns}) with "
+                        f"{len(ledger)} jobs unfinished — the worker "
+                        f"environment is broken (last exit code "
+                        f"{proc.exitcode})")
+                replacement = spawn()
+                respawns += 1
+                self.workers_replaced += 1
+                get_metrics().counter("pool.crashes").inc()
+                tracer.event("worker.respawn", died=wid,
+                             replacement=replacement,
+                             exitcode=proc.exitcode)
 
-        for job in jobs:
-            if job.job_id in pending:
-                continue                       # content-identical dup
-            pending[job.job_id] = job
-            attempts[job.job_id] = 0
-            task_q.put(job)
-            tracer.event("job.dispatch", job_id=job.job_id,
-                         label=job.label)
-
+        yield from self._apply(ledger.submit(jobs, time.monotonic()), queue)
         try:
             for _ in range(self.workers):
-                procs[self._next_wid] = self._spawn_worker(
-                    ctx, task_q, result_q, self._next_wid)
-                self._next_wid += 1
-
+                spawn()
             last_activity = time.monotonic()
-            while pending:
+            while ledger:
                 now = time.monotonic()
-
-                # due retries back onto the shared queue
-                while retry_at and retry_at[0][0] <= now:
-                    _, job = retry_at.pop(0)
-                    task_q.put(job)
-                    tracer.event("job.dispatch", job_id=job.job_id,
-                                 label=job.label, retry=True)
+                while delayed and delayed[0][0] <= now:
+                    task_q.put(heapq.heappop(delayed)[2])
                     last_activity = now
-
                 try:
                     kind, job_id, wid, payload = result_q.get(
                         timeout=self.poll_seconds)
                 except _queue.Empty:
-                    yield from reap_dead_workers()
-                    if (time.monotonic() - last_activity
-                            > self.stall_seconds and not in_flight
-                            and not retry_at):
+                    yield from reap()
+                    if (time.monotonic() - last_activity > self.stall_seconds
+                            and not ledger.in_flight() and not delayed):
                         # lost-dispatch backstop: re-queue whatever is
                         # still unaccounted for (completions dedup)
-                        for job in pending.values():
+                        for job in ledger.pending_jobs():
                             task_q.put(job)
                         last_activity = time.monotonic()
                     continue
 
-                last_activity = time.monotonic()
+                now = last_activity = time.monotonic()
                 if kind == "started":
-                    if job_id in pending:
-                        attempts[job_id] += 1
-                        in_flight[job_id] = (wid, last_activity)
-                        worker_job[wid] = job_id
+                    ledger.started(job_id, wid, now)
+                    if wid not in procs:
+                        # reaped before its ack was read: it died mid-job
+                        yield from self._apply(ledger.crashed(
+                            job_id, wid, now, f"worker {wid} died"), queue)
                 elif kind == "heartbeat":
                     self.heartbeats[wid] = payload
                 elif kind == "done":
-                    if job_id not in pending:
-                        continue               # duplicate completion
-                    job = pending.pop(job_id)
-                    clear_flight(job_id)
-                    if isinstance(job, CohortJob):
-                        quarantined = payload.get("quarantined") or []
-                        members_by_id = {m.job_id: m for m in job.jobs}
-                        redispatch = [members_by_id[q["job_id"]]
-                                      for q in quarantined]
-                        self._note_quarantines(job_id, quarantined,
-                                               history)
-                        tracer.event("job.complete", job_id=job_id,
-                                     label=job.label, worker_id=wid,
-                                     attempts=max(attempts[job_id], 1),
-                                     wall_seconds=payload["wall_seconds"],
-                                     cache=payload.get("cache"),
-                                     cohort=len(job.jobs),
-                                     quarantined=len(quarantined))
-                        tracer.event("pool.depth", pending=len(pending),
-                                     in_flight=len(in_flight))
-                        for k, member in enumerate(payload["members"]):
-                            err = validate_result_payload(
-                                member["payload"])
-                            if err is not None:
-                                history.setdefault(
-                                    member["job_id"], []).append(
-                                    {"attempt": 1, **err})
-                                redispatch.append(
-                                    members_by_id[member["job_id"]])
-                                continue
-                            mh = history.get(member["job_id"])
-                            yield JobResult(
-                                job_id=member["job_id"],
-                                label=member["label"], status="ok",
-                                attempts=max(attempts[job_id], 1),
-                                worker_id=wid,
-                                wall_seconds=member["payload"]
-                                                   ["wall_seconds"],
-                                result=member["payload"]["result"],
-                                cache=(payload.get("cache")
-                                       if k == 0 else None),
-                                extra={"cohort": job_id,
-                                       "cohort_size": len(job.jobs),
-                                       **({"attempt_history": list(mh)}
-                                          if mh else {})})
-                        # quarantine-aware partial completion: healthy
-                        # members are done above; only frozen/invalid
-                        # members retry individually, with a fresh
-                        # per-member budget (they never ran solo)
-                        for member in redispatch:
-                            if member.job_id in pending:
-                                continue
-                            pending[member.job_id] = member
-                            attempts[member.job_id] = 0
-                            task_q.put(member)
-                            tracer.event("job.dispatch",
-                                         job_id=member.job_id,
-                                         label=member.label,
-                                         requeued_from=job_id)
-                        continue
-                    err = validate_result_payload(payload)
-                    if err is not None:
-                        # the worker reported success but the result is
-                        # unusable: a failed attempt, never a completion
-                        get_metrics().counter("pool.corrupt_results").inc()
-                        tracer.event("job.corrupt_result", job_id=job_id,
-                                     worker_id=wid,
-                                     error_type=err["error_type"],
-                                     message=err["message"])
-                        history.setdefault(job_id, []).append(
-                            {"attempt": attempts[job_id],
-                             "error_type": err["error_type"],
-                             "message": err["message"]})
-                        if attempts[job_id] <= self.retries:
-                            pending[job_id] = job
-                            schedule_retry(job)
-                        else:
-                            yield self._dead(
-                                job, max(attempts[job_id], 1), err,
-                                history[job_id], worker_id=wid)
-                        continue
-                    tracer.event("job.complete", job_id=job_id,
-                                 label=job.label, worker_id=wid,
-                                 attempts=max(attempts[job_id], 1),
-                                 wall_seconds=payload["wall_seconds"],
-                                 cache=payload.get("cache"))
-                    tracer.event("pool.depth", pending=len(pending),
-                                 in_flight=len(in_flight))
-                    jh = history.get(job_id)
-                    yield JobResult(
-                        job_id=job_id, label=job.label, status="ok",
-                        attempts=max(attempts[job_id], 1), worker_id=wid,
-                        wall_seconds=payload["wall_seconds"],
-                        result=payload["result"],
-                        cache=payload.get("cache"),
-                        extra=({"attempt_history": list(jh)}
-                               if jh else {}))
+                    yield from self._apply(
+                        ledger.done(job_id, payload, wid, now), queue)
                 elif kind == "failed":
-                    if job_id not in pending:
-                        continue
-                    job = pending[job_id]
-                    clear_flight(job_id)
-                    history.setdefault(job_id, []).append(
-                        {"attempt": attempts[job_id],
-                         "error_type": payload.get("error_type"),
-                         "message": payload.get("message")})
-                    if isinstance(job, CohortJob):
-                        # don't retry the whole batch: split so only the
-                        # culprit member burns its budget (a watchdog
-                        # timeout also splits — per-member budgets are
-                        # fresh and the cohort budget was shared)
-                        pending.pop(job_id)
-                        tracer.event("job.failed", job_id=job_id,
-                                     label=job.label, worker_id=wid,
-                                     attempts=max(attempts[job_id], 1),
-                                     error_type=payload.get("error_type"),
-                                     cohort=len(job.jobs))
-                        split_cohort(job)
-                        continue
-                    if (payload.get("retryable", True)
-                            and attempts[job_id] <= self.retries):
-                        schedule_retry(job)
-                    else:
-                        pending.pop(job_id)
-                        tracer.event("job.failed", job_id=job_id,
-                                     label=job.label, worker_id=wid,
-                                     attempts=max(attempts[job_id], 1),
-                                     error_type=payload.get("error_type"))
-                        tracer.event("pool.depth", pending=len(pending),
-                                     in_flight=len(in_flight))
-                        yield self._dead(
-                            job, max(attempts[job_id], 1), payload,
-                            history[job_id], worker_id=wid)
+                    yield from self._apply(
+                        ledger.failed(job_id, payload, wid, now), queue)
                 # "bye" needs no handling: drain happens after the loop
 
             # graceful drain: every job accounted for

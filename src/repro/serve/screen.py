@@ -4,9 +4,11 @@ The high-level service API: build one content-addressed
 :class:`~repro.serve.queue.DockingJob` per ligand, order them through the
 priority :class:`~repro.serve.queue.JobQueue`, execute on a
 :class:`~repro.serve.pool.WorkerPool`, stream
-:class:`~repro.serve.pool.JobResult` records as they complete, and keep
-an atomically-updated manifest on disk so an interrupted screen resumes
-without re-docking anything already finished.
+:class:`~repro.serve.pool.JobResult` records as they complete, and
+append each one to the manifest log on disk
+(:class:`~repro.serve.manifest.ShardedManifest`) before anyone sees it,
+so an interrupted screen resumes without re-docking anything already
+finished.
 
 ::
 
@@ -16,7 +18,7 @@ without re-docking anything already finished.
                            ligands=["l1.pdbqt", "l2.pdbqt"],
                            config=DockingConfig(backend="tcec-tf32"),
                            n_runs=4, seed=2025)
-    report = screen.run(workers=4, manifest="screen.json", resume=True)
+    report = screen.run(workers=4, manifest="screen-manifest", resume=True)
     for hit in report.ranking[:10]:
         print(hit["label"], hit["best_score"])
 """
@@ -25,22 +27,20 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.config import DockingConfig
 from repro.obs import get_tracer
 from repro.serve.cache import DEFAULT_CAPACITY, file_sha256, maps_digest
-from repro.serve.manifest import (DEFAULT_MANIFEST_SHARDS,
-                                  SHARD_AUTO_THRESHOLD, ShardedManifest,
-                                  atomic_write_json, load_manifest_jobs)
+from repro.serve.manifest import (ShardedManifest, load_manifest_jobs,
+                                  rank_records)
 from repro.serve.pool import JobResult, WorkerPool
 from repro.serve.queue import (DockingJob, JobQueue, canonical_spec,
                                pack_cohorts, spawn_seed)
 
 __all__ = ["VirtualScreen", "ScreenReport"]
-
-MANIFEST_VERSION = 1
 
 
 @dataclass
@@ -236,7 +236,7 @@ class VirtualScreen:
             cohort_size: int = 1,
             retry_dead: bool = False,
             heartbeat_seconds: float | None = None,
-            manifest_shards: int | None = None,
+            manifest_shards: int = 1,
             store: str | Path | None = None) -> ScreenReport:
         """Execute the screen; returns the final :class:`ScreenReport`.
 
@@ -245,30 +245,26 @@ class VirtualScreen:
         before dispatch; results stay keyed — and bit-identical — per
         ligand, so manifests, resume and dedup are unaffected by packing.
 
-        ``manifest`` is rewritten atomically after *every* completed job
-        (the :class:`~repro.analysis.campaign.E50Campaign` tmp +
-        ``os.replace`` pattern), so a killed screen loses at most the
-        jobs in flight; ``resume=True`` reloads it and skips every job
-        whose id is already terminal — identical inputs do zero new
-        docking work.  Dead-letter records (``status="dead"``) are kept
-        terminal on resume; ``retry_dead=True`` (the ``--retry-dead``
-        CLI flag) drops them from the loaded manifest so those jobs are
+        ``manifest`` names the manifest log directory
+        (:class:`~repro.serve.manifest.ShardedManifest`): every terminal
+        :class:`JobResult` is appended to it as it arrives, before
+        ``stream`` sees it, so a killed screen loses at most the jobs in
+        flight; ``resume=True`` reloads it and skips every job whose id
+        is already terminal — identical inputs do zero new docking
+        work.  Dead-letter records (``status="dead"``) are kept terminal
+        on resume; ``retry_dead=True`` (the ``--retry-dead`` CLI flag)
+        drops them from the loaded manifest so those jobs are
         re-admitted with a fresh retry budget.  ``stream(result)`` is
         called per terminal :class:`JobResult` as it arrives.  ``trace``
         names a JSONL event log: the parent *and every worker* append
         spans/events to it (``repro stats <log>`` renders the summary
         afterwards).
 
-        ``manifest_shards`` selects the large-screen manifest format:
-        the manifest path becomes a *directory* of per-shard NDJSON
-        append logs (:class:`~repro.serve.manifest.ShardedManifest`) —
-        appending a result is O(record), not O(screen).  ``None`` picks
-        automatically (sharded above
-        :data:`~repro.serve.manifest.SHARD_AUTO_THRESHOLD` library
-        entries, single-file below); an existing manifest's format
-        always wins so resumes stay stable.  Resume and dead-letter
-        semantics are identical shard-wise, and
-        ``tools/merge_manifests.py`` merges/ranks shard directories.
+        ``manifest_shards`` is the log's shard count when the run
+        creates it (an existing manifest keeps its own, so resumes stay
+        stable): one append-only NDJSON file per content-hash shard, so
+        appending a result is O(record), not O(screen).
+        ``tools/merge_manifests.py`` merges and ranks logs.
 
         ``store`` names a shared disk cache tier root
         (:class:`~repro.serve.store.BlobStore`): workers front their
@@ -298,12 +294,13 @@ class VirtualScreen:
                     # a job that already exhausted its budget unless the
                     # operator explicitly re-admits it
                     results[prior.job_id] = prior
-        sharded = (self._open_sharded(manifest, manifest_shards)
-                   if manifest is not None else None)
+        log = (ShardedManifest(manifest, n_shards=manifest_shards)
+               if manifest is not None else None)
 
         span = tracer.span("screen.run", workers=workers, resume=resume)
         heartbeats: dict = {}
-        with span:
+        # the log's handles close even when a consumer raises mid-screen
+        with span, (nullcontext() if log is None else log):
             with tracer.span("screen.build_queue"):
                 queue = JobQueue(maxsize=self.queue_size)
                 for job in self.jobs():
@@ -338,18 +335,14 @@ class VirtualScreen:
                     pool_stats = self._pool_stats(pool)
                     # persist before notifying: a crash in the consumer
                     # must not lose a job that already finished
-                    if sharded is not None:
-                        sharded.append(result.to_dict())
+                    if log is not None:
+                        log.append(result.to_dict())
                         if len(new_results) % 100 == 0:
-                            sharded.write_meta(
+                            log.write_meta(
                                 self._screen_header(),
                                 self._stats(results, new_results, queue,
                                             t0, workers, heartbeats,
                                             pool_stats))
-                    elif manifest is not None:
-                        self._save_manifest(manifest, results, queue,
-                                            t0, workers, heartbeats,
-                                            pool_stats)
                     if stream is not None:
                         stream(result)
                 heartbeats = pool.heartbeats
@@ -361,17 +354,13 @@ class VirtualScreen:
 
         report = ScreenReport(
             results=results,
-            ranking=self._ranking(results),
+            ranking=rank_records(r.to_dict() for r in results.values()),
             stats=self._stats(results, new_results, queue, t0, workers,
                               heartbeats, pool_stats),
             manifest_path=str(manifest) if manifest is not None else None)
-        if sharded is not None:
-            sharded.write_meta(self._screen_header(), report.stats)
-            sharded.compact()
-            sharded.close()
-        elif manifest is not None:
-            self._save_manifest(manifest, results, queue, t0, workers,
-                                heartbeats, pool_stats)
+        if log is not None:
+            log.write_meta(self._screen_header(), report.stats)
+            log.compact()
         tracer.flush()
         return report
 
@@ -383,17 +372,6 @@ class VirtualScreen:
                 "workers_replaced": pool.workers_replaced}
 
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _ranking(results: dict[str, JobResult]) -> list[dict]:
-        ranked = [r for r in results.values()
-                  if r.status in ("ok", "cached") and r.result is not None]
-        ranked.sort(key=lambda r: r.best_score)
-        return [{"rank": k + 1, "label": r.label, "job_id": r.job_id,
-                 "best_score": r.best_score,
-                 "total_evals": r.result["total_evals"],
-                 "status": r.status}
-                for k, r in enumerate(ranked)]
 
     @staticmethod
     def _stats(results, new_results, queue: JobQueue, t0: float,
@@ -437,53 +415,3 @@ class VirtualScreen:
         return {"seed": self.seed, "n_runs": self.n_runs,
                 "config": self.config.to_dict(),
                 "written_at": time.time()}
-
-    def _open_sharded(self, manifest: str | Path,
-                      manifest_shards: int | None) -> ShardedManifest | None:
-        """Pick the manifest format; ``None`` means single-file JSON.
-
-        An existing manifest's on-disk format always wins (resume must
-        keep appending where the first run wrote); otherwise an explicit
-        ``manifest_shards`` decides, and ``None`` auto-shards at
-        :data:`SHARD_AUTO_THRESHOLD` library entries.
-        """
-        path = Path(manifest)
-        if ShardedManifest.is_sharded(path):
-            return ShardedManifest(path)
-        if path.is_file():
-            if manifest_shards:
-                raise ValueError(
-                    f"{path} is a single-file manifest; cannot resume it "
-                    f"with manifest_shards={manifest_shards}")
-            return None
-        if manifest_shards is None:
-            if self._n_entries() < SHARD_AUTO_THRESHOLD:
-                return None
-            manifest_shards = DEFAULT_MANIFEST_SHARDS
-        if manifest_shards <= 0:
-            return None
-        return ShardedManifest(path, n_shards=manifest_shards)
-
-    def _save_manifest(self, path: str | Path,
-                       results: dict[str, JobResult], queue: JobQueue,
-                       t0: float, workers: int,
-                       heartbeats: dict | None = None,
-                       pool_stats: dict | None = None) -> None:
-        """Durable atomic write: fsynced before the rename and tmp-named
-        per PID, so neither a power cut nor a concurrent screen on the
-        same path can leave a torn or empty manifest."""
-        payload = {
-            "version": MANIFEST_VERSION,
-            "screen": self._screen_header(),
-            "jobs": {jid: r.to_dict() for jid, r in results.items()},
-            "ranking": self._ranking(results),
-            "stats": self._stats(results, list(results.values()),
-                                 queue, t0, workers, heartbeats,
-                                 pool_stats),
-        }
-        atomic_write_json(path, payload)
-
-    @staticmethod
-    def _load_manifest(path: str | Path) -> dict:
-        """job_id -> JobResult dict from a manifest written by run()."""
-        return load_manifest_jobs(path)

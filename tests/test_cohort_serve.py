@@ -15,7 +15,8 @@ import pytest
 
 from repro.core import DockingConfig, DockingEngine
 from repro.search.lga import LGAConfig
-from repro.serve import VirtualScreen, seed_from_spec, spawn_seed
+from repro.serve import (VirtualScreen, load_manifest_jobs, rank_records,
+                         seed_from_spec, spawn_seed)
 from repro.serve.pool import execute_cohort, execute_job
 from repro.serve.queue import (CohortJob, DockingJob, _spec_size_key,
                                pack_cohorts)
@@ -172,6 +173,10 @@ class TestScreenCohort:
                               seed=3).run(workers=0, manifest=manifest,
                                           cohort_size=4)
         assert first.stats["jobs_completed"] == 4
+        # the log holds one record per member, never one per cohort
+        persisted = load_manifest_jobs(manifest)
+        assert sorted(persisted) == sorted(first.results)
+        assert rank_records(persisted.values()) == first.ranking
         resumed = VirtualScreen(cases=names, config=TINY, n_runs=2,
                                 seed=3).run(workers=0, manifest=manifest,
                                             resume=True, cohort_size=1)

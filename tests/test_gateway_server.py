@@ -13,7 +13,7 @@ import pytest
 from repro.cli import main
 from repro.gateway import (Gateway, GatewayConfig, GatewayClient,
                            GatewayRejected)
-from repro.serve import shard_for
+from repro.serve import load_manifest_jobs, rank_records, shard_for
 
 
 def _doc(case="1u4d", i=0, evals=200, n_runs=1, **extra):
@@ -29,7 +29,7 @@ _IMPOSSIBLE = dict(evals=200_000, n_runs=8, deadline_s=0.01)
 @pytest.fixture()
 def gateway(tmp_path):
     cfg = GatewayConfig(port=0, n_shards=2, workers=0, poll_s=0.01,
-                        manifest=str(tmp_path / "manifest.json"))
+                        manifest=str(tmp_path / "manifest"))
     gw = Gateway(cfg).start()
     try:
         yield gw, GatewayClient(f"http://127.0.0.1:{gw.port}")
@@ -74,14 +74,16 @@ class TestEndToEnd:
         assert min(r["best_score"] for r in runs) == \
             pytest.approx(status["best_score"])
 
-        # the manifest on disk is the ranked, atomic artifact
-        doc = json.loads((tmp_path / "manifest.json").read_text())
-        scores = [r["best_score"] for r in doc["ranking"]]
+        # every streamed record is already in the manifest log on disk
+        ranking = rank_records(
+            load_manifest_jobs(tmp_path / "manifest").values())
+        scores = [r["best_score"] for r in ranking]
         assert scores == sorted(scores)
-        assert len(doc["ranking"]) == 6
-        assert doc["scheduler"]["completed"] == 6
+        assert len(ranking) == 6
+        assert client.manifest()["ranking"] == ranking
 
         stats = client.stats()
+        assert stats["scheduler"]["completed"] == 6
         assert stats["jobs"]["ok"] == 6
         assert stats["heartbeat_seconds"] > 0
         assert stats["scheduler"]["rejected"] == 1
@@ -120,6 +122,36 @@ class TestEndToEnd:
         resp = conn.getresponse()
         assert resp.status == 400
         conn.close()
+
+
+class TestManifestLog:
+    def test_shard_threads_append_one_whole_line_per_job(self, tmp_path):
+        """More shard threads than cores share one manifest log under a
+        short switch interval: every streamed job is already on disk as
+        exactly one whole line."""
+        import sys
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            gw = Gateway(GatewayConfig(
+                port=0, n_shards=4, workers=0, poll_s=0.01,
+                manifest=str(tmp_path / "m"), manifest_shards=2)).start()
+            try:
+                client = GatewayClient(f"http://127.0.0.1:{gw.port}")
+                out = client.submit_batch([_doc(i=i, evals=100)
+                                           for i in range(12)])
+                streamed = list(client.stream(timeout=120))
+                lines = [json.loads(line)
+                         for path in sorted((tmp_path / "m").glob("*.ndjson"))
+                         for line in path.read_text().splitlines()]
+            finally:
+                gw.stop()
+        finally:
+            sys.setswitchinterval(switch)
+        want = sorted(rec["job_id"] for rec in out["accepted"])
+        assert len(want) == 12
+        assert sorted(rec["job_id"] for rec in streamed) == want
+        assert sorted(rec["job_id"] for rec in lines) == want
 
 
 class TestSloAdmission:

@@ -1,6 +1,8 @@
-"""Tests for sharded NDJSON manifests: logs, screens, merge tool."""
+"""Tests for the NDJSON manifest log: logs, screens, ranking, merge tool."""
 
 import json
+import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -13,11 +15,13 @@ from repro.core import DockingConfig
 from repro.io import pack_rlig, write_maps, write_pdbqt
 from repro.search.lga import LGAConfig
 from repro.serve import ShardedManifest, VirtualScreen, shard_for
-from repro.serve.manifest import atomic_write_json, load_manifest_jobs
+from repro.serve.manifest import (atomic_write_json, load_manifest_jobs,
+                                  rank_records)
 from repro.testcases import get_test_case
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from tools.merge_manifests import merge, rank  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+from tools.merge_manifests import merge  # noqa: E402
 
 TINY = DockingConfig(backend="baseline",
                      lga=LGAConfig(pop_size=8, max_evals=300, max_gens=6,
@@ -92,6 +96,26 @@ class TestShardedLog:
         jobs = ShardedManifest(tmp_path / "m").load()
         assert list(jobs) == [_jid(1)]
 
+    def test_append_after_torn_tail_keeps_new_record(self, tmp_path):
+        """Regression: the first append after a crash mid-append was
+        glued onto the torn line, so a resumed screen lost it on load."""
+        sm = ShardedManifest(tmp_path / "m", n_shards=1)
+        sm.append(_rec(1, -1.0))
+        sm.close()
+        with open(sm.shard_path(0), "a") as fh:
+            fh.write('{"job_id": "feed", "stat')     # crash mid-append
+        resumed = ShardedManifest(tmp_path / "m")
+        resumed.append(_rec(2, -2.0))
+        resumed.close()
+        assert sorted(resumed.load()) == sorted([_jid(1), _jid(2)])
+
+    def test_single_file_manifest_is_read_only(self, tmp_path):
+        legacy = tmp_path / "m.json"
+        legacy.write_text(json.dumps({"version": 1, "jobs": {}}))
+        assert load_manifest_jobs(legacy) == {}
+        with pytest.raises(ValueError, match="read-only"):
+            ShardedManifest(legacy, n_shards=1)
+
     def test_meta_pins_shard_count_across_reopen(self, tmp_path):
         ShardedManifest(tmp_path / "m", n_shards=3).close()
         sm = ShardedManifest(tmp_path / "m", n_shards=16)
@@ -139,18 +163,23 @@ class TestShardedLog:
 class TestScreenSharded:
     def test_sharded_ranking_equals_single_file(self, ligand_library,
                                                 tmp_path):
+        """A 2-shard log ranks exactly like the 1-shard (single-file)
+        log of the same screen, in the report and on disk."""
         fld, ligs = ligand_library
         single = VirtualScreen(fld=fld, ligands=ligs, config=TINY,
                                n_runs=2, seed=3)
-        ref = single.run(workers=0, manifest=tmp_path / "single.json",
-                         manifest_shards=0)
+        ref = single.run(workers=0, manifest=tmp_path / "one")
+        assert ShardedManifest(tmp_path / "one").n_shards == 1
 
         sharded = VirtualScreen(fld=fld, ligands=ligs, config=TINY,
                                 n_runs=2, seed=3)
         rep = sharded.run(workers=0, manifest=tmp_path / "shards",
                           manifest_shards=2)
-        assert (tmp_path / "shards" / "meta.json").is_file()
+        assert ShardedManifest(tmp_path / "shards").n_shards == 2
         assert rep.ranking == ref.ranking
+        for path in (tmp_path / "one", tmp_path / "shards"):
+            assert rank_records(
+                load_manifest_jobs(path).values()) == ref.ranking
 
     def test_sharded_resume_skips_completed_work(self, ligand_library,
                                                  tmp_path):
@@ -172,28 +201,6 @@ class TestScreenSharded:
         rep2 = again.run(workers=0, manifest=manifest, resume=True)
         assert rep2.stats["jobs_completed"] == 0
         assert rep2.stats["jobs_cached"] == 4
-
-    def test_single_file_resume_rejects_shard_request(self, ligand_library,
-                                                      tmp_path):
-        fld, ligs = ligand_library
-        manifest = tmp_path / "m.json"
-        VirtualScreen(fld=fld, ligands=ligs, config=TINY, n_runs=1,
-                      seed=5).run(workers=0, manifest=manifest,
-                                  manifest_shards=0)
-        with pytest.raises(ValueError, match="single-file manifest"):
-            VirtualScreen(fld=fld, ligands=ligs, config=TINY, n_runs=1,
-                          seed=5).run(workers=0, manifest=manifest,
-                                      manifest_shards=4)
-
-    def test_auto_threshold_switches_format(self, ligand_library,
-                                            tmp_path, monkeypatch):
-        import repro.serve.screen as screen_mod
-        monkeypatch.setattr(screen_mod, "SHARD_AUTO_THRESHOLD", 2)
-        fld, ligs = ligand_library
-        screen = VirtualScreen(fld=fld, ligands=ligs, config=TINY,
-                               n_runs=1, seed=5)
-        screen.run(workers=0, manifest=tmp_path / "auto")
-        assert ShardedManifest.is_sharded(tmp_path / "auto")
 
 
 class TestMergeTool:
@@ -221,7 +228,45 @@ class TestMergeTool:
         scores = [r["best_score"] for r in doc["ranking"]]
         assert scores == [-8.0, -5.0]
         assert [r["rank"] for r in doc["ranking"]] == [1, 2]
-        assert rank(doc["jobs"]) == doc["ranking"]
+        assert rank_records(doc["jobs"].values()) == doc["ranking"]
+
+    def test_ranking_ties_break_by_job_id(self, tmp_path):
+        records = [_rec(i, -3.0) for i in range(5)]
+        want = sorted(r["job_id"] for r in records)
+        for order in (records, records[::-1]):
+            assert [r["job_id"] for r in rank_records(order)] == want
+        # the same records split over 1 or 3 shards merge to one order
+        for n in (1, 3):
+            sm = ShardedManifest(tmp_path / f"m{n}", n_shards=n)
+            for rec in records[::-1]:
+                sm.append(rec)
+            sm.close()
+            assert [r["job_id"] for r in
+                    merge([tmp_path / f"m{n}"])["ranking"]] == want
+
+    def test_ranks_gateway_records(self, tmp_path):
+        """Regression: a gateway record nests the JobResult under
+        ``result``, so the docking result sits one level deeper; the
+        merge tool used to rank none of a gateway log's jobs."""
+        from repro.gateway import Gateway, GatewayClient, GatewayConfig
+        cfg = GatewayConfig(port=0, n_shards=2, workers=0, poll_s=0.01,
+                            manifest=str(tmp_path / "gw"),
+                            manifest_shards=2)
+        gw = Gateway(cfg).start()
+        try:
+            client = GatewayClient(f"http://127.0.0.1:{gw.port}")
+            client.submit_batch([
+                {"case": "1u4d", "n_runs": 1, "evals": 200, "pop": 10,
+                 "ls_iters": 5, "backend": "baseline",
+                 "seed": {"entropy": 42, "index": i}} for i in range(3)])
+            streamed = list(client.stream())
+        finally:
+            gw.stop()
+        assert [r["status"] for r in streamed] == ["ok"] * 3
+        doc = merge([tmp_path / "gw"])
+        assert len(doc["ranking"]) == 3
+        scores = [r["best_score"] for r in doc["ranking"]]
+        assert scores == sorted(r["best_score"] for r in streamed)
 
     def test_cli_writes_merged_manifest(self, tmp_path, capsys):
         from tools.merge_manifests import main as merge_main
@@ -242,6 +287,20 @@ class TestMergeTool:
         from tools.merge_manifests import main as merge_main
         assert merge_main([str(tmp_path / "nope")]) == 1
         assert "merge_manifests" in capsys.readouterr().err
+
+    def test_runs_without_pythonpath(self, tmp_path):
+        """CI's merge step sets no PYTHONPATH: the tool finds src/."""
+        sm = ShardedManifest(tmp_path / "m", n_shards=2)
+        for i in range(3):
+            sm.append(_rec(i, float(-i)))
+        sm.close()
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "merge_manifests.py"),
+             str(tmp_path / "m")], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "3 jobs, 3 ranked" in proc.stdout
 
 
 class TestScreenCLI:

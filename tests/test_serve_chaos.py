@@ -4,10 +4,9 @@ letters, quarantine-aware partial cohort completion, crash consistency.
 Complements test_serve_pool.py (crash_once) with the wider chaos
 surface of ISSUE 7: parent-side lease recovery for wedged workers,
 result validation, the dead-letter queue with ``--retry-dead``
-re-admission, and a kill -9 of the *parent* mid-manifest-rewrite.
+re-admission, and a kill -9 of the *parent* mid-manifest-append.
 """
 
-import json
 import os
 import signal
 import subprocess
@@ -19,7 +18,8 @@ from repro.core import DockingConfig
 from repro.robustness import WatchdogTimeout  # noqa: F401  (re-exported)
 from repro.search.lga import LGAConfig
 from repro.serve import (CohortJob, DockingJob, VirtualScreen, WorkerPool,
-                         spawn_seed, validate_result_payload)
+                         load_manifest_jobs, spawn_seed,
+                         validate_result_payload)
 from repro.serve.pool import execute_job
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -141,7 +141,7 @@ class TestChaosProcessPool:
 
 class TestRetryDead:
     def test_dead_records_stay_terminal_unless_readmitted(self, tmp_path):
-        manifest = tmp_path / "screen.json"
+        manifest = tmp_path / "screen"
         screen = VirtualScreen(
             cases=["1u4d", "1xoz"], config=TINY, n_runs=2, seed=7,
             chaos={"1u4d": {"poison_nonfinite": True}})
@@ -171,23 +171,29 @@ class TestRetryDead:
 class TestParentCrashConsistency:
     def test_kill9_mid_manifest_rewrite_resumes_exactly_once(
             self, tmp_path):
-        """kill -9 the parent between tmp-write and rename: the manifest
-        stays whole, resume yields exactly one terminal record per job,
-        and the dead-letter entry survives."""
-        manifest = tmp_path / "screen.json"
+        """kill -9 the parent halfway through writing a manifest line:
+        the torn line is skipped, resume yields exactly one terminal
+        record per job, and the dead-letter entry survives."""
+        manifest = tmp_path / "screen"
         script = tmp_path / "killed_screen.py"
         script.write_text(textwrap.dedent(f"""
-            import os, signal
-            real_replace = os.replace
+            import json, os, signal
+            from repro.serve.manifest import ShardedManifest
+            from repro.serve.queue import shard_for
+            real_append = ShardedManifest.append
             calls = {{"n": 0}}
 
-            def killing_replace(src, dst):
+            def torn_append(self, record):
                 calls["n"] += 1
-                if calls["n"] == 2:      # tmp written, rename pending
+                if calls["n"] == 2:      # half a line on disk, then die
+                    line = json.dumps(record)
+                    shard = shard_for(record["job_id"], self.n_shards)
+                    with open(self.shard_path(shard), "a") as fh:
+                        fh.write(line[: len(line) // 2])
                     os.kill(os.getpid(), signal.SIGKILL)
-                return real_replace(src, dst)
+                return real_append(self, record)
 
-            os.replace = killing_replace
+            ShardedManifest.append = torn_append
 
             from repro.core import DockingConfig
             from repro.search.lga import LGAConfig
@@ -209,10 +215,9 @@ class TestParentCrashConsistency:
                               capture_output=True, timeout=300)
         assert proc.returncode == -signal.SIGKILL
 
-        # atomic writes: the half-finished rewrite left a valid manifest
-        # holding exactly the dead-lettered first job
-        payload = json.loads(manifest.read_text())
-        jobs = payload["jobs"]
+        # the torn second line is skipped: the log holds exactly the
+        # dead-lettered first job
+        jobs = load_manifest_jobs(manifest)
         assert len(jobs) == 1
         [prior] = jobs.values()
         assert prior["status"] == "dead"
@@ -233,3 +238,8 @@ class TestParentCrashConsistency:
         assert report.stats["jobs_completed"] == 2
         assert report.stats["jobs_dead"] == 1
         assert len(report.ranking) == 2
+        # and on disk: the resumed appends are not lost behind the torn line
+        reloaded = load_manifest_jobs(manifest)
+        assert sorted(r["label"] for r in reloaded.values()) \
+            == ["1u4d", "1xoz", "7cpa"]
+        assert reloaded[prior["job_id"]]["status"] == "dead"

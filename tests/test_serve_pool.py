@@ -248,3 +248,69 @@ class TestHeartbeatConfig:
             disable()
         text = render_summary(summarize_log(log))
         assert "heartbeat every 0.5s" in text
+
+
+class TestExecutorParity:
+    """Both executors drive one JobLedger, so they must agree on order,
+    counters and terminal records (each test failed before the ledger:
+    the inline executor kept its own copy of the state machine)."""
+
+    @staticmethod
+    def _poisoned_then_clean():
+        poisoned, clean = _jobs(["1u4d", "1xoz"])
+        poisoned = DockingJob(spec={**poisoned.spec,
+                                    "poison_nonfinite": True},
+                              config=TINY, n_runs=2, seed=poisoned.seed,
+                              label="poisoned")
+        return [poisoned, clean]
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_backoff_does_not_block_a_ready_job(self, workers):
+        pool = WorkerPool(workers=workers, retries=1, backoff=1.0,
+                          poll_seconds=0.05)
+        results = list(pool.map(self._poisoned_then_clean()))
+        assert [(r.label, r.status) for r in results] \
+            == [("1xoz", "ok"), ("poisoned", "dead")]
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_corrupt_results_are_counted(self, workers):
+        from repro.obs import get_metrics
+        counter = get_metrics().counter("pool.corrupt_results")
+        before = counter.value
+        pool = WorkerPool(workers=workers, retries=1, backoff=0.0,
+                          poll_seconds=0.05)
+        [dead] = list(pool.map(self._poisoned_then_clean()[:1]))
+        assert dead.status == "dead" and dead.attempts == 2
+        assert counter.value - before == 2      # one per attempt
+
+    @pytest.fixture(scope="class")
+    def cohort_outcomes(self):
+        from repro.serve import CohortJob
+        members = _jobs(["1u4d", "1xoz", "7cpa"])
+        members[1] = DockingJob(spec={**members[1].spec,
+                                      "poison_nonfinite": True},
+                                config=TINY, n_runs=2,
+                                seed=members[1].seed, label="poisoned")
+        cohort = CohortJob(jobs=tuple(members))
+        out = {}
+        for workers in (0, 1):
+            pool = WorkerPool(workers=workers, retries=1, backoff=0.0,
+                              poll_seconds=0.05)
+            out[workers] = {r.label: (r.status, r.attempts, r.extra)
+                            for r in pool.map([cohort])}
+        return cohort, out
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_cohort_members_match(self, cohort_outcomes, workers):
+        cohort, out = cohort_outcomes
+        got = out[workers]
+        assert got == out[0]
+        extra = {"cohort": cohort.job_id, "cohort_size": 3}
+        assert got["1u4d"] == ("ok", 1, extra)
+        assert got["7cpa"] == ("ok", 1, extra)
+        status, attempts, dead_extra = got["poisoned"]
+        assert (status, attempts) == ("dead", 2)   # a fresh 1+1 budget
+        assert [(h["attempt"], h["error_type"])
+                for h in dead_extra["attempt_history"]] \
+            == [(0, "LaneQuarantine"), (1, "NonFiniteResult"),
+                (2, "NonFiniteResult")]

@@ -9,7 +9,8 @@ from repro.cli import main
 from repro.core import DockingConfig, DockingEngine
 from repro.io import write_maps, write_pdbqt
 from repro.search.lga import LGAConfig
-from repro.serve import VirtualScreen, seed_from_spec, spawn_seed
+from repro.serve import (VirtualScreen, load_manifest_jobs, seed_from_spec,
+                         spawn_seed)
 from repro.testcases import get_test_case
 
 TINY = DockingConfig(backend="baseline",
@@ -117,9 +118,8 @@ class TestScreenRun:
 
         with pytest.raises(Interrupt):
             screen.run(workers=0, manifest=manifest, stream=die_after_two)
-        # the manifest survived the crash atomically with 2 terminal jobs
-        persisted = json.loads(manifest.read_text())
-        assert len(persisted["jobs"]) == 2
+        # the manifest log survived the crash with 2 terminal jobs
+        assert len(load_manifest_jobs(manifest)) == 2
 
         resumed = VirtualScreen(fld=fld, ligands=ligs, config=TINY,
                                 n_runs=2, seed=3).run(
@@ -188,7 +188,7 @@ class TestTracedScreen:
         hb = report.stats["heartbeats"]
         assert hb and all("cache" in v and "metrics" in v
                           for v in hb.values())
-        persisted = json.loads(manifest.read_text())
+        persisted = json.loads((manifest / "meta.json").read_text())
         assert persisted["stats"]["heartbeats"].keys() == hb.keys()
 
     def test_trace_spans_nest_under_screen_run(self, tmp_path):

@@ -1,167 +1,65 @@
 #!/usr/bin/env python
-"""Merge screen manifests — sharded NDJSON dirs and/or single JSON files.
+"""Merge screen and gateway manifests into one ranked report.
 
-A sharded :class:`~repro.serve.manifest.ShardedManifest` keeps one
-append-only NDJSON log per content-hash shard, which is the right shape
-for a million-ligand screen but the wrong shape for downstream analysis.
-This tool folds any mix of sharded manifest directories and single-file
-``manifest.json`` documents into one ranked, single-file manifest::
+A manifest log (:class:`~repro.serve.manifest.ShardedManifest`) keeps
+one append-only NDJSON file per content-hash shard, the right shape for
+a million-ligand screen but not for analysis.  This tool folds any
+number of logs (or retired single-file ``manifest.json`` documents)
+into one ranked JSON report::
 
-    python tools/merge_manifests.py out/manifest out2/manifest.json \
+    python tools/merge_manifests.py out/manifest host-b/manifest \
         --out merged.json --top 10
 
-Semantics mirror the serving layer exactly:
-
-* **last record wins** — within a shard log, later appends supersede
-  earlier ones (that is the append-log contract); across inputs, later
-  command-line arguments supersede earlier ones;
-* **torn tails are skipped** — a crash mid-append leaves at most one
-  unparseable final line per shard, which is data loss of one record,
-  never a read failure;
-* **ranking matches** ``VirtualScreen._ranking`` — jobs with status
-  ``ok``/``cached`` and a result payload, sorted by best score (the min
-  over runs), so a merged sharded screen ranks identically to the same
-  screen written through the single-file path.
-
-Pure stdlib, so CI can run it before any project dependency imports.
+Records load through :func:`~repro.serve.manifest.load_manifest_jobs`
+(last record wins, a torn final line is skipped) and rank through
+:func:`~repro.serve.manifest.rank_records`, the ranking screens and the
+gateway report; across inputs, later arguments win.  The project's
+``src/`` is found from this file's path, so no ``PYTHONPATH`` is needed.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from pathlib import Path
 
-MANIFEST_VERSION = 1
-SHARDED_MANIFEST_VERSION = 1
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from repro.serve.manifest import (atomic_write_json,  # noqa: E402
+                                  load_manifest_jobs, rank_records)
 
-class MergeError(Exception):
-    pass
-
-
-def _fail(path: Path, msg: str) -> None:
-    raise MergeError(f"{path}: {msg}")
-
-
-# ----------------------------------------------------------------- load
-
-def _load_sharded(path: Path) -> dict[str, dict]:
-    meta_path = path / "meta.json"
-    try:
-        meta = json.loads(meta_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(meta_path, f"unreadable sharded-manifest meta: {exc}")
-    if meta.get("version") != SHARDED_MANIFEST_VERSION:
-        _fail(meta_path, f"unsupported sharded-manifest version "
-                         f"{meta.get('version')!r}")
-    jobs: dict[str, dict] = {}
-    for shard_path in sorted(path.glob("shard-*.ndjson")):
-        for line in shard_path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue        # torn tail from a crash mid-append
-            jid = rec.get("job_id")
-            if jid:
-                jobs[jid] = rec
-    return jobs
-
-
-def _load_single(path: Path) -> dict[str, dict]:
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(path, f"unreadable manifest: {exc}")
-    if doc.get("version") != MANIFEST_VERSION:
-        _fail(path, f"unsupported manifest version {doc.get('version')!r}")
-    return dict(doc.get("jobs", {}))
-
-
-def load_jobs(path: Path) -> dict[str, dict]:
-    """job_id -> result record from either manifest format."""
-    if path.is_dir():
-        if not (path / "meta.json").is_file():
-            _fail(path, "directory is not a sharded manifest "
-                        "(no meta.json)")
-        return _load_sharded(path)
-    if path.is_file():
-        return _load_single(path)
-    _fail(path, "no such manifest")
-    raise AssertionError("unreachable")
-
-
-# ----------------------------------------------------------------- rank
-
-def _best_score(rec: dict) -> float | None:
-    result = rec.get("result")
-    if not result or not result.get("runs"):
-        return None
-    return min(r["best_score"] for r in result["runs"])
-
-
-def rank(jobs: dict[str, dict]) -> list[dict]:
-    """Ranked hit list, same shape as ``VirtualScreen._ranking``."""
-    scored = []
-    for rec in jobs.values():
-        if rec.get("status") not in ("ok", "cached"):
-            continue
-        score = _best_score(rec)
-        if score is None:
-            continue
-        scored.append((score, rec))
-    scored.sort(key=lambda pair: pair[0])
-    return [{"rank": k + 1, "label": rec.get("label", ""),
-             "job_id": rec["job_id"], "best_score": score,
-             "total_evals": rec["result"]["total_evals"],
-             "status": rec["status"]}
-            for k, (score, rec) in enumerate(scored)]
-
-
-# ---------------------------------------------------------------- write
-
-def _atomic_write_json(path: Path, payload: dict) -> None:
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+#: version of the merged report written with ``--out``
+MERGED_VERSION = 1
 
 
 def merge(paths: list[Path]) -> dict:
+    """Load, merge (later paths win) and rank the manifests at ``paths``."""
     jobs: dict[str, dict] = {}
     for path in paths:
-        jobs.update(load_jobs(path))
-    ranking = rank(jobs)
+        jobs.update(load_manifest_jobs(path))
     by_status: dict[str, int] = {}
     for rec in jobs.values():
         status = rec.get("status", "unknown")
         by_status[status] = by_status.get(status, 0) + 1
     return {
-        "version": MANIFEST_VERSION,
+        "version": MERGED_VERSION,
         "merged_from": [str(p) for p in paths],
         "jobs": jobs,
-        "ranking": ranking,
+        "ranking": rank_records(jobs.values()),
         "stats": {"jobs_total": len(jobs), "by_status": by_status},
     }
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
-        description="Merge sharded and single-file screen manifests into "
-                    "one ranked manifest")
+        description="Merge screen and gateway manifests into one ranked "
+                    "report")
     ap.add_argument("manifests", nargs="+", type=Path,
-                    help="sharded manifest dirs and/or manifest.json "
-                         "files; later arguments win on job-id collision")
+                    help="manifest log directories (or retired "
+                         "single-file manifest.json files); later "
+                         "arguments win on job-id collision")
     ap.add_argument("--out", type=Path, default=None,
-                    help="write the merged single-file manifest here "
-                         "(atomic rename)")
+                    help="write the merged report here (atomic rename)")
     ap.add_argument("--top", type=int, default=5, metavar="N",
                     help="print the top-N ranked hits (default 5; "
                          "0 silences the table)")
@@ -169,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         doc = merge(args.manifests)
-    except MergeError as exc:
+    except (OSError, ValueError) as exc:
         print(f"merge_manifests: {exc}", file=sys.stderr)
         return 1
 
@@ -181,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  #{rec['rank']:<3d} {rec['label']:<24s} "
               f"{rec['best_score']:10.4f}  [{rec['status']}]")
     if args.out is not None:
-        _atomic_write_json(args.out, doc)
+        atomic_write_json(args.out, doc)
         print(f"wrote {args.out}")
     return 0
 
