@@ -51,7 +51,7 @@ SCHEMA = "bench-hot-path/v2"
 REFERENCE_BACKENDS = ("baseline", "warp-shuffle", "tc-fp16", "tcec-tf32",
                       "exact")
 #: quick subset for the CI smoke job
-SMOKE_BACKENDS = ("baseline", "tc-fp16")
+SMOKE_BACKENDS = ("baseline", "tc-fp16", "tcec-tf32")
 #: cohort widths of the multi-ligand sweep (homogeneous 7cpa copies, so
 #: evals/s across sizes is apples-to-apples) and of the mixed sweep
 #: (set-of-42 prefix, so pad_ratio reflects real heterogeneity)

@@ -105,19 +105,19 @@ def _round_fp32_mantissa(x: np.ndarray, drop_bits: int, mode: str) -> np.ndarray
     rounding are handled for free.  NaN/Inf are preserved.
     """
     x32 = np.ascontiguousarray(x, dtype=np.float32)
-    bits = x32.view(np.uint32).copy()
-    special = ~np.isfinite(x32)
     if mode == "rn":
         # round-half-away: add half of the dropped ULP, then truncate
-        bits = bits + np.uint32(1 << (drop_bits - 1))
-    elif mode != "rz":
+        bits = x32.view(np.uint32) + np.uint32(1 << (drop_bits - 1))
+    elif mode == "rz":
+        bits = x32.view(np.uint32).copy()
+    else:
         raise ValueError(f"unknown rounding mode {mode!r}")
     bits &= np.uint32(0xFFFFFFFF) << np.uint32(drop_bits)
     out = bits.view(np.float32)
     # rounding may have carried a max-exponent value into the Inf encoding;
     # that is correct behaviour (overflow to Inf), but NaN payloads must not
     # be disturbed.
-    out = np.where(special, x32, out)
+    np.copyto(out, x32, where=~np.isfinite(x32))
     return out
 
 

@@ -23,9 +23,6 @@ __all__ = [
     "ulp_f32",
 ]
 
-_F32_MAX = np.float64(np.finfo(np.float32).max)
-_F32_MAX32 = np.float32(np.finfo(np.float32).max)
-
 
 def round_f64_to_f32_rn(x: np.ndarray) -> np.ndarray:
     """Round float64 values to float32 with round-to-nearest-even."""
@@ -42,18 +39,11 @@ def round_f64_to_f32_rz(x: np.ndarray) -> np.ndarray:
     x64 = np.asarray(x, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         y = x64.astype(np.float32)
-    finite_in = np.isfinite(x64)
-    if y.ndim == 0:
-        y = y.reshape(())  # keep ndarray semantics for the masked writes
-    y = np.array(y, copy=True)
-    # finite input overflowed to inf -> clamp to max finite magnitude
-    ovf = finite_in & ~np.isfinite(y)
-    if np.any(ovf):
-        y[ovf] = np.sign(x64[ovf]).astype(np.float32) * _F32_MAX32
-    # nearest rounding moved away from zero -> step one ULP back
-    grew = finite_in & (np.abs(y.astype(np.float64)) > np.abs(x64))
-    if np.any(grew):
-        y[grew] = np.nextafter(y[grew], np.float32(0.0))
+        # nearest rounding moved away from zero -> step one ULP back; a
+        # finite input that overflowed to inf steps back to the largest
+        # finite magnitude, and inf / NaN inputs never compare as grown
+        grew = np.abs(y) > np.abs(x64)
+    np.nextafter(y, np.float32(0.0), out=y, where=grew)
     return y
 
 

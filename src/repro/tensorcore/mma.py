@@ -26,7 +26,7 @@ from repro.fpemu.formats import FloatFormat, get_format, quantize
 from repro.fpemu.rounding import round_f64_to_f32_rn, round_f64_to_f32_rz
 
 __all__ = ["MMA_M", "MMA_N", "MMA_K", "mma", "tc_product", "fault_hook",
-           "set_fault_hook", "apply_fault_hook"]
+           "set_fault_hook", "apply_fault_hook", "fault_hook_installed"]
 
 #: Fragment shape of the WMMA 16x16x16 tile the paper's kernels use.
 MMA_M = 16
@@ -64,6 +64,16 @@ def fault_hook(hook):
         yield hook
     finally:
         set_fault_hook(prev)
+
+
+def fault_hook_installed() -> bool:
+    """True while a tile fault hook is installed.
+
+    Kernels that skip full accumulator tiles (the fused reductions of
+    :mod:`repro.reduction.tc_backend`) check this and fall back to
+    issuing every tile, so the hook sees each one.
+    """
+    return _FAULT_HOOK is not None
 
 
 def apply_fault_hook(tile: np.ndarray, site: str) -> np.ndarray:

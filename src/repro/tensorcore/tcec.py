@@ -15,8 +15,8 @@ reduced-precision Tensor Core GEMMs via three mechanisms:
    on FP32 SIMT cores with round-to-nearest.
 
 3. **Underflow avoidance / term elimination** — residuals are pre-scaled by
-   ``2**(mantissa+1)``, and the mixed terms can be skipped when provably
-   negligible against the head term (the performance enhancement).
+   ``2**(mantissa+1)``, and the mixed terms can be dropped
+   (:attr:`TcecConfig.correction_terms`, the term-elimination ablation).
 
 :func:`tcec_mma` is the drop-in counterpart of :func:`repro.tensorcore.mma.mma`
 with identical tile/batching semantics.
@@ -51,15 +51,11 @@ class TcecConfig:
         ``2`` keeps both mixed terms (WMMA-Extension default), ``1`` keeps
         only ``Ah x Bl`` and ``0`` degenerates to an uncorrected product —
         the term-elimination ablation sweeps this.
-    drop_negligible:
-        Skip correction terms whose maximum possible magnitude is below one
-        FP32 ULP of the head term (WMMA-Extension's performance shortcut).
     """
 
     in_format: str = "tf32"
     scale_residual: bool = True
     correction_terms: int = 2
-    drop_negligible: bool = False
 
     def __post_init__(self) -> None:
         if self.correction_terms not in (0, 1, 2):
@@ -74,21 +70,6 @@ def count_tc_issues(config: TcecConfig) -> int:
     """Number of Tensor Core issues one tcec tile-MMA costs (for the timing
     model): the head product plus one per retained correction term."""
     return 1 + config.correction_terms
-
-
-def _negligible(head: np.ndarray, corr_scale: float, fmt: FloatFormat) -> bool:
-    """Heuristic negligibility test used when ``drop_negligible`` is set.
-
-    The correction terms are bounded by ``|A| |B| eps * K``; comparing the
-    head magnitude against the FP32 unit roundoff decides whether applying
-    them can change the FP32 result at all.
-    """
-    h = float(np.max(np.abs(head))) if head.size else 0.0
-    if h == 0.0:
-        return False
-    # correction contribution is about eps_fmt * head; negligible once it
-    # falls below half an FP32 ULP of the head.
-    return fmt.machine_epsilon / corr_scale < 2.0 ** -25
 
 
 def tcec_mma(
@@ -117,18 +98,13 @@ def tcec_mma(
         return round_f64_to_f32_rn(x32.astype(np.float64) + y32.astype(np.float64))
 
     acc = tc_product(a_hi, b_hi, in_format=fmt, quantize_inputs=False)
-    head = acc
 
     n_terms = config.correction_terms
-    if n_terms >= 1 and not (
-        config.drop_negligible and _negligible(head, s_b, fmt)
-    ):
+    if n_terms >= 1:
         t = tc_product(a_hi, b_lo, in_format=fmt, quantize_inputs=False)
         # the 1/S scale is a power of two -> exact FP32 multiply
         acc = rn_add(acc, (t / np.float32(s_b)).astype(np.float32))
-    if n_terms >= 2 and not (
-        config.drop_negligible and _negligible(head, s_a, fmt)
-    ):
+    if n_terms >= 2:
         t = tc_product(a_lo, b_hi, in_format=fmt, quantize_inputs=False)
         acc = rn_add(acc, (t / np.float32(s_a)).astype(np.float32))
 
