@@ -1,10 +1,12 @@
 """Hot-path benchmark: evals/s of the batched docking pipeline.
 
 Measures the end-to-end LGA throughput (score evaluations per second,
-the denominator of the paper's µs/eval metric) of :class:`ParallelLGA`
-on the reference ADADELTA dock config, once per reduction back-end, and
-breaks the wall time into stages using the :mod:`repro.obs` metrics and
-tracer spans:
+the denominator of the paper's µs/eval metric) of the lock-step engine
+(:class:`~repro.search.cohort.CohortLGA`; single-ligand rows are a cohort
+of one, timed from construction to the last run, as
+:meth:`DockingEngine.dock` runs it) on the reference ADADELTA dock
+config, once per reduction back-end, and breaks the wall time into stages
+using the :mod:`repro.obs` metrics and tracer spans:
 
 * ``score``   — GA-phase population scoring (``lga.stage.score_s``),
 * ``ga``      — selection / crossover / mutation (``lga.stage.ga_s``),
@@ -76,10 +78,10 @@ SMOKE = {
 #: per-ligand workload of a triage virtual screen: few runs per ligand,
 #: so the run-batched single-ligand path works on narrow fronts
 #: (gradient batches of ``n_runs * ceil(ls_rate * pop)`` = 18 rows).
-#: This is the configuration the cohort engine exists for — the cohort
-#: sweeps run it, and the ``screen`` section records the single-ligand
-#: ParallelLGA throughput at the *same* config so the cohort speedup
-#: gate compares like with like within one file.  (At the ``reference``
+#: This is the configuration cohorts exist for — the cohort sweeps run
+#: it, and the ``screen`` section records the single-ligand (cohort of
+#: one) throughput at the *same* config so the cohort speedup gate
+#: compares like with like within one file.  (At the ``reference``
 #: config's n_runs=8 the single path already amortises over wide
 #: 72-row batches, which is a batch-size study, not a screening one.)
 SCREEN = {
@@ -139,8 +141,9 @@ def _stage_breakdown(records: list[dict], metrics_delta: dict,
         if rec.get("type") == "span":
             spans[rec["name"]] = spans.get(rec["name"], 0.0) + rec["dur_s"]
 
-    # stage histograms are emitted by ParallelLGA; older checkouts (the
-    # committed "pre" measurement) only have the spans, so fall back
+    # stage histograms are emitted by the lock-step engine; older
+    # checkouts (the committed "pre" measurement) only have the spans, so
+    # fall back
     return {
         "score_s": hist_total("lga.stage.score_s"),
         "ga_s": hist_total("lga.stage.ga_s")
@@ -154,7 +157,7 @@ def _stage_breakdown(records: list[dict], metrics_delta: dict,
 def measure(config: dict, backend: str, repeats: int) -> dict:
     """Best-of-``repeats`` throughput plus one traced stage breakdown."""
     from repro.obs import configure, disable, get_metrics, reset_metrics
-    from repro.search.parallel import ParallelLGA
+    from repro.search.cohort import CohortLGA
 
     scoring, lga = _build(config)
     n_runs, seed = config["n_runs"], config["seed"]
@@ -165,7 +168,8 @@ def measure(config: dict, backend: str, repeats: int) -> dict:
     for _ in range(repeats):
         reset_metrics()
         t0 = time.perf_counter()
-        results = ParallelLGA(scoring, backend, lga, seed=seed).run(n_runs)
+        [results] = CohortLGA([scoring], backend, lga, seeds=seed).run(
+            n_runs)
         wall = time.perf_counter() - t0
         total_evals = int(sum(r.evals_used for r in results))
         if best is None or total_evals / wall > best["evals_per_s"]:
@@ -180,7 +184,7 @@ def measure(config: dict, backend: str, repeats: int) -> dict:
     reset_metrics()
     tracer = configure(None, source="bench-hot-path")
     before = get_metrics().snapshot()
-    ParallelLGA(scoring, backend, lga, seed=seed).run(n_runs)
+    CohortLGA([scoring], backend, lga, seeds=seed).run(n_runs)
     from repro.obs import MetricsRegistry
     delta = MetricsRegistry.delta(before, get_metrics().snapshot())
     best["stages"] = _stage_breakdown(tracer.records(), delta, backend)
@@ -193,8 +197,8 @@ def measure_cohort(case_names: list[str], config: dict, backend: str,
                    repeats: int) -> dict:
     """Best-of-``repeats`` lock-step cohort throughput for ``case_names``.
 
-    Construction (ligand packing) is inside the timed region, matching
-    :func:`measure` which times ``ParallelLGA`` construction too.
+    Construction (ligand packing) is inside the timed region, as in
+    :func:`measure`.
     """
     from repro.obs import reset_metrics
     from repro.search.cohort import CohortLGA

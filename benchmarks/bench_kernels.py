@@ -10,7 +10,7 @@ results live in the other bench files.
 import numpy as np
 import pytest
 
-from repro.docking.gradients import GradientCalculator
+from repro.docking.cohort import CohortGradientCalculator, CohortScoring
 from repro.docking.pose import calc_coords
 from repro.reduction import get_reduction_backend
 from repro.tensorcore import mma, tcec_mma
@@ -65,7 +65,7 @@ def test_pose_calculation(benchmark):
 @pytest.mark.parametrize("backend", ["baseline", "tcec-tf32"])
 def test_gradient_kernel(benchmark, backend):
     case = get_test_case("7cpa")
-    gc = GradientCalculator(case.scoring(), backend)
+    gc = CohortGradientCalculator(CohortScoring([case.scoring()]), backend)
     rng = np.random.default_rng(4)
     genotypes = case.native_genotype[None, :] + rng.normal(0, 0.3, (64, 21))
     e, g = benchmark(gc, genotypes)

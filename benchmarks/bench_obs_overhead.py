@@ -6,7 +6,7 @@ Two questions, both about `repro.obs`:
    null object), so the hot-path price must be a method call, not I/O;
    with JSONL tracing on, the price is one serialised line per span.
 2. Do the traced reduction timings line up with the simt cost model?
-   `GradientCalculator` times each `reduce4` pair into a per-backend
+   `CohortGradientCalculator` times each `reduce4` pair into a per-backend
    histogram; the cost model prices the same region in device cycles.
    The *Python* ratios invert the model's (software-emulated Tensor
    Cores are slower than `np.sum`, while modelled TC hardware is
@@ -18,7 +18,7 @@ Two questions, both about `repro.obs`:
 import numpy as np
 import pytest
 
-from repro.docking.gradients import GradientCalculator
+from repro.docking.cohort import CohortGradientCalculator, CohortScoring
 from repro.obs import Tracer, disable, get_tracer
 from repro.obs.metrics import get_metrics, reset_metrics
 from repro.search.adadelta import AdadeltaConfig, AdadeltaLocalSearch
@@ -135,8 +135,9 @@ def test_span_times_vs_cost_model_cycles():
     rows = {}
     for backend in REDUCTION_BACKENDS:
         reset_metrics()
-        ls = AdadeltaLocalSearch(GradientCalculator(sf, backend),
-                                 AdadeltaConfig(max_iters=30))
+        ls = AdadeltaLocalSearch(
+            CohortGradientCalculator(CohortScoring([sf]), backend),
+            AdadeltaConfig(max_iters=30))
         rng = np.random.default_rng(3)
         genes = rng.normal(0, 0.5, size=(64, 6 + case.ligand.n_rot))
         genes[:, 0:3] += (case.maps.box_lo + case.maps.box_hi) / 2

@@ -226,15 +226,15 @@ def measure_susceptibility(name: str, rng: np.random.Generator) -> dict | None:
 
 def measure_e50(name: str, spec: dict) -> dict:
     from repro.analysis import estimate_e50, evaluate_run
+    from repro.search.cohort import CohortLGA
     from repro.search.lga import LGAConfig
-    from repro.search.parallel import ParallelLGA
     from repro.testcases import get_test_case
 
     case = get_test_case(spec["case"])
-    runner = ParallelLGA(case.scoring(), name, LGAConfig(**spec["lga"]),
-                         seed=spec["seed"])
+    runner = CohortLGA([case.scoring()], name, LGAConfig(**spec["lga"]),
+                       seeds=spec["seed"])
     t0 = time.perf_counter()
-    results = runner.run(spec["n_runs"])
+    [results] = runner.run(spec["n_runs"])
     wall = time.perf_counter() - t0
     outcomes = [evaluate_run(r, case) for r in results]
     budgets = [r.evals_used for r in results]

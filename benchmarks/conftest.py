@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import estimate_e50, evaluate_run
+from repro.search.cohort import CohortLGA
 from repro.search.lga import LGAConfig
-from repro.search.parallel import ParallelLGA
 from repro.testcases import SET_OF_42, get_test_case
 
 
@@ -78,9 +78,9 @@ def run_e50_experiment(case_name: str, backend: str, n_runs: int,
     if key in _E50_CACHE:
         return _E50_CACHE[key]
     case = get_test_case(case_name)
-    runner = ParallelLGA(case.scoring(), backend,
-                         e50_lga_config(max_evals), seed=seed)
-    results = runner.run(n_runs)
+    runner = CohortLGA([case.scoring()], backend,
+                       e50_lga_config(max_evals), seeds=seed)
+    [results] = runner.run(n_runs)
     outcomes = [evaluate_run(r, case) for r in results]
     budgets = [r.evals_used for r in results]
     score = estimate_e50([o.first_success_score for o in outcomes], budgets)
@@ -126,7 +126,7 @@ def run_ls_quality(case_name: str, backend: str, n_starts: int = 192,
     key = (case_name, backend)
     if key in _LS_CACHE:
         return _LS_CACHE[key]
-    from repro.docking.gradients import GradientCalculator
+    from repro.docking.cohort import CohortGradientCalculator, CohortScoring
     from repro.search.adadelta import AdadeltaConfig, AdadeltaLocalSearch
 
     case = get_test_case(case_name)
@@ -135,8 +135,9 @@ def run_ls_quality(case_name: str, backend: str, n_starts: int = 192,
     glen = case.native_genotype.size
     starts = case.native_genotype[None, :] \
         + rng.normal(0.0, perturbation, (n_starts, glen))
-    ls = AdadeltaLocalSearch(GradientCalculator(sf, backend),
-                             AdadeltaConfig(max_iters=iters))
+    ls = AdadeltaLocalSearch(
+        CohortGradientCalculator(CohortScoring([sf]), backend),
+        AdadeltaConfig(max_iters=iters))
     best_x, _, _ = ls.minimize(starts)
     true_scores = sf.score(best_x)
     out = {

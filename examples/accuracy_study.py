@@ -10,7 +10,7 @@ Run:  python examples/accuracy_study.py        (~2-3 minutes)
 
 from repro.analysis import estimate_e50, evaluate_run, format_curves, \
     success_curve
-from repro.search import LGAConfig, ParallelLGA
+from repro.search import CohortLGA, LGAConfig
 from repro.testcases import get_test_case
 
 N_RUNS = 12
@@ -28,7 +28,8 @@ def main() -> None:
 
     curves = {}
     for backend in ("baseline", "tc-fp16", "tcec-tf32"):
-        runs = ParallelLGA(case.scoring(), backend, cfg, seed=99).run(N_RUNS)
+        [runs] = CohortLGA([case.scoring()], backend, cfg, seeds=99).run(
+            N_RUNS)
         outcomes = [evaluate_run(r, case) for r in runs]
         budgets = [r.evals_used for r in runs]
         times_score = [o.first_success_score for o in outcomes]

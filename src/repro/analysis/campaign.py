@@ -34,8 +34,8 @@ from pathlib import Path
 from repro.analysis.e50 import bootstrap_e50_ci, estimate_e50
 from repro.analysis.success import SuccessCriteria, evaluate_run
 from repro.robustness.watchdog import CellFailure, Watchdog, WatchdogTimeout
+from repro.search.cohort import CohortLGA
 from repro.search.lga import LGAConfig
-from repro.search.parallel import ParallelLGA
 from repro.testcases import get_test_case
 
 __all__ = ["E50Campaign", "CampaignResult", "CellFailure"]
@@ -115,10 +115,10 @@ class E50Campaign:
     def run_cell(self, case_name: str, backend: str) -> CampaignResult:
         """Run one (case, back-end) cell."""
         case = get_test_case(case_name)
-        runner = ParallelLGA(case.scoring(), backend, self._config(),
-                             seed=self.seed)
+        runner = CohortLGA([case.scoring()], backend, self._config(),
+                           seeds=self.seed)
         watchdog = self._watchdog()
-        results = runner.run(
+        [results] = runner.run(
             self.n_runs,
             on_generation=watchdog.check if watchdog is not None else None)
         outcomes = [evaluate_run(r, case, self.criteria) for r in results]

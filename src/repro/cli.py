@@ -181,6 +181,11 @@ def main(argv: list[str] | None = None) -> int:
               f"reduction blocks faulty, {fs['blocks_recovered']} recovered "
               f"by exact fallback, {fs['blocks_unrecoverable']} "
               f"unrecoverable")
+    if result.quarantine is not None:
+        q = result.quarantine
+        print(f"Quarantined at generation {q['generation']}: "
+              f"{q['reason']} ({q['detail']}); results are the best poses "
+              f"found before it")
 
     if args.resnam:
         from repro.io import write_dlg

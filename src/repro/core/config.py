@@ -2,11 +2,12 @@
 
 Seeding contract (entropy vs spawn keys)
 ----------------------------------------
-Every entry point that takes a ``seed`` (:meth:`DockingEngine.dock
+Every entry point that takes a seed (:meth:`DockingEngine.dock
 <repro.core.engine.DockingEngine.dock>`,
-:class:`~repro.search.parallel.ParallelLGA`) accepts either a plain int or
-a :class:`numpy.random.SeedSequence`, and the two occupy *disjoint* stream
-keyspaces:
+:func:`~repro.core.engine.dock_cohort`,
+:class:`~repro.search.cohort.CohortLGA`) accepts a plain int or a
+:class:`numpy.random.SeedSequence` per ligand, and the two occupy
+*disjoint* stream keyspaces:
 
 * a plain int ``s`` is interpreted as ``SeedSequence(entropy=s)`` — root of
   the keyspace, empty ``spawn_key``;
@@ -16,11 +17,13 @@ keyspaces:
   handing sibling workers arithmetic ints (``master + i`` collides with a
   user who passes those same ints as independent experiment seeds).
 
-Internally every consumer only ever **spawns children** from the sequence
-it is given (run streams are children ``(i,)``; the Solis-Wets sampler
-uses a reserved high stream key, see
-:data:`repro.search.parallel.SW_STREAM_KEY`), so two sibling spawned
+Internally the lock-step engine only ever **spawns children** from the
+sequence it is given (run streams are children ``(i,)``; the Solis-Wets
+sampler uses a reserved high stream key, see
+:data:`repro.search.cohort.SW_STREAM_KEY`), so two sibling spawned
 sequences can never collide with each other or with any plain-int seed.
+A ligand's streams depend only on its own seed, so the same ligand and
+seed dock bit-identically alone or in any cohort.
 """
 
 from __future__ import annotations
@@ -68,15 +71,21 @@ class DockingConfig:
         ``None`` runs the raw back-end; ``"raise"`` / ``"degrade"`` /
         ``"ignore"`` wraps it in a fault-checking
         :class:`~repro.robustness.GuardedReduction` and surfaces the
-        :class:`~repro.robustness.FaultLedger` in the result.
+        :class:`~repro.robustness.FaultLedger` in the result.  Under
+        ``"raise"`` a tripped guard quarantines the ligand it is
+        attributed to: the dock returns its best-so-far runs with a
+        ``quarantine`` record instead of raising (solo docks and cohort
+        members alike).
     inject_rate / inject_mode / inject_seed:
         Deterministic fault injection (:mod:`repro.robustness.inject`);
         rate 0 disables.
     inject_site:
         Where the injector corrupts: ``"reduce4"`` (reduction output
-        blocks, the default) or ``"grid"`` (grid-map lookups — corrupt
-        affinity cells for the single-ligand path, the gathered trilinear
-        corner values for the cohort grid-gather).
+        blocks, the default) or ``"grid"`` (the trilinear corner values
+        the lock-step engine gathers from the grid maps; the maps
+        themselves stay clean).  Either way the stride walks the batched
+        call sequence, so a cohort member sees a different fault set than
+        the same ligand docked alone.
     """
 
     backend: str = "tcec-tf32"

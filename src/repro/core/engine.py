@@ -19,7 +19,7 @@ speedups follow the simulated hardware).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,11 +31,9 @@ from repro.docking.rmsd import rmsd
 from repro.obs import get_metrics, get_tracer
 from repro.reduction.api import ReductionBackend, get_reduction_backend
 from repro.robustness import FaultLedger, GuardedReduction
-from repro.robustness.inject import (FaultInjector, InjectingReduction,
-                                     corrupt_grid_maps)
+from repro.robustness.inject import FaultInjector, InjectingReduction
 from repro.search.cohort import CohortLGA
-from repro.search.lga import LGAResult, LGARun
-from repro.search.parallel import ParallelLGA, as_seed_sequence
+from repro.search.lga import LGAResult
 from repro.testcases.generator import TestCase
 
 __all__ = ["DockingEngine", "DockingResult", "build_backend", "dock_cohort"]
@@ -69,6 +67,18 @@ def _runtime_model(case: TestCase, cfg: DockingConfig,
                         case.workload(n_blocks))
 
 
+def _eval_mix(cfg: DockingConfig, total_evals: int) -> tuple[int, int]:
+    """Split ``total_evals`` into (LS, GA) evals by the per-generation mix:
+    ``ls_rate * pop`` individuals refined for ``ls_iters`` evals each, plus
+    ``pop`` GA evals."""
+    ls_per_gen = int(round(cfg.lga.ls_rate * cfg.lga.pop_size)) \
+        * cfg.lga.ls_iters
+    per_gen = ls_per_gen + cfg.lga.pop_size
+    ls_share = ls_per_gen / per_gen if per_gen else 0.0
+    ls_evals = int(total_evals * ls_share)
+    return ls_evals, total_evals - ls_evals
+
+
 def _assemble_result(case: TestCase, cfg: DockingConfig,
                      runs: list[LGAResult],
                      ledger: FaultLedger | None = None) -> DockingResult:
@@ -83,18 +93,12 @@ def _assemble_result(case: TestCase, cfg: DockingConfig,
                        rmsd(final_coords, case.native_coords)]
 
     total_evals = sum(r.evals_used for r in runs)
-    generations = runs[0].generations
-    # evaluation mix: LS evals are ls_rate*pop*ls_iters per gen
-    ls_per_gen = int(round(cfg.lga.ls_rate * cfg.lga.pop_size)) \
-        * cfg.lga.ls_iters
-    ga_per_gen = cfg.lga.pop_size
-    per_gen = ls_per_gen + ga_per_gen
-    ls_share = ls_per_gen / per_gen if per_gen else 0.0
-
+    # runs advance in lock step: the slowest (an AutoStop run may stop
+    # early) sets the priced generation count
+    generations = max(r.generations for r in runs)
     model = _runtime_model(case, cfg, len(runs))
-    ls_evals = int(total_evals * ls_share)
-    ga_evals = total_evals - ls_evals
-    runtime = model.runtime_seconds(ls_evals, ga_evals, generations)
+    runtime = model.runtime_seconds(*_eval_mix(cfg, total_evals),
+                                    generations)
     m = get_metrics()
     m.counter("engine.docks").inc()
     m.histogram("engine.evals_per_dock").observe(total_evals)
@@ -112,6 +116,27 @@ def _assemble_result(case: TestCase, cfg: DockingConfig,
     )
 
 
+def _dock(cases: list[TestCase], cfg: DockingConfig, n_runs: int, seeds,
+          on_generation) -> list[DockingResult]:
+    """The one docking path: ``cases`` through one lock-step
+    :class:`CohortLGA`, inside the caller's span."""
+    tracer = get_tracer()
+    backend, ledger = build_backend(cfg)
+    with tracer.span("engine.search", method=cfg.lga.ls_method,
+                     autostop=cfg.lga.autostop, cohort=len(cases)):
+        runner = CohortLGA([case.scoring() for case in cases], backend,
+                           cfg.lga, seeds=seeds)
+        if cfg.inject_rate > 0 and cfg.inject_site == "grid":
+            runner.cohort.pack.grid_injector = FaultInjector(
+                cfg.inject_rate, mode=cfg.inject_mode, seed=cfg.inject_seed)
+        all_runs = runner.run(n_runs, on_generation=on_generation)
+    results = [_assemble_result(case, cfg, runs, ledger)
+               for case, runs in zip(cases, all_runs)]
+    for lane, q in runner.quarantines.items():
+        results[lane].quarantine = q.to_dict()
+    return results
+
+
 def dock_cohort(cases: list[TestCase],
                 config: DockingConfig | None = None,
                 n_runs: int = 20,
@@ -120,62 +145,39 @@ def dock_cohort(cases: list[TestCase],
     """Dock a cohort of ligands through one lock-step packed LGA.
 
     Each ligand's result is bit-identical to
-    ``DockingEngine(case, config).dock(n_runs, seed=seeds[i])`` — the
-    cohort only widens the batch the scoring/gradient/reduce4 kernels see
-    (see :mod:`repro.docking.cohort` for the packing contract).  ``seeds``
-    is one seed (broadcast to every member) or a per-ligand sequence.
+    ``DockingEngine(case, config).dock(n_runs, seed=seeds[i])`` — a solo
+    dock is a cohort of one, and the cohort only widens the batch the
+    scoring/gradient/reduce4 kernels see (see :mod:`repro.docking.cohort`
+    for the packing contract).  ``seeds`` is one seed (broadcast to every
+    member) or a per-ligand sequence.
 
-    AutoStop cannot run packed (it needs per-run termination control) and
-    transparently falls back to per-ligand docking.  Fault handling runs
-    *in* the packed path: the cohort shares one :class:`FaultLedger`
-    (each member's ``fault_stats`` reports the cohort-aggregate counts,
-    with per-lane attribution in ``by_lane``), injection corrupts the
-    batched reduce4 stream or the cohort grid-gather per
-    ``config.inject_site`` — note the injector stride walks the *batched*
-    call sequence, so the injected fault set differs from a solo dock of
-    the same member — and a member whose energies/gradients go non-finite
-    (or whose guard trips under ``raise``) is quarantined: its result
-    carries the best-so-far poses plus a ``quarantine`` record, while
-    every surviving member stays bit-identical to a cohort that never
-    contained it.
+    Fault handling runs *in* the packed path: the cohort shares one
+    :class:`FaultLedger` (each member's ``fault_stats`` reports the
+    cohort-aggregate counts, with per-lane attribution in ``by_lane``),
+    injection corrupts the batched reduce4 stream or the cohort
+    grid-gather per ``config.inject_site`` — the injector stride walks the
+    *batched* call sequence, so the injected fault set depends on the
+    cohort's composition — and a member whose energies/gradients go
+    non-finite (or whose guard trips under ``raise``) is quarantined: its
+    result carries the best-so-far poses plus a ``quarantine`` record,
+    while every surviving member stays bit-identical to a cohort that
+    never contained it.
     """
     cfg = config or DockingConfig()
     C = len(cases)
     if C == 0:
         return []
-    if isinstance(seeds, (int, np.integer, np.random.SeedSequence)):
-        seeds = [seeds] * C
-    seeds = list(seeds)
-    if len(seeds) != C:
-        raise ValueError(f"{len(seeds)} seeds for {C} cases")
-    if cfg.lga.autostop:
-        return [DockingEngine(case, cfg).dock(n_runs, seed=s,
-                                              on_generation=on_generation)
-                for case, s in zip(cases, seeds)]
-
-    tracer = get_tracer()
-    span = tracer.span("engine.dock_cohort", cohort=C, backend=cfg.backend,
-                       device=cfg.device, n_runs=n_runs)
+    span = get_tracer().span("engine.dock_cohort", cohort=C,
+                             backend=cfg.backend, device=cfg.device,
+                             n_runs=n_runs)
     with span:
-        backend, ledger = build_backend(cfg)
-        scorings = [case.scoring() for case in cases]
-        with tracer.span("engine.search", method=cfg.lga.ls_method,
-                         autostop=False, cohort=C):
-            runner = CohortLGA(scorings, backend, cfg.lga, seeds=seeds)
-            if cfg.inject_rate > 0 and cfg.inject_site == "grid":
-                runner.cohort.pack.grid_injector = FaultInjector(
-                    cfg.inject_rate, mode=cfg.inject_mode,
-                    seed=cfg.inject_seed)
-            all_runs = runner.run(n_runs, on_generation=on_generation)
-        results = [_assemble_result(case, cfg, runs, ledger)
-                   for case, runs in zip(cases, all_runs)]
-        for lane, q in runner.quarantines.items():
-            results[lane].quarantine = q.to_dict()
+        results = _dock(cases, cfg, n_runs, seeds, on_generation)
         m = get_metrics()
         m.counter("engine.cohorts").inc()
         m.histogram("cohort.size").observe(C)
         span.set(total_evals=sum(r.total_evals for r in results),
-                 quarantined=len(runner.quarantines))
+                 quarantined=sum(r.quarantine is not None
+                                 for r in results))
     return results
 
 
@@ -197,8 +199,8 @@ class DockingResult:
     #: fault-ledger summary when the run was guarded (config.fault_policy)
     fault_stats: dict | None = None
     #: :class:`~repro.robustness.LaneQuarantine` record (as a dict) when
-    #: this member was frozen out of a cohort run; ``None`` for healthy
-    #: members and single-ligand docks
+    #: the lock-step search froze this ligand (non-finite energies, or a
+    #: guard trip under the ``raise`` policy); ``None`` when healthy
     quarantine: dict | None = None
 
     @property
@@ -283,16 +285,7 @@ class DockingEngine:
     def __init__(self, case: TestCase,
                  config: DockingConfig | None = None) -> None:
         self.config = config or DockingConfig()
-        if self.config.inject_rate > 0 \
-                and self.config.inject_site == "grid":
-            # grid-site injection: poison affinity cells of a *copy* of
-            # the maps (cases are shared via caches and must stay clean)
-            case = replace(case, maps=corrupt_grid_maps(
-                case.maps, FaultInjector(self.config.inject_rate,
-                                         mode=self.config.inject_mode,
-                                         seed=self.config.inject_seed)))
         self.case = case
-        self.scoring = case.scoring()
 
     # ------------------------------------------------------------------
 
@@ -300,46 +293,28 @@ class DockingEngine:
         """Cost model for ``n_runs`` LGA runs of this case."""
         return _runtime_model(self.case, self.config, n_runs)
 
-    def _build_backend(self) -> tuple[str | ReductionBackend,
-                                      FaultLedger | None]:
-        """Reduction back-end per config: raw, or guarded (+ injected)."""
-        return build_backend(self.config)
-
     def dock(self, n_runs: int = 20,
              seed: int | np.random.SeedSequence = 0,
              on_generation=None) -> DockingResult:
         """Run ``n_runs`` independent LGA runs and collect all metrics.
 
-        ``seed`` is a plain int or a spawned
-        :class:`numpy.random.SeedSequence` (the multi-process seeding
-        contract is documented in :mod:`repro.core.config`).
-        ``on_generation(generations, evals)`` is forwarded to the
-        lock-step runner so a :class:`repro.robustness.Watchdog` can abort
-        a runaway job cleanly (AutoStop runs terminate per run and ignore
-        the hook).
+        The dock is a cohort of one through the lock-step engine
+        (:func:`dock_cohort`'s path).  ``seed`` is a plain int or a
+        spawned :class:`numpy.random.SeedSequence` (the multi-process
+        seeding contract is documented in :mod:`repro.core.config`).
+        ``on_generation(generations, evals)`` is called after every
+        lock-step generation, AutoStop docks included, so a
+        :class:`repro.robustness.Watchdog` can abort a runaway job
+        cleanly.  A dock whose energies go non-finite, or whose guard
+        trips under ``fault_policy="raise"``, returns its best-so-far
+        runs with a ``quarantine`` record instead of raising.
         """
         cfg = self.config
-        tracer = get_tracer()
-        span = tracer.span("engine.dock", case=self.case.name,
-                           backend=cfg.backend, device=cfg.device,
-                           n_runs=n_runs)
+        span = get_tracer().span("engine.dock", case=self.case.name,
+                                 backend=cfg.backend, device=cfg.device,
+                                 n_runs=n_runs)
         with span:
-            backend, ledger = self._build_backend()
-            with tracer.span("engine.search", method=cfg.lga.ls_method,
-                             autostop=cfg.lga.autostop):
-                if not cfg.lga.autostop:
-                    runner = ParallelLGA(self.scoring, backend, cfg.lga,
-                                         seed=seed)
-                    runs = runner.run(n_runs, on_generation=on_generation)
-                else:
-                    # AutoStop needs per-run termination control; run
-                    # sequentially with independent spawned generators
-                    sseq = as_seed_sequence(seed)
-                    runs = [LGARun(self.scoring, backend, cfg.lga,
-                                   np.random.Generator(
-                                       np.random.PCG64(s))).run()
-                            for s in sseq.spawn(n_runs)]
-            result = _assemble_result(self.case, cfg, runs, ledger)
+            [result] = _dock([self.case], cfg, n_runs, seed, on_generation)
             span.set(total_evals=result.total_evals,
                      generations=result.generations,
                      simulated_seconds=result.runtime_seconds)
@@ -354,14 +329,7 @@ class DockingEngine:
         100 execution samples.
         """
         model = self.runtime_model(len(result.runs))
-        cfg = self.config
-        ls_per_gen = int(round(cfg.lga.ls_rate * cfg.lga.pop_size)) \
-            * cfg.lga.ls_iters
-        per_gen = ls_per_gen + cfg.lga.pop_size
-        ls_share = ls_per_gen / per_gen if per_gen else 0.0
-        ls_evals = int(result.total_evals * ls_share)
-        ga_evals = result.total_evals - ls_evals
-
+        ls_evals, ga_evals = _eval_mix(self.config, result.total_evals)
         rng = np.random.default_rng(seed)
         samples = np.array([
             model.sample(ls_evals, ga_evals, result.generations, rng).seconds

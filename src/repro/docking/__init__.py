@@ -15,8 +15,10 @@ scoring function (Algorithm 2) and gradient calculation (Algorithm 4):
   interpolation and analytic gradients;
 * :mod:`repro.docking.receptor` — receptor model and grid-map construction;
 * :mod:`repro.docking.scoring` — the scoring function (inter + intra);
-* :mod:`repro.docking.gradients` — gradient calculation ending in the seven
-  block-level reductions the paper offloads to Tensor Cores;
+* :mod:`repro.docking.cohort` — ligands packed into padded
+  struct-of-arrays buffers: batched scoring and the gradient calculation
+  ending in the seven block-level reductions the paper offloads to Tensor
+  Cores;
 * :mod:`repro.docking.rmsd` — RMSD against the native pose.
 """
 
@@ -28,7 +30,7 @@ from repro.docking.pose import calc_coords
 from repro.docking.receptor import Receptor
 from repro.docking.rmsd import rmsd
 from repro.docking.scoring import ScoringFunction
-from repro.docking.gradients import GradientCalculator
+from repro.docking.cohort import CohortGradientCalculator, CohortScoring
 
 __all__ = [
     "Genotype",
@@ -44,5 +46,6 @@ __all__ = [
     "Receptor",
     "rmsd",
     "ScoringFunction",
-    "GradientCalculator",
+    "CohortScoring",
+    "CohortGradientCalculator",
 ]

@@ -1,18 +1,21 @@
-"""Packed struct-of-arrays buffers for multi-ligand cohort docking.
+"""Packed struct-of-arrays buffers for lock-step docking of ligand cohorts.
 
-The single-ligand hot path batches over ``n_runs * pop`` poses of one
-ligand; a virtual screen holds thousands of *ligands*, so the reduction
-front the paper's tensor-core backends reward stays narrow.  This module
-packs N heterogeneous ligands (varying atom / torsion / pair counts) into
-zero-padded struct-of-arrays buffers with a leading cohort axis, so grid
+One ligand's docking batches over ``n_runs * pop`` poses; a virtual
+screen holds thousands of *ligands*, so that reduction front stays narrow
+for the paper's tensor-core backends.  This module packs N heterogeneous
+ligands (varying atom / torsion / pair counts) into zero-padded
+struct-of-arrays buffers with a leading cohort axis, so grid
 interpolation, intramolecular terms and the ADADELTA gradient kernel run
 over the whole cohort in one NumPy pass and the ``reduce4`` backends see a
-``(2, cohort * batch, N_max, 4)`` operand.
+``(2, cohort * batch, N_max, 4)`` operand.  Every dock runs through it: a
+single ligand is a pack of one.
 
 Bit-identity contract
 ---------------------
 Every per-ligand slice of every cohort result is bit-identical to the
-single-ligand path:
+same ligand packed alone, and its scores to the scalar reference
+:meth:`ScoringFunction.score <repro.docking.scoring.ScoringFunction.score>`
+(the single-ligand path the bullets below compare against):
 
 * padding is *suffix-only* zeros, and every reduction backend is
   suffix-pad invariant (see :mod:`repro.reduction.api`), so one cohort-wide
@@ -45,7 +48,6 @@ from repro.docking.energy import (
     _MS_LAM,
     _MS_RK,
 )
-from repro.docking.gradients import GENE_GRADIENT_CLAMP
 from repro.docking.grids import OUT_OF_BOX_PENALTY, GridMaps
 from repro.docking.pose import calc_coords
 from repro.docking.quaternion import cross3, so3_left_jacobian
@@ -55,13 +57,19 @@ from repro.robustness.faults import NumericalFaultError
 from repro.reduction.api import ReductionBackend, get_reduction_backend
 from repro.reduction.simt_backend import simt_tree_reduce
 
-__all__ = ["LigandPack", "CohortScoring", "CohortGradientCalculator"]
+__all__ = ["LigandPack", "CohortScoring", "CohortGradientCalculator",
+           "GENE_GRADIENT_CLAMP"]
 
 _N_RIGID = 6
 
-#: fixed 2-operand contraction path for the pair->atom scatter (matches
-#: GradientCalculator._scatter_path)
+#: fixed 2-operand contraction path for the pair->atom scatter; the
+#: contraction itself is unchanged, only the per-call path search goes
 _SCATTER_PATH = ["einsum_path", (0, 1)]
+
+#: per-gene gradient bound applied after the atomic->genetic conversion
+#: (the CUDA kernels bound per-gene deltas the same way; without it, clash
+#: cliffs poison ADADELTA's RMS memory for dozens of iterations)
+GENE_GRADIENT_CLAMP = 100.0
 
 
 class LigandPack:
@@ -618,14 +626,38 @@ class CohortScoring:
 
 
 class CohortGradientCalculator:
-    """Cohort-batched drop-in for :class:`GradientCalculator`.
+    """Gradient calculation (Algorithm 4) ending in the paper's seven
+    reductions, batched over a cohort.
 
-    Presents the same 2-D ``(batch, glen) -> (energy, gradient)`` callable
-    interface :class:`~repro.search.adadelta.AdadeltaLocalSearch` expects;
-    rows are ligand-major (``batch = A * B`` with ligand ``a`` owning rows
-    ``a*B .. (a+1)*B``).  ``bind`` narrows the calculator to a ligand
-    subset between generations (cohort members that finish early drop out
-    of the reduce4 operand entirely).
+    Per ADADELTA iteration the kernel computes per-atom gradient
+    contributions (InterGradient from the grid maps, IntraGradient from
+    the pairwise terms) and converts them from atomic into genetic space:
+
+    * ``Gtrans`` — the translation-gene gradient is the sum of all
+      per-atom gradients, and the pose energy is the sum of all
+      per-contribution energies: **four block reductions** executed as one
+      ``reduce4`` over ``{gx, gy, gz, e}`` vectors;
+    * ``Grigidrot`` — the orientation-gene gradient needs the torque-like
+      sum ``sum (r_i - c) x g_i``: **three more block reductions**, the
+      second ``reduce4`` (fourth lane unused);
+    * ``Grotbond`` — per-rotatable-bond gradients are data-dependent short
+      sums and stay on SIMT cores in every configuration, as in the paper.
+
+    Those 4 + 3 = seven reductions are exactly what the paper offloads to
+    Tensor Cores; swapping the
+    :class:`~repro.reduction.api.ReductionBackend` here is the *entire*
+    numerical difference between the baseline, the Schieffer-Peng FP16
+    version, and TCEC.
+
+    The calculator is the ``(batch, glen) -> (energy, gradient)`` callable
+    :class:`~repro.search.adadelta.AdadeltaLocalSearch` expects; rows are
+    ligand-major (``batch = A * B`` with ligand ``a`` owning rows
+    ``a*B .. (a+1)*B``), so a cohort of one takes any batch.  ``bind``
+    narrows the calculator to a ligand subset between generations (cohort
+    members that finish early drop out of the reduce4 operand entirely).
+    Pair-to-atom scatter and per-torsion sums are incidence-matrix
+    products and one sparse moved-atom list, so the whole batch runs in a
+    few BLAS calls (no ``np.add.at``-style scatter in the hot loop).
     """
 
     def __init__(self, cohort: CohortScoring,
@@ -640,6 +672,14 @@ class CohortGradientCalculator:
 
     def atom_gradients(self, coords: np.ndarray, pack: LigandPack
                        ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-atom energy and gradient contributions in atomic space.
+
+        ``coords`` is ``(A, B, N, 3)``; returns ``(e_atoms, g_atoms)`` of
+        shapes ``(A, B, N)`` and ``(A, B, N, 3)`` with
+        ``g_atoms[..., i, :] = dE/dr_i`` (zero on padded atoms).  The
+        reductions over these arrays produce the kernel's seven
+        block-level sums.
+        """
         e_inter, g_inter = pack.inter_energy(coords, with_gradient=True)
         e_pairs, de_dr, delta, r_raw = pack.intra(coords, with_geometry=True)
         r = np.maximum(r_raw, 1e-9)[..., None]

@@ -16,7 +16,7 @@ and recover from such faults:
   :class:`NumericalFaultError`, and ``ignore`` merely audits.
 * :mod:`repro.robustness.inject` — a deterministic fault-injection harness
   (bit-flips, NaN, FP16 overflow) that corrupts MMA accumulator tiles,
-  reduction outputs, or grid-map lookups, used to prove end to end that the
+  reduction outputs, or gathered grid-map corner values, used to prove end to end that the
   detectors fire and that degraded runs recover reference accuracy.
 * :class:`Watchdog` / :class:`CellFailure` — per-cell wall-clock and
   evaluation watchdogs plus the structured failure records that make long
@@ -32,11 +32,7 @@ from repro.robustness.faults import (
     fault_mask,
 )
 from repro.robustness.guarded import POLICIES, GuardedReduction
-from repro.robustness.inject import (
-    FaultInjector,
-    InjectingReduction,
-    corrupt_grid_maps,
-)
+from repro.robustness.inject import FaultInjector, InjectingReduction
 from repro.robustness.watchdog import CellFailure, Watchdog, WatchdogTimeout
 
 __all__ = [
@@ -49,7 +45,6 @@ __all__ = [
     "GuardedReduction",
     "FaultInjector",
     "InjectingReduction",
-    "corrupt_grid_maps",
     "CellFailure",
     "Watchdog",
     "WatchdogTimeout",

@@ -8,8 +8,9 @@ FP16-range overflow, and radiation-style single bit-flips — at three sites:
 * **MMA accumulator tiles** (:meth:`FaultInjector.tile_hook` installed via
   :func:`repro.tensorcore.mma.fault_hook`): corruption inside the Tensor
   Core epilogue, before the ``W`` extraction;
-* **grid lookups** (:func:`corrupt_grid_maps`): NaN cells in the affinity
-  maps, modelling corrupt device memory feeding InterScore/InterGradient.
+* **grid lookups** (:meth:`FaultInjector.corrupt_values` on the trilinear
+  corner values the lock-step engine gathers, ``inject_site="grid"``),
+  modelling corrupt device memory feeding InterScore/InterGradient.
 
 Injection is *stride-deterministic*: a rate of ``r`` corrupts exactly every
 ``round(1/r)``-th block (or tile) the injector sees, so a run injects an
@@ -19,13 +20,11 @@ timing.  Lane/element/bit choices come from a seeded generator.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from repro.reduction.api import ReductionBackend
 
-__all__ = ["FaultInjector", "InjectingReduction", "corrupt_grid_maps",
+__all__ = ["FaultInjector", "InjectingReduction",
            "build_injected_backend", "run_injection_study"]
 
 #: the "overflow" mode writes this value: finite, but past the FP16 range,
@@ -218,24 +217,6 @@ class InjectingReduction(ReductionBackend):
         return out
 
 
-def corrupt_grid_maps(maps, injector: FaultInjector):
-    """Return a copy of ``maps`` with faults injected into affinity cells.
-
-    Models corrupt rows of device memory under the trilinear lookup: every
-    scheduled cell (stride over the flattened affinity stack) is overwritten
-    with the injector's fault value.  NaN cells propagate through
-    InterScore/InterGradient into the reduction inputs — faults no
-    re-reduction can repair (the ledger's ``unrecoverable`` path).
-    """
-    affinity = maps.affinity.copy()
-    flat = affinity.reshape(-1)
-    idx = injector._due(flat.shape[0])
-    for i in idx:
-        flat[i] = injector._value(np.float32(flat[i]))
-    injector.n_injected += int(idx.size)
-    return replace(maps, affinity=affinity)
-
-
 # ----------------------------------------------------------------------
 # end-to-end study harness (CLI `inject` subcommand and the recovery tests)
 
@@ -265,8 +246,8 @@ def run_injection_study(case_name: str, *, base: str = "tc-fp16",
     """
     from repro.analysis.campaign import E50Campaign  # noqa: F401  (API kin)
     from repro.robustness.faults import FaultLedger
+    from repro.search.cohort import CohortLGA
     from repro.search.lga import LGAConfig
-    from repro.search.parallel import ParallelLGA
     from repro.testcases import get_test_case
 
     case = get_test_case(case_name)
@@ -274,8 +255,8 @@ def run_injection_study(case_name: str, *, base: str = "tc-fp16",
                            ls_iters=20, ls_rate=0.25)
 
     def run_scores(backend) -> list[float]:
-        runner = ParallelLGA(case.scoring(), backend, lga, seed=seed)
-        return [r.best_score for r in runner.run(n_runs)]
+        runner = CohortLGA([case.scoring()], backend, lga, seeds=seed)
+        return [r.best_score for r in runner.run(n_runs)[0]]
 
     out: dict = {"case": case_name, "base": base, "rate": rate, "mode": mode,
                  "policies": {}}

@@ -28,7 +28,7 @@ class Watchdog:
     """Abort a cell that runs past its wall-clock or evaluation budget.
 
     The search loop calls :meth:`check` once per generation (see
-    :meth:`repro.search.parallel.ParallelLGA.run`'s ``on_generation``);
+    :meth:`repro.search.cohort.CohortLGA.run`'s ``on_generation``);
     exceeding a limit raises :class:`WatchdogTimeout`, which the campaign
     records as a :class:`CellFailure` and moves on.
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.docking.gradients import GradientCalculator
+from repro.docking.cohort import CohortGradientCalculator
 from repro.obs import MetricsRegistry, get_metrics, get_tracer
 
 __all__ = ["AdadeltaConfig", "AdadeltaLocalSearch"]
@@ -57,7 +57,7 @@ class AdadeltaLocalSearch:
         ADADELTA hyper-parameters.
     """
 
-    def __init__(self, gradient: GradientCalculator,
+    def __init__(self, gradient: CohortGradientCalculator,
                  config: AdadeltaConfig | None = None) -> None:
         self.gradient = gradient
         self.config = config or AdadeltaConfig()

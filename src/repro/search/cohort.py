@@ -1,40 +1,47 @@
-"""Lock-step LGA execution over a packed multi-ligand cohort.
+"""The lock-step LGA engine: ligands x runs x individuals in one batch.
 
-:class:`CohortLGA` generalises :class:`~repro.search.parallel.ParallelLGA`
-from one ligand to a cohort: the gene tensor is ``(C, n_runs, pop, G_max)``
+AutoDock-GPU's coarse-level parallelism maps every individual of every
+LGA run to its own thread block, so all runs advance together (Table 1).
+:class:`CohortLGA` reproduces that shape in NumPy and adds ligands as a
+second batch axis: the gene tensor is ``(C, n_runs, pop, G_max)``
 (zero-padded on the gene axis) and scoring / GA / local search advance all
-ligands together, so the reduce4 backends see ``cohort * runs * pop``-wide
-operands.
+ligands and runs together, so the reduce4 backends see
+``cohort * runs * pop``-wide operands.  It is the only search engine: a
+single-ligand dock (:meth:`~repro.core.engine.DockingEngine.dock`) is a
+cohort of one.
 
 Bit-identity and isolation contract
 -----------------------------------
 Ligand ``c`` of a cohort produces *bit-identical* results (genotypes,
-scores, eval ledgers, histories) to ``ParallelLGA(scoring_c, ...,
-seed=seeds[c]).run(n_runs)``:
+scores, eval ledgers, histories) to a cohort of one holding only ligand
+``c`` with seed ``seeds[c]`` (pinned against recorded single-ligand docks
+by ``tests/test_cohort_golden.py`` and ``tests/test_hot_path_golden.py``):
 
 * every random draw ligand ``c`` consumes comes from generators spawned
-  from ``seeds[c]`` exactly as in the single path (per-run GA/init streams
-  ``spawn(n_runs)``; the Solis-Wets stream keyed at ``SW_STREAM_KEY``), so
-  dropping or adding cohort members cannot perturb another member's
-  trajectory;
-* per-ligand termination replicates the single loop via a state machine
-  (running -> needs-final-score -> done, plus a quarantined sink state):
-  a ligand whose budget is exhausted at the loop top keeps its pre-exit
-  score as the final score, one that exits on the generation check gets
-  exactly one more scoring pass — the same two exit paths
-  ``ParallelLGA.run`` has;
+  from ``seeds[c]`` (per-run GA/init streams ``spawn(n_runs)``; the
+  Solis-Wets stream keyed at :data:`SW_STREAM_KEY`), so dropping or
+  adding cohort members cannot perturb another member's trajectory;
+* termination is a per-ligand state machine (running -> needs-final-score
+  -> done, plus a quarantined sink state): a ligand whose budget is
+  exhausted at the loop top keeps its pre-exit score as the final score,
+  one that exits on the generation check gets exactly one more scoring
+  pass;
+* AutoStop (``LGAConfig.autostop``) freezes single runs inside it: a run
+  whose population-best trajectory has converged keeps its best-so-far,
+  bills nothing more, and the scoring pass that stopped it is its final
+  score.  Its lanes keep riding the batch until its ligand finishes (their
+  GA/LS results are never tracked or billed); the ligand is done once all
+  its runs have stopped.  With AutoStop off every run is live throughout;
 * a lane whose energies go non-finite (or whose guarded reduction trips
   under the ``raise`` policy) is *quarantined*: frozen at its best-so-far
   result and dropped from the lock-step batch.  Because survivors keep
   their own spawned RNG streams and the pack re-trims around them,
   sibling lanes' trajectories stay bit-identical to a cohort that never
   contained the poisoned member (``CohortLGA.quarantines`` names the
-  frozen lanes and why).
-* eval ledgers are per ligand per run, with the single path's
-  base-plus-remainder split of each ligand's own local-search evals.
-
-AutoStop needs per-run termination control and is rejected here, exactly
-like :class:`ParallelLGA` (the engine routes such configs per ligand).
+  frozen lanes and why);
+* eval ledgers are per ligand per run: each ligand's local-search evals
+  are split base-plus-remainder over its runs, and only live runs are
+  billed.
 """
 
 from __future__ import annotations
@@ -50,24 +57,47 @@ from repro.obs import get_metrics, get_tracer
 from repro.reduction.api import ReductionBackend
 from repro.robustness.faults import LaneQuarantine, NumericalFaultError
 from repro.search.adadelta import AdadeltaConfig, AdadeltaLocalSearch
+from repro.search.autostop import AutoStop
 from repro.search.ga import GeneticAlgorithm, next_generation_batched
 from repro.search.lga import LGAConfig, LGAResult
-from repro.search.parallel import SW_STREAM_KEY, as_seed_sequence
 from repro.search.solis_wets import SolisWetsConfig
 
-__all__ = ["CohortLGA", "CohortSolisWets"]
+__all__ = ["CohortLGA", "CohortSolisWets", "SW_STREAM_KEY",
+           "as_seed_sequence"]
 
 _RUNNING, _FINAL, _DONE, _QUARANTINED = 0, 1, 2, 3
+
+#: reserved spawn-key component of the Solis-Wets sampler stream.  Run
+#: streams are children ``(0,), (1,), ...`` of the master sequence; keying
+#: the SW stream at ``2**31`` keeps it disjoint from any realistic run
+#: count, and extending the *given* sequence's spawn_key keeps sibling
+#: spawned sequences disjoint from each other (see the seeding contract in
+#: :mod:`repro.core.config`).
+SW_STREAM_KEY = 2 ** 31
+
+
+def as_seed_sequence(seed: int | np.random.SeedSequence) \
+        -> np.random.SeedSequence:
+    """Normalise a plain-int or SeedSequence seed to a *fresh* sequence.
+
+    A fresh (never-spawned-from) copy is returned even for SeedSequence
+    inputs, so repeated calls spawn identical children — callers stay
+    deterministic without sharing spawn state.
+    """
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(entropy=seed.entropy,
+                                      spawn_key=seed.spawn_key)
+    return np.random.SeedSequence(seed)
 
 
 class CohortSolisWets:
     """Solis-Wets over a cohort batch with per-ligand sampler streams.
 
-    Each ligand draws its steps from its own generator (the same stream
-    the single-ligand :class:`SolisWetsLocalSearch` would use), and the
+    Each ligand draws its steps from its own generator (the reserved
+    :data:`SW_STREAM_KEY` stream of its seed, shared by its runs), and the
     adaptive loop's early exit is tracked per ligand: a ligand whose lanes
     all fell below ``rho_lower`` stops consuming draws and evals, exactly
-    as its single-ligand loop would have broken.
+    as a cohort of one holding it would have broken.
     """
 
     def __init__(self, cohort: CohortScoring, config: SolisWetsConfig,
@@ -160,7 +190,7 @@ class CohortLGA:
     seeds:
         Per-ligand master seeds (one int/SeedSequence, broadcast, or a
         sequence of length ``C``); ligand ``c``'s streams are spawned from
-        ``seeds[c]`` exactly as :class:`ParallelLGA` spawns from ``seed``.
+        ``seeds[c]``.
     """
 
     def __init__(self, scorings: list[ScoringFunction],
@@ -169,10 +199,6 @@ class CohortLGA:
                  seeds=0) -> None:
         self.cohort = CohortScoring(scorings)
         self.config = config or LGAConfig()
-        if self.config.autostop:
-            raise ValueError("AutoStop requires per-run termination; "
-                             "cohorts cannot run it (dock_cohort falls "
-                             "back to per-ligand docking)")
         C = self.cohort.pack.C
         if isinstance(seeds, (int, np.integer, np.random.SeedSequence)):
             seeds = [seeds] * C
@@ -223,7 +249,7 @@ class CohortLGA:
             # unattributable fault: no lane can be trusted this generation
             bad = {int(a) for a in work}
         for a in sorted(bad):
-            self._quarantine(a, int(gens[a]), "guard-raise", str(exc))
+            self._quarantine(a, int(gens[a].max()), "guard-raise", str(exc))
             state[a] = _QUARANTINED
         keep = np.array([i for i, a in enumerate(work) if int(a) not in bad],
                         dtype=np.int64)
@@ -261,7 +287,13 @@ class CohortLGA:
         histories: list[list[list[tuple[int, float, np.ndarray]]]] = [
             [[] for _ in range(R)] for _ in range(C)]
         evals_run = np.zeros((C, R), dtype=np.int64)
-        gens = np.zeros(C, dtype=np.int64)
+        gens = np.zeros((C, R), dtype=np.int64)
+        #: runs still searching; AutoStop clears a run's flag for good
+        live_runs = np.ones((C, R), dtype=bool)
+        autostops = ([[AutoStop(window=cfg.autostop_window,
+                                tolerance=cfg.autostop_tolerance)
+                       for _ in range(R)] for _ in range(C)]
+                     if cfg.autostop else None)
         scores = np.empty((C, R, pop))
         state = np.full(
             C,
@@ -276,7 +308,8 @@ class CohortLGA:
             vals = sc[np.arange(R), idx]
             # the isfinite guard keeps a poisoned -inf score from
             # hijacking the best-pose bookkeeping (no-op on clean runs)
-            improved = (vals < best_score[c]) & np.isfinite(vals)
+            improved = (vals < best_score[c]) & np.isfinite(vals) \
+                & live_runs[c]
             gl = int(pack.glens[c])
             for r in np.nonzero(improved)[0]:
                 best_score[c, r] = vals[r]
@@ -291,7 +324,7 @@ class CohortLGA:
         metrics = get_metrics()
         tracer = get_tracer()
         metrics.histogram("cohort.pad_ratio").observe(pack.pad_ratio)
-        span = tracer.span("lga.cohort", cohort=C, n_runs=R, pop_size=pop,
+        span = tracer.span("lga.run", cohort=C, n_runs=R, pop_size=pop,
                            ls_method=cfg.ls_method,
                            pad_ratio=pack.pad_ratio)
         with span:
@@ -304,15 +337,18 @@ class CohortLGA:
                 metrics.histogram("lga.stage.score_s").observe(
                     time.perf_counter() - t0)
                 scores[live] = sc
-                finite = np.isfinite(sc).reshape(len(live), -1).all(axis=1)
+                # a stopped run's lanes are never tracked: only live runs
+                # can poison their ligand
+                finite = (np.isfinite(sc).all(axis=2)
+                          | ~live_runs[live]).all(axis=1)
                 work = []
                 for k, c in enumerate(live):
-                    evals_run[c] += pop
+                    evals_run[c] += pop * live_runs[c]
                     if not finite[k]:
                         # poisoned energies: freeze the lane at its
                         # best-so-far, keep the siblings in lock step
                         self._quarantine(
-                            int(c), int(gens[c]), "nonfinite-score",
+                            int(c), int(gens[c].max()), "nonfinite-score",
                             f"{int(np.count_nonzero(~np.isfinite(sc[k])))} "
                             f"non-finite scores")
                         state[c] = _QUARANTINED
@@ -322,7 +358,10 @@ class CohortLGA:
                         state[c] = _DONE
                     elif int(evals_run[c].max()) >= cfg.max_evals:
                         # budget exhausted at the loop top: this score IS
-                        # the final score (ParallelLGA's scored_final path)
+                        # the final score
+                        state[c] = _DONE
+                    elif autostops is not None and not self._autostop(
+                            autostops[c], scores[c], live_runs[c]):
                         state[c] = _DONE
                     else:
                         work.append(int(c))
@@ -374,7 +413,7 @@ class CohortLGA:
                                 continue
                             # ADADELTA evals are deterministic
                             # (iters x batch), so each ligand's share is
-                            # exactly its single-path iters x R x n_ls
+                            # exactly iters x R x n_ls
                             ls_evals = np.full(W, total_ls // W,
                                                dtype=np.int64)
                             refined = refined.reshape(W, R, n_ls, G)
@@ -389,18 +428,18 @@ class CohortLGA:
                                           axis=2)
                         for w, c in enumerate(work):
                             base, rem = divmod(int(ls_evals[w]), R)
-                            evals_run[c] += base
-                            if rem:
-                                evals_run[c, :rem] += 1
+                            bill = np.full(R, base, dtype=np.int64)
+                            bill[:rem] += 1
+                            evals_run[c] += bill * live_runs[c]
                     metrics.histogram("lga.stage.ls_s").observe(
                         time.perf_counter() - t0)
                 genes[work] = gw
 
                 for c in work:
-                    gens[c] += 1
+                    gens[c] += live_runs[c]
                     metrics.counter("lga.generations").inc()
                     if (int(evals_run[c].max()) >= cfg.max_evals
-                            or gens[c] >= cfg.max_gens):
+                            or int(gens[c].max()) >= cfg.max_gens):
                         state[c] = _FINAL
                 if on_generation is not None:
                     on_generation(int(gens.max()), int(evals_run.max()))
@@ -417,7 +456,17 @@ class CohortLGA:
                     best_genotype=best_genotype[c, r, :gl].copy(),
                     best_score=float(best_score[c, r]),
                     evals_used=int(evals_run[c, r]),
-                    generations=int(gens[c]),
+                    generations=int(gens[c, r]),
                     history=histories[c][r])
                 for r in range(R)])
         return results
+
+    @staticmethod
+    def _autostop(autostops: list[AutoStop], scores: np.ndarray,
+                  live_runs: np.ndarray) -> bool:
+        """Feed each live run's population best to its AutoStop and freeze
+        the runs that converged; True while any run of the ligand lives."""
+        for r in np.nonzero(live_runs)[0]:
+            if autostops[r].observe(float(scores[r].min())):
+                live_runs[r] = False
+        return bool(live_runs.any())

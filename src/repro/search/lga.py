@@ -1,10 +1,13 @@
-"""The Lamarckian Genetic Algorithm driver (Algorithm 1).
+"""Budgets and per-run outcome of the Lamarckian Genetic Algorithm
+(Algorithm 1).
 
-One :class:`LGARun` is one independent run: a population of individuals
-evolved by the GA phase and refined by the local-search phase (Lamarckian:
-refined genotypes are written back into the population), until either the
-score-evaluation budget (``N_score-evals^MAX``) or the generation budget
-(``N_gens^MAX``) is exhausted.
+One LGA run is a population of individuals evolved by the GA phase and
+refined by the local-search phase (Lamarckian: refined genotypes are
+written back into the population), until either the score-evaluation
+budget (``N_score-evals^MAX``) or the generation budget (``N_gens^MAX``)
+is exhausted — or AutoStop sees its population-best trajectory converge.
+The lock-step engine that executes runs is
+:class:`~repro.search.cohort.CohortLGA`.
 
 Every improvement of the run's best score is recorded with the evaluation
 count at which it happened — the raw material of the E50 analysis.
@@ -16,16 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.docking.genotype import random_genotypes
-from repro.docking.gradients import GradientCalculator
-from repro.docking.scoring import ScoringFunction
-from repro.reduction.api import ReductionBackend
-from repro.search.adadelta import AdadeltaConfig, AdadeltaLocalSearch
-from repro.search.autostop import AutoStop
-from repro.search.ga import GAConfig, GeneticAlgorithm
-from repro.search.solis_wets import SolisWetsConfig, SolisWetsLocalSearch
+from repro.search.adadelta import AdadeltaConfig
+from repro.search.ga import GAConfig
+from repro.search.solis_wets import SolisWetsConfig
 
-__all__ = ["LGAConfig", "LGAResult", "LGARun"]
+__all__ = ["LGAConfig", "LGAResult"]
 
 
 @dataclass(frozen=True)
@@ -98,98 +96,3 @@ class LGAResult:
             history=[(int(e), float(s), np.asarray(g, dtype=np.float64))
                      for e, s, g in d.get("history", [])],
         )
-
-
-class LGARun:
-    """One independent LGA run bound to a scoring function and back-end.
-
-    Parameters
-    ----------
-    scoring:
-        Scoring function for the ligand-receptor pair.
-    backend:
-        Reduction back-end used by the ADADELTA gradient kernel.
-    config:
-        Budgets and operator settings.
-    rng:
-        The run's private random generator (runs differ only by seed).
-    """
-
-    def __init__(self, scoring: ScoringFunction,
-                 backend: str | ReductionBackend = "baseline",
-                 config: LGAConfig | None = None,
-                 rng: np.random.Generator | None = None) -> None:
-        self.scoring = scoring
-        self.config = config or LGAConfig()
-        self.rng = rng or np.random.default_rng()
-        self.ga = GeneticAlgorithm(self.config.ga, self.rng)
-        if self.config.ls_method == "ad":
-            gradient = GradientCalculator(scoring, backend)
-            ad_cfg = self.config.adadelta or AdadeltaConfig(
-                max_iters=self.config.ls_iters)
-            self.local_search = AdadeltaLocalSearch(gradient, ad_cfg)
-        else:
-            sw_cfg = self.config.solis_wets or SolisWetsConfig(
-                max_iters=self.config.ls_iters)
-            self.local_search = SolisWetsLocalSearch(scoring, sw_cfg, self.rng)
-
-    # ------------------------------------------------------------------
-
-    def run(self) -> LGAResult:
-        """Execute the LGA until a budget is exhausted."""
-        cfg = self.config
-        sf = self.scoring
-        maps = sf.maps
-        genes = random_genotypes(self.rng, cfg.pop_size, sf.ligand,
-                                 maps.box_lo, maps.box_hi)
-
-        best_score = np.inf
-        best_genotype = genes[0].copy()
-        history: list[tuple[int, float, np.ndarray]] = []
-        evals = 0
-        gens = 0
-        autostop = AutoStop(window=cfg.autostop_window,
-                            tolerance=cfg.autostop_tolerance) \
-            if cfg.autostop else None
-
-        def track(scores: np.ndarray) -> None:
-            nonlocal best_score, best_genotype
-            i = int(np.argmin(scores))
-            if scores[i] < best_score:
-                best_score = float(scores[i])
-                best_genotype = genes[i].copy()
-                history.append((evals, best_score, best_genotype.copy()))
-
-        while evals < cfg.max_evals and gens < cfg.max_gens:
-            scores = sf.score(genes)
-            evals += cfg.pop_size
-            track(scores)
-            if evals >= cfg.max_evals:
-                break
-            if autostop is not None and autostop.observe(float(scores.min())):
-                break
-
-            # GA phase
-            genes = self.ga.next_generation(genes, scores)
-
-            # LS phase (Lamarckian write-back)
-            n_ls = int(round(cfg.ls_rate * cfg.pop_size))
-            if n_ls > 0:
-                subset = self.rng.choice(cfg.pop_size, size=n_ls,
-                                         replace=False)
-                refined, _, ls_evals = self.local_search.minimize(
-                    genes[subset])
-                genes[subset] = refined
-                evals += ls_evals
-            gens += 1
-
-        # final scoring so the last generation's refinements are counted
-        scores = sf.score(genes)
-        evals += cfg.pop_size
-        track(scores)
-
-        return LGAResult(best_genotype=best_genotype,
-                         best_score=best_score,
-                         evals_used=evals,
-                         generations=gens,
-                         history=history)

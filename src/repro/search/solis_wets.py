@@ -5,18 +5,16 @@ Included as the extension feature the paper mentions among AutoDock-GPU's
 variance (Solis & Wets, 1981).  It performs no gradient reductions, so its
 behaviour is independent of the reduction back-end — the ablation benchmark
 uses it to confirm that the Tensor Core accuracy effects enter exclusively
-through ADADELTA's gradient kernel.
+through ADADELTA's gradient kernel.  The lock-step implementation is
+:class:`~repro.search.cohort.CohortSolisWets`; this module holds its
+hyper-parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.docking.scoring import ScoringFunction
-
-__all__ = ["SolisWetsConfig", "SolisWetsLocalSearch"]
+__all__ = ["SolisWetsConfig"]
 
 
 @dataclass(frozen=True)
@@ -30,74 +28,3 @@ class SolisWetsConfig:
     contraction: float = 0.5
     success_limit: int = 4
     failure_limit: int = 4
-
-
-class SolisWetsLocalSearch:
-    """Derivative-free local search over a batch of genotypes."""
-
-    def __init__(self, scoring: ScoringFunction,
-                 config: SolisWetsConfig | None = None,
-                 rng: np.random.Generator | None = None) -> None:
-        self.scoring = scoring
-        self.config = config or SolisWetsConfig()
-        self.rng = rng or np.random.default_rng()
-
-    def minimize(self, genotypes: np.ndarray, max_iters: int | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Run Solis-Wets on ``(batch, glen)`` genotypes.
-
-        Returns ``(best_genotypes, best_energies, n_evals)``.
-        """
-        cfg = self.config
-        iters = cfg.max_iters if max_iters is None else max_iters
-        x = np.array(genotypes, dtype=np.float64, copy=True)
-        batch, glen = x.shape
-
-        e = self.scoring.score(x)
-        evals = batch
-        rho = np.full(batch, cfg.rho_init)
-        bias = np.zeros((batch, glen))
-        successes = np.zeros(batch, dtype=np.int64)
-        failures = np.zeros(batch, dtype=np.int64)
-
-        for _ in range(iters):
-            active = rho > cfg.rho_lower
-            if not np.any(active):
-                break
-            step = self.rng.normal(size=(batch, glen)) * rho[:, None] + bias
-            cand = x + step
-            e_cand = self.scoring.score(cand)
-            evals += batch
-
-            better = (e_cand < e) & active
-            # try the opposite direction where the first probe failed
-            retry = (~better) & active
-            cand2 = x - step
-            e_cand2 = self.scoring.score(cand2)
-            evals += batch
-            better2 = (e_cand2 < e) & retry
-
-            x[better] = cand[better]
-            e[better] = e_cand[better]
-            bias[better] = 0.2 * bias[better] + 0.4 * step[better]
-
-            x[better2] = cand2[better2]
-            e[better2] = e_cand2[better2]
-            bias[better2] = bias[better2] - 0.4 * step[better2]
-
-            succ = better | better2
-            fail = active & ~succ
-            successes[succ] += 1
-            failures[succ] = 0
-            failures[fail] += 1
-            successes[fail] = 0
-            bias[fail] *= 0.5
-
-            expand = successes >= cfg.success_limit
-            rho[expand] *= cfg.expansion
-            successes[expand] = 0
-            contract = failures >= cfg.failure_limit
-            rho[contract] *= cfg.contraction
-            failures[contract] = 0
-
-        return x, e, evals

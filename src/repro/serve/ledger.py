@@ -97,7 +97,11 @@ def validate_result_payload(payload: dict) -> dict | None:
     injected fault can hand back a structurally-broken or non-finite
     result.  Completion therefore requires the payload to carry a
     non-empty run list with finite best scores; anything else counts as
-    a failed (retryable) attempt, never as a completion.
+    a failed (retryable) attempt, never as a completion.  A result the
+    engine quarantined (a guard trip under ``fault_policy="raise"``)
+    fails too, as a ``LaneQuarantine`` that is not retried: the same job
+    trips the same guard again.  The finite-score test runs first, so a
+    poisoned job still reports ``NonFiniteResult``.
     """
     result = payload.get("result") if isinstance(payload, dict) else None
     runs = result.get("runs") if isinstance(result, dict) else None
@@ -111,6 +115,11 @@ def validate_result_payload(payload: dict) -> dict | None:
             return {"error_type": "NonFiniteResult",
                     "message": f"run {i} best_score is {score!r}",
                     "retryable": True}
+    q = result.get("quarantine")
+    if q is not None:
+        return {"error_type": "LaneQuarantine",
+                "message": f"{q.get('reason')}: {q.get('detail', '')}",
+                "retryable": False}
     return None
 
 

@@ -66,10 +66,11 @@ def _apply_poison(case, spec: dict):
     """Chaos hook: ``"poison_nonfinite": true`` NaNs out the grid maps.
 
     The shared/cached case object is never mutated — the poisoned copy is
-    built with :func:`dataclasses.replace`, mirroring how the grid-site
-    fault injector treats cases.  A poisoned solo job produces non-finite
-    best scores (caught by parent-side validation); a poisoned cohort
-    member trips lane quarantine in the lock-step engine.
+    built with :func:`dataclasses.replace`.  The lock-step engine
+    quarantines the poisoned ligand on its first scoring pass, so a
+    poisoned solo job returns non-finite best scores (caught by
+    parent-side validation as ``NonFiniteResult``) and a poisoned cohort
+    member comes back quarantined.
     """
     if not spec.get("poison_nonfinite"):
         return case

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.docking.genotype import genotype_length
-from repro.docking.gradients import GradientCalculator
+from repro.docking.cohort import CohortGradientCalculator, CohortScoring
 from repro.docking.grids import GridMaps
 from repro.docking.ligand import Ligand, TorsionBond
 from repro.docking.pose import calc_coords
@@ -341,7 +341,7 @@ def make_test_case(name: str, n_rot: int, seed: int,
     # reference global minimum: exact-arithmetic refinement from the native
     scoring = ScoringFunction(ligand, maps)
     refiner = AdadeltaLocalSearch(
-        GradientCalculator(scoring, "exact"),
+        CohortGradientCalculator(CohortScoring([scoring]), "exact"),
         AdadeltaConfig(max_iters=refine_iters))
     refined, _, _ = refiner.minimize(native[None, :])
     global_min = float(min(scoring.score(refined[0])[0],

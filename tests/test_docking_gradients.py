@@ -3,16 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.docking import GradientCalculator, ScoringFunction
+from repro.docking import CohortGradientCalculator, CohortScoring, \
+    ScoringFunction
+from repro.docking.cohort import GENE_GRADIENT_CLAMP
 from repro.docking.genotype import genotype_length
-from repro.docking.gradients import GENE_GRADIENT_CLAMP
 from repro.reduction import TcecReduction
+
+
+def _gradient(sf, backend):
+    """The gradient calculator of a one-ligand cohort."""
+    return CohortGradientCalculator(CohortScoring([sf]), backend)
 
 
 class TestGradientCorrectness:
     def _setup(self, butane_like, small_maps):
         sf = ScoringFunction(butane_like, small_maps)
-        return sf, GradientCalculator(sf, "exact")
+        return sf, _gradient(sf, "exact")
 
     def test_energy_matches_scoring(self, butane_like, small_maps):
         """The reduced energy lane equals the scoring function's value (up
@@ -45,7 +51,7 @@ class TestGradientCorrectness:
         """Same check on the realistic case (translation/orientation/
         torsion blocks all present)."""
         sf = case_7cpa.scoring()
-        gc = GradientCalculator(sf, "exact")
+        gc = _gradient(sf, "exact")
         rng = np.random.default_rng(3)
         x = case_7cpa.native_genotype[None, :] \
             + rng.normal(0, 0.15, (1, case_7cpa.native_genotype.size))
@@ -90,7 +96,7 @@ class TestBackendEffects:
         x = case_7cpa.native_genotype[None, :] + rng.normal(0, 0.1, (1, 21))
         e = {}
         for backend in ("exact", "baseline", "tcec-tf32", "tc-fp16"):
-            e[backend], _ = GradientCalculator(sf, backend)(x)
+            e[backend], _ = _gradient(sf, backend)(x)
         assert e["baseline"][0] == pytest.approx(e["exact"][0], abs=1e-3)
         assert e["tcec-tf32"][0] == pytest.approx(e["exact"][0], abs=1e-3)
         # FP16 path deviates measurably more
@@ -100,7 +106,7 @@ class TestBackendEffects:
 
     def test_backend_instance_accepted(self, butane_like, small_maps):
         sf = ScoringFunction(butane_like, small_maps)
-        gc = GradientCalculator(sf, TcecReduction())
+        gc = _gradient(sf, TcecReduction())
         assert gc.backend.name == "tcec-tf32"
 
     def test_fp16_gradient_error_larger(self, case_7cpa):
@@ -109,9 +115,9 @@ class TestBackendEffects:
         sf = case_7cpa.scoring()
         rng = np.random.default_rng(5)
         x = case_7cpa.native_genotype[None, :] + rng.normal(0, 0.3, (1, 21))
-        _, g_exact = GradientCalculator(sf, "exact")(x)
-        _, g_fp16 = GradientCalculator(sf, "tc-fp16")(x)
-        _, g_tcec = GradientCalculator(sf, "tcec-tf32")(x)
+        _, g_exact = _gradient(sf, "exact")(x)
+        _, g_fp16 = _gradient(sf, "tc-fp16")(x)
+        _, g_tcec = _gradient(sf, "tcec-tf32")(x)
         # a non-finite fp16 gradient (accumulator overflow) is the extreme
         # form of the error — count it as a huge deviation
         diff16 = np.abs(g_fp16 - g_exact)
@@ -123,12 +129,13 @@ class TestBackendEffects:
     def test_translation_gradient_is_atom_sum(self, butane_like, small_maps):
         """Gtrans equals the sum of per-atom gradients (exact backend)."""
         sf = ScoringFunction(butane_like, small_maps)
-        gc = GradientCalculator(sf, "exact")
+        gc = _gradient(sf, "exact")
         rng = np.random.default_rng(6)
         x = rng.normal(size=(1, genotype_length(butane_like))) * 0.3
         from repro.docking.pose import calc_coords
         coords = calc_coords(butane_like, x)
-        _, g_atoms = gc.atom_gradients(coords)
+        _, g_atoms = gc.atom_gradients(coords[None], gc.cohort.pack)
+        g_atoms = g_atoms[0]
         _, grad = gc(x)
         expect = g_atoms.sum(axis=1)[0]
         clamped = np.clip(expect, -GENE_GRADIENT_CLAMP, GENE_GRADIENT_CLAMP)

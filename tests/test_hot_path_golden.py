@@ -25,9 +25,9 @@ import numpy as np
 import pytest
 
 from repro.docking.grids import GridMaps
+from repro.search.cohort import CohortLGA
 from repro.search.ga import GAConfig, GeneticAlgorithm, next_generation_batched
 from repro.search.lga import LGAConfig
-from repro.search.parallel import ParallelLGA
 from repro.testcases import get_test_case
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_hot_path.json"
@@ -48,8 +48,8 @@ def test_golden_bit_identical(cname, backend):
     cfg = GOLDEN[cname]
     scoring = get_test_case(cfg["case"]).scoring()
     lga = LGAConfig(**cfg["lga"])
-    results = ParallelLGA(scoring, backend, lga,
-                          seed=cfg["seed"]).run(cfg["n_runs"])
+    [results] = CohortLGA([scoring], backend, lga,
+                          seeds=cfg["seed"]).run(cfg["n_runs"])
     expected = cfg["backends"][backend]["runs"]
     assert len(results) == len(expected)
     for r, (res, exp) in enumerate(zip(results, expected)):
@@ -69,15 +69,15 @@ def test_golden_bit_identical(cname, backend):
 
 
 class _CountingScore:
-    """Wraps ScoringFunction.score, counting batch calls."""
+    """Wraps a runner's scoring ``score``, counting batch calls."""
 
     def __init__(self, scoring):
         self._inner = scoring.score
         self.calls = 0
 
-    def __call__(self, genotypes):
+    def __call__(self, *args):
         self.calls += 1
-        return self._inner(genotypes)
+        return self._inner(*args)
 
 
 class _StubLocalSearch:
@@ -100,10 +100,10 @@ def test_no_double_scoring_on_mid_loop_break():
     pop = 8
     lga = LGAConfig(pop_size=pop, max_evals=pop,  # break on first pass
                     max_gens=50, ls_iters=2, ls_rate=0.25)
-    plga = ParallelLGA(scoring, "baseline", lga, seed=13)
-    counter = _CountingScore(scoring)
-    scoring.score = counter
-    results = plga.run(2)
+    plga = CohortLGA([scoring], "baseline", lga, seeds=13)
+    counter = _CountingScore(plga.cohort)
+    plga.cohort.score = counter
+    [results] = plga.run(2)
     assert counter.calls == 1                    # one batched pass, no re-score
     for res in results:
         assert res.evals_used == pop             # evals at the break, not 2*pop
@@ -116,9 +116,9 @@ def test_ls_remainder_distributed_not_truncated():
     scoring = get_test_case("1u4d").scoring()
     lga = LGAConfig(pop_size=8, max_evals=10_000, max_gens=1,
                     ls_iters=2, ls_rate=0.25)
-    plga = ParallelLGA(scoring, "baseline", lga, seed=5)
+    plga = CohortLGA([scoring], "baseline", lga, seeds=5)
     plga.local_search = _StubLocalSearch(7)
-    results = plga.run(2)
+    [results] = plga.run(2)
     # per run: gen-1 scoring (8) + LS share + final scoring (8)
     assert results[0].evals_used == 8 + 4 + 8
     assert results[1].evals_used == 8 + 3 + 8
@@ -138,11 +138,11 @@ def test_evals_used_matches_hand_counted_trace():
     scoring = get_test_case("1u4d").scoring()
     lga = LGAConfig(pop_size=8, max_evals=10_000, max_gens=2,
                     ls_iters=2, ls_rate=0.25)
-    plga = ParallelLGA(scoring, "baseline", lga, seed=21)
+    plga = CohortLGA([scoring], "baseline", lga, seeds=21)
     plga.local_search = _StubLocalSearch(7)
-    counter = _CountingScore(scoring)
-    scoring.score = counter
-    results = plga.run(2)
+    counter = _CountingScore(plga.cohort)
+    plga.cohort.score = counter
+    [results] = plga.run(2)
     assert counter.calls == 3                    # 2 generations + final
     assert results[0].evals_used == 32
     assert results[1].evals_used == 30

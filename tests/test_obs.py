@@ -332,12 +332,13 @@ class TestReductionMetrics:
         histogram so traced Python times can be compared against the simt
         cost model's cycle ratios."""
         import numpy as np
-        from repro.docking.gradients import GradientCalculator
+        from repro.docking.cohort import (CohortGradientCalculator,
+                                          CohortScoring)
         from repro.docking.scoring import ScoringFunction
 
         reset_metrics()
         sf = ScoringFunction(case_small.ligand, case_small.maps)
-        grad = GradientCalculator(sf, "baseline")
+        grad = CohortGradientCalculator(CohortScoring([sf]), "baseline")
         genes = np.zeros((4, 6 + case_small.ligand.n_rot))
         grad(genes)
         snap = get_metrics().snapshot()

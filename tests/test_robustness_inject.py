@@ -11,7 +11,6 @@ from repro.robustness.inject import (
     FaultInjector,
     InjectingReduction,
     build_injected_backend,
-    corrupt_grid_maps,
 )
 from repro.tensorcore.mma import MMA_K, MMA_M, MMA_N, fault_hook, mma
 
@@ -167,16 +166,6 @@ class TestInjectingReduction:
 
 
 class TestCorruptGridMaps:
-    def test_injects_nan_cells_into_copy(self):
-        from repro.testcases import get_test_case
-        maps = get_test_case("1u4d").maps
-        inj = FaultInjector(1e-2, mode="nan")
-        bad = corrupt_grid_maps(maps, inj)
-        n_cells = maps.affinity.size
-        assert inj.n_injected == n_cells // inj.period
-        assert int(np.isnan(bad.affinity).sum()) == inj.n_injected
-        assert not np.isnan(maps.affinity).any()  # original untouched
-
     def test_grid_faults_are_unrecoverable(self):
         # NaN inputs defeat any reduction order: the degrade fallback
         # re-reduces and still sees NaN -> the unrecoverable ledger path
@@ -201,8 +190,9 @@ class TestEndToEndRecovery:
 
     @pytest.fixture(scope="class")
     def study(self):
+        from repro.docking.cohort import (CohortGradientCalculator,
+                                          CohortScoring)
         from repro.docking.genotype import random_genotypes
-        from repro.docking.gradients import GradientCalculator
         from repro.search.adadelta import AdadeltaConfig, AdadeltaLocalSearch
         from repro.testcases import get_test_case
 
@@ -213,7 +203,7 @@ class TestEndToEndRecovery:
 
         def refine(backend):
             ls = AdadeltaLocalSearch(
-                GradientCalculator(sf, backend),
+                CohortGradientCalculator(CohortScoring([sf]), backend),
                 AdadeltaConfig(max_iters=self.ITERS))
             best_x, _, _ = ls.minimize(genes)
             true = sf.score(best_x)  # re-score exactly: no reporting bias
@@ -300,3 +290,57 @@ class TestEngineIntegration:
         r = DockingResult(case_name="x", config=None, runs=[], outcomes=[],
                           total_evals=0, generations=0, runtime_seconds=0.0)
         assert math.isnan(r.us_per_eval)
+
+
+class TestSoloQuarantine:
+    """A solo dock is a cohort of one: a guard trip under ``raise``
+    quarantines it exactly like a cohort member instead of raising."""
+
+    ARGS = ["-case", "1u4d", "-nrun", "2", "--evals", "400", "--pop", "8",
+            "--lsit", "4", "-seed", "1", "--tensor", "tc-fp16",
+            "--fault-policy", "raise", "--inject-rate", "0.01",
+            "--inject-mode", "nan"]
+
+    @staticmethod
+    def _config():
+        from repro.core import DockingConfig
+        from repro.search.lga import LGAConfig
+        return DockingConfig(
+            backend="tc-fp16", fault_policy="raise", inject_rate=0.01,
+            inject_mode="nan",
+            lga=LGAConfig(pop_size=8, max_evals=400, max_gens=8,
+                          ls_iters=4, ls_rate=0.25))
+
+    def test_raise_policy_returns_quarantine_record(self):
+        from repro.core import DockingEngine
+        from repro.testcases import get_test_case
+        result = DockingEngine(get_test_case("1u4d"), self._config()).dock(
+            n_runs=2, seed=1)
+        q = result.quarantine
+        assert q is not None
+        assert (q["lane"], q["name"], q["reason"]) \
+            == (0, "1u4d", "guard-raise")
+        assert "reduction blocks" in q["detail"]
+        # the best-so-far poses survive the freeze
+        assert all(np.isfinite(r.best_score) for r in result.runs)
+        assert result.fault_stats["blocks_faulty"] >= 1
+
+    def test_pool_dead_letters_with_lane_quarantine(self):
+        from repro.serve import DockingJob, WorkerPool
+        job = DockingJob(spec={"kind": "case", "case": "1u4d"},
+                         config=self._config(), n_runs=2, seed=1)
+        pool = WorkerPool(workers=0, retries=2, backoff=0.0)
+        [res] = list(pool.map([job]))
+        assert res.status == "dead"
+        assert res.error["error_type"] == "LaneQuarantine"
+        assert res.error["message"].startswith("guard-raise: ")
+        # the same job trips the same guard again: no retry
+        assert res.attempts == 1
+        assert pool.dead_letters == [res]
+
+    def test_cli_prints_quarantine(self, capsys):
+        from repro.cli import main
+        assert main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        assert "Quarantined at generation" in out
+        assert "guard-raise" in out

@@ -3,19 +3,25 @@
 import numpy as np
 import pytest
 
-from repro.docking import GradientCalculator, ScoringFunction
+from repro.docking import CohortGradientCalculator, CohortScoring, \
+    ScoringFunction
 from repro.docking.genotype import genotype_length
 from repro.search import (
     AdadeltaConfig,
     AdadeltaLocalSearch,
+    CohortLGA,
     GAConfig,
     GeneticAlgorithm,
     LGAConfig,
-    LGARun,
-    ParallelLGA,
     SolisWetsConfig,
-    SolisWetsLocalSearch,
 )
+from repro.search.cohort import CohortSolisWets
+
+
+def _runs(scoring, config, seed, n_runs):
+    """``n_runs`` lock-step runs of one ligand (a cohort of one)."""
+    [runs] = CohortLGA([scoring], "baseline", config, seeds=seed).run(n_runs)
+    return runs
 
 
 class TestGAConfig:
@@ -135,8 +141,9 @@ class TestAdadelta:
 
     def test_improves_docking_pose(self, case_7cpa):
         sf = case_7cpa.scoring()
-        ls = AdadeltaLocalSearch(GradientCalculator(sf, "exact"),
-                                 AdadeltaConfig(max_iters=60))
+        ls = AdadeltaLocalSearch(
+            CohortGradientCalculator(CohortScoring([sf]), "exact"),
+            AdadeltaConfig(max_iters=60))
         rng = np.random.default_rng(0)
         x0 = case_7cpa.native_genotype[None, :] + rng.normal(0, 0.5, (1, 21))
         e0 = sf.score(x0)
@@ -147,12 +154,13 @@ class TestAdadelta:
 class TestSolisWets:
     def test_minimizes_docking_pose(self, butane_like, small_maps):
         sf = ScoringFunction(butane_like, small_maps)
-        ls = SolisWetsLocalSearch(sf, SolisWetsConfig(max_iters=40),
-                                  np.random.default_rng(1))
+        ls = CohortSolisWets(CohortScoring([sf]),
+                             SolisWetsConfig(max_iters=40),
+                             [np.random.default_rng(1)])
         rng = np.random.default_rng(2)
         x0 = rng.normal(size=(4, genotype_length(butane_like)))
         e0 = sf.score(x0)
-        best_x, best_e, evals = ls.minimize(x0)
+        best_x, best_e, evals = ls.minimize_cohort(x0[None], [0])
         assert np.all(best_e <= e0)
         assert evals > 0
 
@@ -171,44 +179,38 @@ class TestLGA:
                          ls_iters=10, ls_rate=0.2)
 
     def test_run_respects_budget(self, case_small):
-        run = LGARun(case_small.scoring(), "baseline", self._config(),
-                     np.random.default_rng(0))
-        res = run.run()
+        [res] = _runs(case_small.scoring(), self._config(), 0, 1)
         # one trailing scoring pass may exceed the cap by <= pop evals
         assert res.evals_used <= 800 + 10 + 10 * 2 * 10
         assert res.generations <= 20
 
     def test_history_is_monotone_improving(self, case_small):
-        run = LGARun(case_small.scoring(), "baseline", self._config(),
-                     np.random.default_rng(1))
-        res = run.run()
+        [res] = _runs(case_small.scoring(), self._config(), 1, 1)
         scores = [s for _, s, _ in res.history]
         assert scores == sorted(scores, reverse=True)
         evals = [e for e, _, _ in res.history]
         assert evals == sorted(evals)
 
     def test_best_score_matches_history_tail(self, case_small):
-        run = LGARun(case_small.scoring(), "baseline", self._config(),
-                     np.random.default_rng(2))
-        res = run.run()
+        [res] = _runs(case_small.scoring(), self._config(), 2, 1)
         assert res.best_score == res.history[-1][1]
 
     def test_solis_wets_method(self, case_small):
         cfg = LGAConfig(pop_size=8, max_evals=500, max_gens=10,
                         ls_method="sw", ls_iters=5, ls_rate=0.25)
-        res = LGARun(case_small.scoring(), "baseline", cfg,
-                     np.random.default_rng(3)).run()
+        [res] = _runs(case_small.scoring(), cfg, 3, 1)
         assert np.isfinite(res.best_score)
 
 
 class TestParallelLGA:
+    """Several runs of one ligand in lock step."""
+
     def test_matches_distributional_behaviour(self, case_small):
         """Lock-step runs behave like independent runs: all finish, report
         finite scores, and differ across seeds."""
         cfg = LGAConfig(pop_size=10, max_evals=600, max_gens=15,
                         ls_iters=8, ls_rate=0.2)
-        results = ParallelLGA(case_small.scoring(), "baseline", cfg,
-                              seed=5).run(6)
+        results = _runs(case_small.scoring(), cfg, 5, 6)
         assert len(results) == 6
         scores = [r.best_score for r in results]
         assert all(np.isfinite(s) for s in scores)
@@ -218,19 +220,13 @@ class TestParallelLGA:
         cfg = LGAConfig(pop_size=8, max_evals=400, max_gens=10,
                         ls_iters=5, ls_rate=0.25)
         sf = case_small.scoring()
-        a = ParallelLGA(sf, "baseline", cfg, seed=9).run(3)
-        b = ParallelLGA(sf, "baseline", cfg, seed=9).run(3)
+        a = _runs(sf, cfg, 9, 3)
+        b = _runs(sf, cfg, 9, 3)
         assert [r.best_score for r in a] == [r.best_score for r in b]
 
     def test_solis_wets_batched(self, case_small):
         cfg = LGAConfig(pop_size=8, max_evals=500, max_gens=10,
                         ls_method="sw", ls_iters=5, ls_rate=0.25)
-        results = ParallelLGA(case_small.scoring(), "baseline", cfg,
-                              seed=3).run(4)
+        results = _runs(case_small.scoring(), cfg, 3, 4)
         assert len(results) == 4
         assert all(np.isfinite(r.best_score) for r in results)
-
-    def test_rejects_autostop(self, case_small):
-        cfg = LGAConfig(autostop=True)
-        with pytest.raises(ValueError, match="AutoStop"):
-            ParallelLGA(case_small.scoring(), "baseline", cfg)

@@ -257,3 +257,28 @@ def test_split_members_start_a_fresh_budget():
     [dead] = [a for a in out if isinstance(a, JobResult)]
     assert dead.status == "dead" and dead.attempts == 2
     assert [h["attempt"] for h in dead.extra["attempt_history"]] == [1, 2]
+
+
+def test_quarantined_result_dead_letters_without_retry():
+    from repro.serve.ledger import validate_result_payload
+    q = {"lane": 0, "name": "c0", "generation": 3, "reason": "guard-raise",
+         "detail": "1 of 8 reduction blocks"}
+    quarantined = _good()
+    quarantined["result"]["quarantine"] = q
+    err = validate_result_payload(quarantined)
+    assert err["error_type"] == "LaneQuarantine"
+    assert err["retryable"] is False
+    # the finite-score test runs first: a poisoned job stays NonFinite
+    poisoned = _bad()
+    poisoned["result"]["quarantine"] = q
+    assert validate_result_payload(poisoned)["error_type"] \
+        == "NonFiniteResult"
+
+    ledger = JobLedger(retries=2, backoff=0.0)
+    job = _job(0)
+    ledger.submit([job], 0.0)
+    ledger.started(job.job_id, None, 0.0)
+    actions = ledger.done(job.job_id, quarantined, None, 0.0)
+    [dead] = [a for a in actions if isinstance(a, JobResult)]
+    assert (dead.status, dead.attempts) == ("dead", 1)
+    assert dead.error["error_type"] == "LaneQuarantine"
