@@ -2,19 +2,21 @@
 
 Wall-clock timing (pytest-benchmark's bread and butter) for the simulated
 numerical kernels: the three reduction back-ends, the MMA unit, pose
-calculation and the fused gradient kernel.  These guard against
-performance regressions of the *simulator itself* — the paper-shape
-results live in the other bench files.
+calculation (one ligand, and a mixed 16-ligand pack) and the fused
+gradient kernel.  These guard against performance regressions of the
+*simulator itself* — the paper-shape results live in the other bench
+files.
 """
 
 import numpy as np
 import pytest
 
 from repro.docking.cohort import CohortGradientCalculator, CohortScoring
+from repro.docking.genotype import random_genotypes
 from repro.docking.pose import calc_coords
 from repro.reduction import get_reduction_backend
 from repro.tensorcore import mma, tcec_mma
-from repro.testcases import get_test_case
+from repro.testcases import SET_OF_42, get_test_case
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +61,24 @@ def test_pose_calculation(benchmark):
     genotypes = case.native_genotype[None, :] + rng.normal(0, 0.3, (128, 21))
     coords = benchmark(calc_coords, case.ligand, genotypes)
     assert coords.shape == (128, case.ligand.n_atoms, 3)
+
+
+@pytest.mark.benchmark(group="kernel-docking")
+def test_pose_calculation_mixed_cohort(benchmark):
+    """One rotation-list pass over the first 16 set-of-42 ligands packed
+    as one cohort, at the reference ADADELTA batch (8 runs x 9 local-
+    search individuals = 72 rows per ligand)."""
+    cohort = CohortScoring([get_test_case(name).scoring()
+                            for name, _ in SET_OF_42[:16]])
+    pack = cohort.pack
+    rng = np.random.default_rng(5)
+    genes = np.zeros((pack.C, 72, pack.G))
+    for a, sf in enumerate(pack.scorings):
+        genes[a, :, :pack.glens[a]] = random_genotypes(
+            rng, 72, sf.ligand, sf.maps.box_lo, sf.maps.box_hi)
+    coords = benchmark(cohort.coords, genes)
+    assert coords.shape == (16, 72, pack.N, 3)
+    assert pack.rotation_list.n_steps == pack.R == 10
 
 
 @pytest.mark.benchmark(group="kernel-docking")

@@ -8,7 +8,10 @@ struct-of-arrays buffers with a leading cohort axis, so grid
 interpolation, intramolecular terms and the ADADELTA gradient kernel run
 over the whole cohort in one NumPy pass and the ``reduce4`` backends see a
 ``(2, cohort * batch, N_max, 4)`` operand.  Every dock runs through it: a
-single ligand is a pack of one.
+single ligand is a pack of one.  Pose calculation is one pass of the
+pack's compiled rotation list (:class:`~repro.docking.pose.RotationList`,
+built with the pack and with every subset): ``max N_rot`` torsion steps
+per call, however many ligands the pack holds.
 
 Bit-identity contract
 ---------------------
@@ -20,12 +23,17 @@ same ligand packed alone, and its scores to the scalar reference
 * padding is *suffix-only* zeros, and every reduction backend is
   suffix-pad invariant (see :mod:`repro.reduction.api`), so one cohort-wide
   tree reduction equals per-ligand reductions;
-* everything elementwise (interpolation blends, AD4 pair terms, out-of-box
-  penalties, clamps) vectorises across the cohort axis without changing
-  per-element arithmetic;
+* everything elementwise (pose torsion steps and rigid-body transform,
+  interpolation blends, AD4 pair terms, out-of-box penalties, clamps)
+  vectorises across the cohort axis without changing per-element
+  arithmetic;
 * the two operations whose summation order is layout-dependent — the
   pair->atom scatter ``einsum`` and the energy incidence matmul — stay
-  per-ligand, on contiguous copies with exactly the single-path shapes;
+  per-ligand, on contiguous copies with exactly the single-path shapes.
+  One batched ``matmul`` over zero-padded ``(C, N, P)`` incidence
+  matrices reproduced only 51 of 160 ligand slices of the scatter (104
+  of 160 of the energy matmul), measured on ten 8-ligand cohorts of the
+  benchmark's mixed library at batches 18 and 60;
 * padded atoms / pairs / torsions carry finite neutral values (pair
   coefficients ``c=d=1, m=6, qq=dsolv=0``) and are excluded by contiguous
   per-ligand contribution packing, never by multiplicative masks, so no
@@ -49,7 +57,7 @@ from repro.docking.energy import (
     _MS_RK,
 )
 from repro.docking.grids import OUT_OF_BOX_PENALTY, GridMaps
-from repro.docking.pose import calc_coords
+from repro.docking.pose import RotationList
 from repro.docking.quaternion import cross3, so3_left_jacobian
 from repro.docking.scoring import ScoringFunction
 from repro.obs import get_metrics, get_tracer
@@ -221,21 +229,20 @@ class LigandPack:
             [sf.smooth for sf in scorings], dtype=bool)[:, None, None]
         self.any_smooth = bool(self.smooth_col.any())
         self._init_groups()
+        self.rotation_list = RotationList(self.ligands)
         self._subsets: dict[tuple[int, ...], "LigandPack"] = {}
 
     def _init_groups(self) -> None:
-        """Cohort slots sharing one ligand object, for batched pose /
-        scatter kernels.
+        """Cohort slots sharing one ligand object, for the batched
+        pair->atom contractions.
 
         A virtual screen dedups identical ligands upstream, but a
         homogeneous throughput cohort (and any screen re-docking one
         ligand under several seeds) carries the *same* ligand object in
-        many slots.  Those slots share the torsion tree and incidence
-        matrices, so ``calc_coords`` and the pair->atom contractions can
-        run once over the concatenated batch — both are batch-row
-        invariant (elementwise arithmetic plus fixed-length last-axis
-        reductions), so each slot's slice stays bit-identical to its own
-        per-slot call.
+        many slots.  Those slots share the incidence matrices, so the
+        pair->atom contractions run once over the concatenated batch —
+        they are batch-row invariant, so each slot's slice stays
+        bit-identical to its own per-slot call.
         """
         by_lig: dict[int, list[int]] = {}
         for a, lig in enumerate(self.ligands):
@@ -254,10 +261,6 @@ class LigandPack:
             and all(bool((arr == arr[:1]).all())
                     for arr in (self.pi, self.pj, self.pc, self.pd,
                                 self.pm, self.pqq, self.pdsolv)))
-        #: per-slot contribution rows all share one (n_atoms, n_pairs)
-        self.shape_uniform = bool(
-            (self.n_atoms == self.n_atoms[0]).all()
-            and (self.n_pairs == self.n_pairs[0]).all())
 
     def _init_derived(self) -> None:
         self.N = int(self.n_atoms.max())
@@ -349,6 +352,7 @@ class LigandPack:
         sub.smooth_col = self.smooth_col[idx]
         sub.any_smooth = bool(sub.smooth_col.any())
         sub._init_groups()
+        sub.rotation_list = RotationList(sub.ligands)
         sub._subsets = {}
         return sub
 
@@ -558,37 +562,11 @@ class CohortScoring:
 
     def coords(self, genes: np.ndarray,
                pack: LigandPack | None = None) -> np.ndarray:
-        """Pose calculation, ``(A, B, G) -> (A, B, N, 3)`` (zero-padded).
-
-        Runs per ligand-identity *group*: the torsion-chain loop is
-        data-dependent per ligand, but slots sharing one ligand object
-        share the tree, so their batches concatenate into a single
-        ``calc_coords`` call.  The pose kernel is elementwise over batch
-        rows (fixed-length last-axis reductions only), so each slot's
-        slice is bit-identical to its own per-slot call.
-        """
+        """Pose calculation, ``(A, B, G) -> (A, B, N, 3)`` (zero-padded):
+        one pass of the pack's compiled rotation list, whatever the
+        cohort's make-up (see :mod:`repro.docking.pose`)."""
         pack = pack if pack is not None else self.pack
-        A, B = genes.shape[0], genes.shape[1]
-        if len(pack.groups) == 1:
-            # one ligand in every slot: no padding, no scatter — a flat
-            # batch through the pose kernel and a reshape view back
-            return calc_coords(
-                pack.ligands[0],
-                genes.reshape(A * B, -1)).reshape(A, B, pack.N, 3)
-        out = np.zeros((A, B, pack.N, 3))
-        for idx in pack.groups:
-            a = int(idx[0])
-            glen_a = int(pack.glens[a])
-            n_a = int(pack.n_atoms[a])
-            if len(idx) == 1:
-                g = np.ascontiguousarray(genes[a, :, :glen_a])
-                out[a, :, :n_a] = calc_coords(pack.ligands[a], g)
-            else:
-                g = np.ascontiguousarray(
-                    genes[idx][:, :, :glen_a]).reshape(-1, glen_a)
-                out[idx, :, :n_a] = calc_coords(
-                    pack.ligands[a], g).reshape(len(idx), B, n_a, 3)
-        return out
+        return pack.rotation_list(genes)
 
     def score_coords(self, coords: np.ndarray,
                      pack: LigandPack | None = None) -> np.ndarray:
@@ -598,18 +576,14 @@ class CohortScoring:
         A, B = e_inter.shape[:2]
         # contiguous per-ligand packing [inter | intra | 0-pad]: the tree
         # reduction sees only suffix zeros, which every backend ignores
+        # (a per-slot slice copy: a single gather over precomputed column
+        # indices measured 4-12x slower than these memcpy-speed slices)
         contribs = np.zeros((A, B, pack.L), dtype=np.float32)
-        if pack.shape_uniform:
-            n0 = int(pack.n_atoms[0])
-            p0 = int(pack.n_pairs[0])
-            contribs[:, :, :n0] = e_inter[:, :, :n0]
-            contribs[:, :, n0:n0 + p0] = e_intra[:, :, :p0]
-        else:
-            for a in range(A):
-                n_a = int(pack.n_atoms[a])
-                p_a = int(pack.n_pairs[a])
-                contribs[a, :, :n_a] = e_inter[a, :, :n_a]
-                contribs[a, :, n_a:n_a + p_a] = e_intra[a, :, :p_a]
+        for a in range(A):
+            n_a = int(pack.n_atoms[a])
+            p_a = int(pack.n_pairs[a])
+            contribs[a, :, :n_a] = e_inter[a, :, :n_a]
+            contribs[a, :, n_a:n_a + p_a] = e_intra[a, :, :p_a]
         total = simt_tree_reduce(contribs, axis=-1)
         return total.astype(np.float64) + pack.tors_pen
 

@@ -24,7 +24,8 @@ def write_pdbqt(ligand: Ligand, path: str | Path,
     """Write a ligand (optionally with pose coordinates) as PDBQT.
 
     Atoms are grouped by torsion signature: the rigid root block first,
-    then one ``BRANCH`` block per rotatable bond in tree order.
+    then one ``BRANCH`` block per rotatable bond, nested as the torsion
+    tree nests (sibling branches close before the next one opens).
     """
     coords = ligand.ref_coords if coords is None else np.asarray(coords)
     if coords.shape != (ligand.n_atoms, 3):
@@ -47,17 +48,27 @@ def write_pdbqt(ligand: Ligand, path: str | Path,
             lines.append(atom_line(i))
     lines.append("ENDROOT")
 
-    # branches in tree order; emit atoms whose innermost torsion is this one
-    open_branches: list[int] = []
+    # branches depth-first, children in tree order: a branch's own atoms
+    # (those whose innermost torsion it is), then its child branches,
+    # then its ENDBRANCH, so sibling branches stay siblings.  A branch's
+    # parent is the innermost torsion moving its axis atom ``atom_b``.
+    children: dict[int, list[int]] = {}
     for k, tors in enumerate(ligand.torsions):
+        children.setdefault(max(sigs[tors.atom_b], default=-1),
+                            []).append(k)
+
+    def branch(k: int) -> None:
+        tors = ligand.torsions[k]
         lines.append(f"BRANCH {tors.atom_a + 1:>3d} {tors.atom_b + 1:>3d}")
-        open_branches.append(k)
         for i in tors.moved:
             if max(sigs[i]) == k:
                 lines.append(atom_line(i))
-    for k in reversed(open_branches):
-        tors = ligand.torsions[k]
+        for child in children.get(k, []):
+            branch(child)
         lines.append(f"ENDBRANCH {tors.atom_a + 1:>3d} {tors.atom_b + 1:>3d}")
+
+    for k in children.get(-1, []):
+        branch(k)
     lines.append(f"TORSDOF {ligand.n_rot}")
 
     Path(path).write_text("\n".join(lines) + "\n")
