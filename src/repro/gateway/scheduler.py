@@ -21,7 +21,9 @@ paper's cost model closed into a serving control loop:
   each round credits every backlogged tenant ``quantum × weight``
   seconds of predicted runtime and serves jobs while the tenant's
   deficit covers them, so a tenant flooding the queue with heavy jobs
-  cannot starve light interactive traffic;
+  cannot starve light interactive traffic.  Within a tenant, lower
+  ``priority`` runs first, then arrival order — the rule a screen
+  follows too;
 * **autoscaling** — :meth:`desired_workers` sizes each shard's pool to
   drain its predicted backlog within ``drain_target_s`` (clamped to
   ``[min_workers, max_workers]``); the gateway applies it between
@@ -33,6 +35,8 @@ runner threads call in concurrently.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import threading
 import time
@@ -91,22 +95,27 @@ class ScheduledJob:
 
 
 class _ShardState:
-    """Per-shard scheduler state: tenant queues + WDRR bookkeeping."""
+    """Per-shard scheduler state: tenant queues + WDRR bookkeeping.
+
+    A tenant queue is a heap of ``(priority, arrival, job)``: lower
+    priority first, then arrival order.
+    """
 
     def __init__(self) -> None:
-        self.queues: dict[str, deque[ScheduledJob]] = {}
+        self.queues: dict[str, list[tuple[int, int, ScheduledJob]]] = {}
         self.deficits: dict[str, float] = {}
         self.rotation: deque[str] = deque()   # tenant service order
         self.backlog_s = 0.0                  # predicted queued + running
         self.queued = 0
+        self._arrivals = itertools.count()
 
     def enqueue(self, item: ScheduledJob) -> None:
         q = self.queues.get(item.tenant)
         if q is None:
-            q = self.queues[item.tenant] = deque()
+            q = self.queues[item.tenant] = []
             self.deficits.setdefault(item.tenant, 0.0)
             self.rotation.append(item.tenant)
-        q.append(item)
+        heapq.heappush(q, (item.job.priority, next(self._arrivals), item))
         self.queued += 1
         self.backlog_s += item.predicted_s
 
@@ -140,16 +149,6 @@ class SLOScheduler:
     drain_target_s:
         Autoscale target: size each pool to drain its predicted backlog
         within this many seconds.
-    on_unpredictable:
-        What to do when the predictor returns a non-finite estimate
-        (NaN/inf).  Such values used to flow straight into the limit
-        comparisons, where every ``NaN > limit`` is False — jobs with
-        unpredictable shapes silently bypassed SLO and deadline checks
-        *and* poisoned the shard's predicted backlog.  ``"reject"`` (the
-        default) raises a structured :class:`AdmissionError` with reason
-        ``"unpredictable"``; ``"admit"`` accepts the job with a warning
-        event, charging zero predicted backlog so accounting stays
-        finite.  Either way the ``gateway.unpredictable`` counter ticks.
     clock:
         Injectable monotonic clock (tests).
     """
@@ -163,7 +162,6 @@ class SLOScheduler:
                  min_workers: int = 1,
                  max_workers: int = 8,
                  drain_target_s: float = 30.0,
-                 on_unpredictable: str = "reject",
                  clock=time.monotonic) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
@@ -174,10 +172,6 @@ class SLOScheduler:
             raise ValueError("quantum_s must be > 0")
         if not 1 <= min_workers <= max_workers:
             raise ValueError("need 1 <= min_workers <= max_workers")
-        if on_unpredictable not in ("reject", "admit"):
-            raise ValueError(f"unknown on_unpredictable "
-                             f"{on_unpredictable!r}; expected "
-                             f"'reject' or 'admit'")
         self.n_shards = n_shards
         self.predictor = predictor
         self.slo_seconds = slo_seconds
@@ -187,7 +181,6 @@ class SLOScheduler:
         self.min_workers = min_workers
         self.max_workers = max_workers
         self.drain_target_s = drain_target_s
-        self.on_unpredictable = on_unpredictable
         self._clock = clock
         self._lock = threading.Lock()
         self._shards = [_ShardState() for _ in range(n_shards)]
@@ -238,40 +231,32 @@ class SLOScheduler:
         Raises :class:`AdmissionError` when the predicted completion
         time (shard backlog at current parallelism + the job itself)
         exceeds the tighter of the service SLO and the caller deadline,
-        or — under ``on_unpredictable="reject"`` — when the predictor
-        returns a non-finite estimate.  Under ``on_unpredictable=
-        "admit"`` such a job is accepted with zero predicted backlog
-        charge (the returned ``predicted_s`` is ``0.0``), so NaN never
-        reaches the limit comparisons or ``backlog_s``.
+        or with reason ``"unpredictable"`` when the predictor returns a
+        non-finite estimate — NaN would pass every limit comparison and
+        poison the shard's backlog.  The ``gateway.unpredictable``
+        counter ticks for each such job.
         """
         predicted = self.predict_seconds(job)
         job_id = job.job_id
-        unpredictable = not math.isfinite(predicted)
-        if unpredictable:
-            self.unpredictable += 1
-            get_metrics().counter("gateway.unpredictable").inc()
         with self._lock:
             shard = self._shard_of_locked(job_id)
             state = self._shards[shard]
             wait = state.backlog_s / max(1, self.workers[shard])
-            if unpredictable:
-                if self.on_unpredictable == "reject":
-                    self.rejected += 1
-                    get_metrics().counter("gateway.rejected").inc()
-                    limit = (self.slo_seconds if deadline_s is None
-                             else deadline_s if self.slo_seconds is None
-                             else min(self.slo_seconds, deadline_s))
-                    get_tracer().event(
-                        "gateway.reject", job_id=job_id, shard=shard,
-                        tenant=tenant, reason="unpredictable",
-                        predicted_s=None, backlog_s=wait, limit_s=limit)
-                    raise AdmissionError(
-                        job_id, shard, "unpredictable", predicted, wait,
-                        limit if limit is not None else math.inf, 0.0)
+            if not math.isfinite(predicted):
+                self.unpredictable += 1
+                self.rejected += 1
+                get_metrics().counter("gateway.unpredictable").inc()
+                get_metrics().counter("gateway.rejected").inc()
+                limit = (self.slo_seconds if deadline_s is None
+                         else deadline_s if self.slo_seconds is None
+                         else min(self.slo_seconds, deadline_s))
                 get_tracer().event(
-                    "gateway.unpredictable_admit", job_id=job_id,
-                    shard=shard, tenant=tenant, backlog_s=wait)
-                predicted = 0.0
+                    "gateway.reject", job_id=job_id, shard=shard,
+                    tenant=tenant, reason="unpredictable",
+                    predicted_s=None, backlog_s=wait, limit_s=limit)
+                raise AdmissionError(
+                    job_id, shard, "unpredictable", predicted, wait,
+                    limit if limit is not None else math.inf, 0.0)
             total = wait + predicted
             limits = [("slo", self.slo_seconds),
                       ("deadline", deadline_s)]
@@ -311,11 +296,12 @@ class SLOScheduler:
         """Pop the next fair batch of jobs for ``shard`` (may be empty).
 
         One WDRR round: every backlogged tenant's deficit grows by
-        ``quantum_s × weight`` and jobs are served head-first while the
-        deficit covers their predicted runtime (always at least one job
-        per non-empty round, so an over-quantum job cannot wedge its
-        tenant).  Predicted backlog stays charged until :meth:`job_done`
-        — an in-flight job still occupies its shard for admission math.
+        ``quantum_s × weight`` and jobs are served head-first (lowest
+        priority, then earliest) while the deficit covers their
+        predicted runtime (always at least one job per non-empty round,
+        so an over-quantum job cannot wedge its tenant).  Predicted
+        backlog stays charged until :meth:`job_done` — an in-flight job
+        still occupies its shard for admission math.
         """
         out: list[ScheduledJob] = []
         with self._lock:
@@ -331,9 +317,9 @@ class SLOScheduler:
                 weight = float(self.tenant_weights.get(tenant, 1.0))
                 state.deficits[tenant] += self.quantum_s * weight
                 served_any = False
-                while q and (state.deficits[tenant] >= q[0].predicted_s
+                while q and (state.deficits[tenant] >= q[0][2].predicted_s
                              or not served_any):
-                    item = q.popleft()
+                    item = heapq.heappop(q)[2]
                     state.deficits[tenant] = max(
                         0.0, state.deficits[tenant] - item.predicted_s)
                     state.queued -= 1

@@ -41,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 
 from repro.gateway.protocol import (HttpRequest, ProtocolError,
@@ -50,7 +51,7 @@ from repro.gateway.scheduler import AdmissionError, SLOScheduler
 from repro.obs import get_metrics, get_tracer
 from repro.serve.manifest import ShardedManifest, rank_records
 from repro.serve.pool import (DEFAULT_HEARTBEAT_SECONDS, JobResult,
-                              WorkerPool)
+                              WorkerPool, run_batch)
 
 __all__ = ["Gateway", "GatewayConfig"]
 
@@ -126,8 +127,6 @@ class Gateway:
             from repro.obs import configure
             configure(self.config.trace, source="gateway")
         self._lock = threading.Lock()
-        #: serialises appends and their publication across shard threads
-        self._manifest_lock = threading.Lock()
         self._manifest = (ShardedManifest(self.config.manifest,
                                           n_shards=self.config.manifest_shards)
                           if self.config.manifest else None)
@@ -161,81 +160,77 @@ class Gateway:
     # ------------------------------------------------------------------
     # shard runners
 
-    def _apply_result(self, rec: dict, result: JobResult) -> None:
-        rec["status"] = result.status
-        rec["attempts"] = result.attempts
-        rec["wall_seconds"] = result.wall_seconds
-        rec["best_score"] = result.best_score
-        rec["error"] = result.error
-        rec["result"] = result.to_dict()
-        rec["completed_at"] = time.time()
+    def _terminal_record(self, result: JobResult) -> dict:
+        """The job's record with ``result`` applied: what the manifest
+        log gets, and then ``self.jobs``."""
+        with self._lock:
+            rec = dict(self.jobs[result.job_id])
+        rec.update(status=result.status, attempts=result.attempts,
+                   wall_seconds=result.wall_seconds,
+                   best_score=result.best_score, error=result.error,
+                   result=result.to_dict(), completed_at=time.time())
+        return rec
 
     def _shard_runner(self, shard: int) -> None:
-        """One shard's service loop: fair batch → pool → records."""
+        """One shard's service loop: fair batch → pool → records.
+
+        The shard's pool is built on its first batch and kept, warm,
+        for the gateway's lifetime; only an autoscale resize replaces
+        it.
+        """
         cfg = self.config
         tracer = get_tracer()
-        while not self._stop.is_set():
-            batch = self.scheduler.next_batch(shard)
-            if not batch:
-                time.sleep(cfg.poll_s)
-                continue
-            workers = cfg.workers
-            if cfg.autoscale and cfg.workers > 0:
-                workers = self.scheduler.apply_autoscale(shard)
-            predicted = {sj.job.job_id: sj.predicted_s for sj in batch}
-            with self._lock:
-                for sj in batch:
-                    rec = self.jobs.get(sj.job.job_id)
-                    if rec is not None:
-                        rec["status"] = "running"
-            tracer.event("gateway.dispatch", shard=shard,
-                         jobs=len(batch), workers=workers)
-            pool = WorkerPool(
-                workers=workers, retries=cfg.retries,
-                job_wall_seconds=cfg.job_wall_seconds,
-                include_history=cfg.include_history,
-                heartbeat_seconds=cfg.heartbeat_seconds,
-                store_root=cfg.store,
-                trace_path=cfg.trace)
-            try:
-                for result in pool.map([sj.job for sj in batch]):
-                    self.scheduler.job_done(
-                        shard, predicted.get(result.job_id, 0.0))
+        pool = None
+        try:
+            while not self._stop.is_set():
+                batch = self.scheduler.next_batch(shard)
+                if not batch:
+                    time.sleep(cfg.poll_s)
+                    continue
+                workers = cfg.workers
+                if cfg.autoscale and cfg.workers > 0:
+                    workers = self.scheduler.apply_autoscale(shard)
+                if pool is None or pool.workers != workers:
+                    if pool is not None:
+                        pool.close()
+                    pool = WorkerPool(
+                        workers=workers, retries=cfg.retries,
+                        job_wall_seconds=cfg.job_wall_seconds,
+                        include_history=cfg.include_history,
+                        heartbeat_seconds=cfg.heartbeat_seconds,
+                        store_root=cfg.store,
+                        trace_path=cfg.trace)
+                predicted = {sj.job.job_id: sj.predicted_s for sj in batch}
+                with self._lock:
+                    for sj in batch:
+                        self.jobs[sj.job.job_id]["status"] = "running"
+                tracer.event("gateway.dispatch", shard=shard,
+                             jobs=len(batch), workers=workers)
+
+                def publish(result: JobResult, rec: dict) -> None:
+                    self.scheduler.job_done(shard, predicted[result.job_id])
                     with self._lock:
-                        rec = self.jobs.get(result.job_id)
-                        staged = dict(rec) if rec is not None else None
-                    if staged is not None:
-                        self._apply_result(staged, result)
-                        # append the terminal record BEFORE it becomes
-                        # visible to /v1/stream: a client acting on a
-                        # streamed result must find it on disk
-                        with self._manifest_lock:
-                            if self._manifest is not None:
-                                self._manifest.append(staged)
-                            with self._lock:
-                                self.jobs[result.job_id].update(staged)
+                        self.jobs[result.job_id].update(rec)
                     tracer.event("gateway.done", job_id=result.job_id,
                                  shard=shard, status=result.status,
                                  wall_seconds=result.wall_seconds,
-                                 predicted_s=predicted.get(
-                                     result.job_id))
-            except Exception as exc:          # pool-level failure: the
-                # whole batch dead-letters so callers are never wedged
-                for sj in batch:
-                    self.scheduler.job_done(
-                        shard, predicted.get(sj.job.job_id, 0.0))
-                    with self._lock:
-                        rec = self.jobs.get(sj.job.job_id)
-                        if rec is not None and rec["status"] in (
-                                "queued", "running"):
-                            rec["status"] = "dead"
-                            rec["error"] = {
-                                "error_type": type(exc).__name__,
-                                "message": str(exc)}
-                            rec["completed_at"] = time.time()
-                tracer.event("gateway.shard_error", shard=shard,
-                             error_type=type(exc).__name__,
-                             message=str(exc))
+                                 predicted_s=predicted[result.job_id])
+
+                try:
+                    run_batch(pool, [sj.job for sj in batch], publish,
+                              log=self._manifest,
+                              record=self._terminal_record)
+                except Exception as exc:
+                    # a pool failure (run_batch has dead-lettered the
+                    # batch) or a failed manifest write: the shard keeps
+                    # serving, and the error is on record
+                    tracer.event("gateway.shard_error", shard=shard,
+                                 error_type=type(exc).__name__,
+                                 message=str(exc),
+                                 traceback=traceback.format_exc(limit=10))
+        finally:
+            if pool is not None:
+                pool.close()
 
     # ------------------------------------------------------------------
     # manifest
@@ -319,6 +314,8 @@ class Gateway:
             if not isinstance(jdoc, dict):
                 raise ProtocolError(400, "each job must be an object")
             job, tenant, deadline_s = job_from_request(jdoc)
+            # admit and record under one lock: a shard runner can pop
+            # the job as soon as it is admitted, and finds its record
             with self._lock:
                 existing = self.jobs.get(job.job_id)
                 if existing is not None:
@@ -326,15 +323,14 @@ class Gateway:
                     dup["duplicate"] = True
                     accepted.append(dup)
                     continue
-            try:
-                shard, predicted = self.scheduler.admit(
-                    job, tenant=tenant, deadline_s=deadline_s)
-            except AdmissionError as exc:
-                rejected.append(exc.payload)
-                continue
-            rec = self._record(job, tenant, shard, predicted)
-            with self._lock:
-                self.jobs[job.job_id] = rec
+                try:
+                    shard, predicted = self.scheduler.admit(
+                        job, tenant=tenant, deadline_s=deadline_s)
+                except AdmissionError as exc:
+                    rejected.append(exc.payload)
+                    continue
+                rec = self.jobs[job.job_id] = self._record(
+                    job, tenant, shard, predicted)
             accepted.append(self._public(rec))
         body = {"accepted": accepted, "rejected": rejected}
         # a bare (non-batch) submission surfaces its rejection as HTTP
@@ -443,12 +439,11 @@ class Gateway:
         if self._loop_thread is not None:
             self._loop_thread.join(timeout)
         if self._manifest is not None:
-            with self._manifest_lock:
-                self._manifest.write_meta(
-                    screen=self._header(),
-                    stats={"scheduler": self.scheduler.snapshot()})
-                self._manifest.compact()
-                self._manifest.close()
+            self._manifest.write_meta(
+                screen=self._header(),
+                stats={"scheduler": self.scheduler.snapshot()})
+            self._manifest.compact()
+            self._manifest.close()
         get_tracer().flush()
 
     def run(self) -> int:

@@ -4,18 +4,20 @@ Turns the one-shot :class:`~repro.core.engine.DockingEngine` into a
 multi-process screening pipeline, the deployment shape the paper's
 throughput argument is about (screening large ligand libraries):
 
-* :mod:`repro.serve.queue` — priority :class:`JobQueue` of
-  content-addressed :class:`DockingJob` units, with dedup and bounded
-  backpressure (:class:`QueueFull`);
+* :mod:`repro.serve.queue` — content-addressed :class:`DockingJob`
+  units, lock-step cohort packing (:func:`pack_cohorts`) and the
+  content-hash shard partition (:func:`shard_for`);
 * :mod:`repro.serve.cache` — per-worker content-addressed LRU
   :class:`ContentCache` so a screen parses its receptor grids once, not
   once per ligand;
 * :mod:`repro.serve.ledger` — the I/O-free :class:`JobLedger`, the one
   completion state machine (retries, cohort splits, quarantine
   re-dispatch, dead letters) behind both pool executors;
-* :mod:`repro.serve.pool` — spawn-safe multiprocessing
+* :mod:`repro.serve.pool` — the long-lived, spawn-safe multiprocessing
   :class:`WorkerPool` with crash recovery, watchdog timeouts and
-  retry-with-backoff;
+  retry-with-backoff, and :func:`run_batch`, the one dispatch loop
+  (jobs → pool → manifest log → publish) that screens and gateway
+  shards share;
 * :mod:`repro.serve.manifest` — the append-only NDJSON manifest log
   (:class:`ShardedManifest`) and the one ranking, :func:`rank_records`;
 * :mod:`repro.serve.screen` — the high-level :class:`VirtualScreen` API:
@@ -29,14 +31,11 @@ from repro.serve.manifest import (ShardedManifest, atomic_write_json,
                                   load_manifest_jobs, rank_records)
 from repro.serve.pool import (DEFAULT_HEARTBEAT_SECONDS, JobResult,
                               WorkerPool, execute_cohort, execute_job,
-                              validate_result_payload)
+                              run_batch, validate_result_payload)
 from repro.serve.store import BlobStore
 from repro.serve.queue import (
     CohortJob,
     DockingJob,
-    JobQueue,
-    QueueFull,
-    WrongShard,
     pack_cohorts,
     seed_from_spec,
     shard_for,
@@ -53,14 +52,11 @@ __all__ = [
     "DEFAULT_HEARTBEAT_SECONDS",
     "DockingJob",
     "JobLedger",
-    "JobQueue",
     "JobResult",
-    "QueueFull",
     "ScreenReport",
     "ShardedManifest",
     "VirtualScreen",
     "WorkerPool",
-    "WrongShard",
     "atomic_write_json",
     "execute_cohort",
     "execute_job",
@@ -69,6 +65,7 @@ __all__ = [
     "maps_digest",
     "pack_cohorts",
     "rank_records",
+    "run_batch",
     "seed_from_spec",
     "shard_for",
     "shard_key",

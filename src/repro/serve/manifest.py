@@ -99,6 +99,9 @@ class ShardedManifest:
         Appends per shard between fsyncs (each append is flushed to the
         OS immediately; a crash loses at most what the kernel had not
         yet written, and never more than the final, torn line).
+
+    Appends, compactions and :meth:`close` hold one lock, so gateway
+    shard threads can share a log: each record lands as one whole line.
     """
 
     def __init__(self, path: str | Path, n_shards: int | None = None,
@@ -121,6 +124,7 @@ class ShardedManifest:
             self.write_meta()
         self._handles: dict[int, object] = {}
         self._appends: dict[int, int] = {}
+        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
 
@@ -158,19 +162,22 @@ class ShardedManifest:
         """Append one terminal JobResult record; returns its shard."""
         job_id = record["job_id"]
         shard = shard_for(job_id, self.n_shards)
-        fh = self._handles.get(shard)
-        if fh is None:
-            fh = self._handles[shard] = open(self.shard_path(shard), "a")
-            if fh.tell() and not _ends_with_newline(self.shard_path(shard)):
-                fh.write("\n")     # a crash tore the last line: end it
-        fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-        fh.flush()
-        n = self._appends.get(shard, 0) + 1
-        self._appends[shard] = n
-        if n % self.fsync_every == 0:
-            os.fsync(fh.fileno())
-        if n % self.compact_every == 0:
-            self.compact(shard)
+        line = json.dumps(record, separators=(",", ":")) + "\n"
+        with self._lock:
+            fh = self._handles.get(shard)
+            if fh is None:
+                path = self.shard_path(shard)
+                fh = self._handles[shard] = open(path, "a")
+                if fh.tell() and not _ends_with_newline(path):
+                    fh.write("\n")     # a crash tore the last line: end it
+            fh.write(line)
+            fh.flush()
+            n = self._appends.get(shard, 0) + 1
+            self._appends[shard] = n
+            if n % self.fsync_every == 0:
+                os.fsync(fh.fileno())
+            if n % self.compact_every == 0:
+                self.compact(shard)
         return shard
 
     def load(self) -> dict[str, dict]:
@@ -206,31 +213,34 @@ class ShardedManifest:
         """Squeeze superseded records out of shard logs (last-wins),
         rewriting each file atomically."""
         shards = range(self.n_shards) if shard is None else [shard]
-        for k in shards:
-            records = self._read_shard(k)
-            if not records:
-                continue
-            latest: dict[str, dict] = {}
-            for rec in records:
-                latest[rec["job_id"]] = rec
-            if len(latest) == len(records):
-                continue        # nothing superseded
-            fh = self._handles.pop(k, None)
-            if fh is not None:
-                fh.close()
-            _replace_durably(self.shard_path(k), lambda out: out.writelines(
-                json.dumps(rec, separators=(",", ":")) + "\n"
-                for rec in latest.values()))
+        with self._lock:
+            for k in shards:
+                records = self._read_shard(k)
+                if not records:
+                    continue
+                latest: dict[str, dict] = {}
+                for rec in records:
+                    latest[rec["job_id"]] = rec
+                if len(latest) == len(records):
+                    continue        # nothing superseded
+                fh = self._handles.pop(k, None)
+                if fh is not None:
+                    fh.close()
+                lines = (json.dumps(rec, separators=(",", ":")) + "\n"
+                         for rec in latest.values())
+                _replace_durably(self.shard_path(k),
+                                 lambda out: out.writelines(lines))
 
     def close(self) -> None:
-        for fh in self._handles.values():
-            try:
-                fh.flush()
-                os.fsync(fh.fileno())
-            except (OSError, ValueError):
-                pass
-            fh.close()
-        self._handles.clear()
+        with self._lock:
+            for fh in self._handles.values():
+                try:
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                except (OSError, ValueError):
+                    pass
+                fh.close()
+            self._handles.clear()
 
     def __enter__(self) -> "ShardedManifest":
         return self

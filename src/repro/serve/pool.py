@@ -15,7 +15,11 @@ by a parent-side hard lease for workers too wedged to cooperate.
 Both executors — inline (``workers=0``) and process — report what
 happened to one :class:`~repro.serve.ledger.JobLedger` and carry out the
 actions it returns: one set of retry, split, quarantine and dead-letter
-rules, with completions idempotent by job id.
+rules, with completions idempotent by job id.  A pool is long-lived:
+its workers and their queues (inline: its one cache) are made on the
+first :meth:`WorkerPool.map` and reused until :meth:`WorkerPool.close`.
+:func:`run_batch` is the one loop both entry points — a screen and each
+gateway shard — serve through: jobs → pool → manifest log → publish.
 
 Fault containment
 -----------------
@@ -41,6 +45,7 @@ import multiprocessing as mp
 import os
 import time
 import traceback
+import weakref
 
 from repro.obs import get_metrics, get_tracer
 from repro.serve.cache import DEFAULT_CAPACITY, ContentCache, load_case
@@ -49,7 +54,8 @@ from repro.serve.ledger import (Dispatch, JobLedger, JobResult, Note,
 from repro.serve.queue import CohortJob, DockingJob, seed_from_spec
 
 __all__ = ["DEFAULT_HEARTBEAT_SECONDS", "JobResult", "WorkerPool",
-           "execute_cohort", "execute_job", "validate_result_payload"]
+           "execute_cohort", "execute_job", "run_batch",
+           "validate_result_payload"]
 
 #: exit code a worker uses for the injected-crash test hook
 _CRASH_EXIT = 17
@@ -312,7 +318,10 @@ def _worker_main(task_q, result_q, worker_id: int, cache_bytes: int,
 
     Heartbeats are emitted after every job *and* whenever the queue stays
     empty for ``heartbeat_seconds`` — an idle worker still proves
-    liveness at the configured cadence.
+    liveness at the configured cadence in the trace log.  The parent
+    gets an idle heartbeat only while it carries news (the first one,
+    or new job counts): nobody reads the result queue between
+    :meth:`WorkerPool.map` calls, and repeats would pile up there.
     """
     import queue as _queue
 
@@ -322,6 +331,7 @@ def _worker_main(task_q, result_q, worker_id: int, cache_bytes: int,
         tracer = configure(trace_path, source=f"worker-{worker_id}")
     cache = ContentCache(cache_bytes, store=_make_store(store_root))
     jobs_done = jobs_failed = 0
+    reported = None           # job counts of the last heartbeat sent
     tracer.event("worker.start", worker_id=worker_id, pid=os.getpid())
     while True:
         try:
@@ -330,7 +340,9 @@ def _worker_main(task_q, result_q, worker_id: int, cache_bytes: int,
             hb = _heartbeat(worker_id, jobs_done, jobs_failed, cache,
                             interval_s=heartbeat_seconds)
             tracer.event("worker.heartbeat", **hb)
-            result_q.put(("heartbeat", None, worker_id, hb))
+            if reported != (jobs_done, jobs_failed):
+                reported = (jobs_done, jobs_failed)
+                result_q.put(("heartbeat", None, worker_id, hb))
             continue
         if job is None:
             tracer.event("worker.stop", worker_id=worker_id,
@@ -351,11 +363,45 @@ def _worker_main(task_q, result_q, worker_id: int, cache_bytes: int,
         hb = _heartbeat(worker_id, jobs_done, jobs_failed, cache,
                         interval_s=heartbeat_seconds)
         tracer.event("worker.heartbeat", **hb)
+        reported = (jobs_done, jobs_failed)
         result_q.put(("heartbeat", None, worker_id, hb))
+
+
+def _shutdown(procs: dict, task_q, result_q, timeout: float = 2.0) -> None:
+    """Stop a pool's workers and release their queues.
+
+    Every drain sentinel goes out before any worker is waited for, so
+    the workers exit in parallel.  The result queue is read while they
+    exit (a worker cannot finish flushing its last reports into a full
+    pipe), and whoever is still alive at ``timeout`` is terminated.
+    """
+    import queue as _queue
+
+    for _ in procs:
+        task_q.put(None)
+    deadline = time.monotonic() + timeout
+    while (any(p.is_alive() for p in procs.values())
+           and time.monotonic() < deadline):
+        try:
+            result_q.get(timeout=0.05)
+        except _queue.Empty:
+            pass
+    for proc in procs.values():
+        if proc.is_alive():
+            proc.terminate()
+        proc.join(timeout)
+    procs.clear()
+    for q in (task_q, result_q):
+        q.cancel_join_thread()
+        q.close()
 
 
 class WorkerPool:
     """Fan :class:`DockingJob` work across spawn-safe worker processes.
+
+    The pool lives as long as its owner: the first :meth:`map` starts
+    the workers (or, inline, the one cache), later calls reuse them with
+    their warm caches, and :meth:`close` stops them.
 
     Parameters
     ----------
@@ -448,6 +494,13 @@ class WorkerPool:
         self.dead_letters: list[JobResult] = []
         #: cohort members quarantined by the lock-step engine (count)
         self.quarantines = 0
+        #: inline (``workers=0``) executor: the one cache of every call
+        self._cache: ContentCache | None = None
+        #: process executor: worker id -> process, and their queues
+        self._procs: dict[int, mp.process.BaseProcess] = {}
+        self._task_q = self._result_q = None
+        self._next_wid = 0
+        self._reaper: weakref.finalize | None = None
 
     # ------------------------------------------------------------------
 
@@ -456,11 +509,22 @@ class WorkerPool:
 
         Completion order follows execution, not submission; callers that
         need ranking sort afterwards.  Every job yields exactly one
-        result even across worker crashes: both executors drive the same
-        :class:`~repro.serve.ledger.JobLedger`.
+        result even across worker crashes: both executors drive one
+        :class:`~repro.serve.ledger.JobLedger` per call.  The executor
+        outlives the call: worker processes (or the inline cache) are
+        made on the first call and reused until :meth:`close`.
         """
         run = self._map_inline if self.workers == 0 else self._map_processes
         yield from run(jobs)
+
+    def close(self) -> None:
+        """Stop the workers and drop the cache; the next :meth:`map`
+        starts afresh.  A pool that is never closed releases its
+        workers when it is garbage-collected."""
+        if self._reaper is not None:
+            self._reaper()               # runs _shutdown once
+            self._reaper = None
+        self._cache = None
 
     def _apply(self, actions: list, queue):
         """Carry out ledger actions: record notes in the trace log and
@@ -488,11 +552,13 @@ class WorkerPool:
         """Run jobs in the caller's thread, earliest-due first.
 
         Only a retry waiting out its backoff with nothing else ready
-        sleeps here.  One cache serves the whole call, so split and
-        re-dispatched cohort members reuse it warm.
+        sleeps here.  One cache serves every call, so split and
+        re-dispatched cohort members and later calls reuse it warm.
         """
-        cache = ContentCache(self.cache_bytes,
-                             store=_make_store(self.store_root))
+        if self._cache is None:
+            self._cache = ContentCache(self.cache_bytes,
+                                       store=_make_store(self.store_root))
+        cache = self._cache
         ledger = JobLedger(self.retries, self.backoff)
         ready: list = []                     # heap of (due, seq, job)
         seq = itertools.count()
@@ -527,47 +593,52 @@ class WorkerPool:
 
     # -- multiprocessing ----------------------------------------------
 
-    def _spawn_worker(self, ctx, task_q, result_q, worker_id):
-        proc = ctx.Process(
+    def _spawn_worker(self) -> int:
+        """Start one worker on the pool's queues; returns its id."""
+        wid = self._next_wid
+        self._next_wid += 1
+        proc = mp.get_context(self.start_method).Process(
             target=_worker_main,
-            args=(task_q, result_q, worker_id, self.cache_bytes,
+            args=(self._task_q, self._result_q, wid, self.cache_bytes,
                   self.job_wall_seconds, self.include_history,
                   self.trace_path, self.heartbeat_seconds,
                   self.store_root),
-            daemon=True, name=f"repro-serve-worker-{worker_id}")
+            daemon=True, name=f"repro-serve-worker-{wid}")
         proc.start()
-        return proc
+        self._procs[wid] = proc
+        return wid
+
+    def _start_workers(self) -> None:
+        """Make the queues and the workers (the first call after
+        :meth:`close`); the finalizer stops them if nobody does."""
+        ctx = mp.get_context(self.start_method)
+        self._task_q, self._result_q = ctx.Queue(), ctx.Queue()
+        self._reaper = weakref.finalize(self, _shutdown, self._procs,
+                                        self._task_q, self._result_q)
+        for _ in range(self.workers):
+            self._spawn_worker()
 
     def _map_processes(self, jobs):
         """Feed worker reports to the ledger; keep the workers alive.
 
-        What stays here is process plumbing: the task/result queues,
-        liveness polling, hard leases (an expired lease terminates the
-        worker, which the ledger then sees as a crash), respawns with
-        the crash-loop breaker, and the lost-dispatch backstop.
+        What stays here is process plumbing: liveness polling, hard
+        leases (an expired lease terminates the worker, which the ledger
+        then sees as a crash), respawns with the crash-loop breaker, and
+        the lost-dispatch backstop.  A call that ends abnormally (an
+        exception, or a consumer that stops iterating) closes the pool,
+        so no stale work waits in its queues for the next call.
         """
         import queue as _queue
 
         tracer = get_tracer()
-        ctx = mp.get_context(self.start_method)
-        task_q = ctx.Queue()
-        result_q = ctx.Queue()
         ledger = JobLedger(self.retries, self.backoff)
         delayed: list = []        # heap of (due, seq, job) not yet queued
         seq = itertools.count()
-        procs: dict[int, mp.process.BaseProcess] = {}
+        procs = self._procs
         respawns = 0
-        next_wid = 0
 
         def queue(d: Dispatch) -> None:
             heapq.heappush(delayed, (d.at, next(seq), d.job))
-
-        def spawn() -> int:
-            nonlocal next_wid
-            procs[next_wid] = self._spawn_worker(ctx, task_q, result_q,
-                                                 next_wid)
-            next_wid += 1
-            return next_wid - 1
 
         def reap():
             """Terminate over-lease workers, report dead ones, respawn."""
@@ -599,7 +670,7 @@ class WorkerPool:
                         f"{len(ledger)} jobs unfinished — the worker "
                         f"environment is broken (last exit code "
                         f"{proc.exitcode})")
-                replacement = spawn()
+                replacement = self._spawn_worker()
                 respawns += 1
                 self.workers_replaced += 1
                 get_metrics().counter("pool.crashes").inc()
@@ -608,9 +679,11 @@ class WorkerPool:
                              exitcode=proc.exitcode)
 
         yield from self._apply(ledger.submit(jobs, time.monotonic()), queue)
+        finished = False
         try:
-            for _ in range(self.workers):
-                spawn()
+            if self._reaper is None:
+                self._start_workers()
+            task_q, result_q = self._task_q, self._result_q
             last_activity = time.monotonic()
             while ledger:
                 now = time.monotonic()
@@ -646,17 +719,53 @@ class WorkerPool:
                 elif kind == "failed":
                     yield from self._apply(
                         ledger.failed(job_id, payload, wid, now), queue)
-                # "bye" needs no handling: drain happens after the loop
-
-            # graceful drain: every job accounted for
-            for _ in procs:
-                task_q.put(None)
+                # "bye" only arrives while the pool closes
+            finished = True
         finally:
-            for proc in procs.values():
-                proc.join(timeout=2.0)
-            for proc in procs.values():
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=2.0)
-            task_q.cancel_join_thread()
-            result_q.cancel_join_thread()
+            if not finished:
+                self.close()
+
+
+def run_batch(pool: WorkerPool, jobs: list, publish, log=None,
+              record=JobResult.to_dict) -> None:
+    """The one dispatch loop: ``jobs`` → :meth:`WorkerPool.map` → log →
+    ``publish``.  :class:`~repro.serve.screen.VirtualScreen` and every
+    gateway shard runner serve their jobs through it.
+
+    Each terminal :class:`JobResult` becomes ``record(result)``, is
+    appended to ``log`` (a :class:`~repro.serve.manifest
+    .ShardedManifest`, or ``None``) and only then handed to
+    ``publish(result, record)``: whatever a consumer is shown is already
+    on disk.  A pool-level exception ends the call: every job of it
+    that is not yet terminal gets one ``dead`` record, appended and
+    published the same way, and then the exception propagates, as one
+    raised by ``publish`` does.
+    """
+    left = {m.job_id: m for job in jobs
+            for m in (job.jobs if isinstance(job, CohortJob) else (job,))}
+
+    def deliver(result: JobResult) -> None:
+        left.pop(result.job_id, None)
+        rec = record(result)
+        if log is not None:
+            log.append(rec)
+        publish(result, rec)
+
+    results = pool.map(jobs)
+    try:
+        while True:
+            try:
+                result = next(results)
+            except StopIteration:
+                return
+            except Exception as exc:
+                error = {"error_type": type(exc).__name__,
+                         "message": str(exc)}
+                for job in list(left.values()):
+                    deliver(JobResult(job_id=job.job_id, label=job.label,
+                                      status="dead", attempts=0,
+                                      error=error))
+                raise
+            deliver(result)
+    finally:
+        results.close()

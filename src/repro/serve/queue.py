@@ -1,33 +1,28 @@
-"""Priority job queue with content-hash dedup and bounded backpressure.
+"""Content-addressed docking jobs, cohort packing and shard partitioning.
 
 A :class:`DockingJob` is the unit of work of the service layer: one
 (case, config, seed, n_runs) tuple, content-addressed by the SHA-256 of
 its canonical JSON payload — two submissions of the same work share one
-job id and run once.  The :class:`JobQueue` orders jobs by priority (then
-FIFO), skips jobs whose deadline has passed, and applies backpressure:
-``submit`` on a full queue either blocks or rejects with a structured
-:class:`QueueFull`.
+job id and run once.  :func:`pack_cohorts` packs compatible jobs into
+lock-step :class:`CohortJob` batches, and :func:`shard_for` maps a job id
+onto its content-hash shard.  Nothing here queues: a screen hands its
+whole job list to :func:`repro.serve.pool.run_batch`, and the gateway's
+:class:`~repro.gateway.scheduler.SLOScheduler` holds its tenant queues.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
-import threading
-import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.config import DockingConfig
-from repro.obs import get_metrics
 
-__all__ = ["DockingJob", "CohortJob", "JobQueue", "QueueFull",
-           "WrongShard", "canonical_spec", "pack_cohorts", "spawn_seed",
-           "seed_from_spec", "shard_for", "shard_ranges", "shard_key",
-           "SHARD_KEY_BITS"]
+__all__ = ["DockingJob", "CohortJob", "canonical_spec", "pack_cohorts",
+           "spawn_seed", "seed_from_spec", "shard_for", "shard_ranges",
+           "shard_key", "SHARD_KEY_BITS"]
 
 # ---------------------------------------------------------------------------
 # content-hash shard partitioning
@@ -145,10 +140,8 @@ class DockingJob:
     seed:
         Plain int or a :func:`spawn_seed` spec (JSON-able either way).
     priority:
-        Lower runs first (unix-nice convention); ties are FIFO.
-    deadline:
-        Absolute :func:`time.monotonic` timestamp after which the job is
-        dropped as expired instead of dispatched (``None`` = never).
+        Lower runs first (unix-nice convention), then arrival order — in
+        a screen and in each gateway tenant queue alike.
     label:
         Human-readable tag for logs/manifests (not part of the hash —
         the same work under two labels is still the same work).
@@ -159,7 +152,6 @@ class DockingJob:
     n_runs: int = 4
     seed: int | dict = 0
     priority: int = 0
-    deadline: float | None = None
     label: str = ""
 
     @property
@@ -175,8 +167,7 @@ class DockingJob:
     def to_dict(self) -> dict:
         return {"spec": dict(self.spec), "config": self.config.to_dict(),
                 "n_runs": self.n_runs, "seed": self.seed,
-                "priority": self.priority, "deadline": self.deadline,
-                "label": self.label}
+                "priority": self.priority, "label": self.label}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DockingJob":
@@ -184,7 +175,6 @@ class DockingJob:
                    config=DockingConfig.from_dict(d["config"]),
                    n_runs=int(d["n_runs"]), seed=d["seed"],
                    priority=int(d.get("priority", 0)),
-                   deadline=d.get("deadline"),
                    label=d.get("label", ""))
 
 
@@ -278,23 +268,25 @@ def pack_cohorts(jobs: list[DockingJob],
                  cohort_size: int) -> list[DockingJob | CohortJob]:
     """Greedily bucket jobs into size-sorted cohorts of ``cohort_size``.
 
-    Jobs are grouped by (config, n_runs) — a cohort must share both —
-    then sorted by :func:`_spec_size_key` (atoms, torsions) so each
-    cohort packs ligands of similar size, minimising the padding the
-    lock-step engine burns on heterogeneity (``cohort.pad_ratio``).
-    Leftover chunks of one stay plain :class:`DockingJob`; input order
-    is otherwise irrelevant because results are keyed per member.
+    Jobs are grouped by priority and (config, n_runs) — a cohort must
+    share the last two, and must not carry a job ahead of its priority
+    level — then sorted by :func:`_spec_size_key` (atoms, torsions) so
+    each cohort packs ligands of similar size, minimising the padding
+    the lock-step engine burns on heterogeneity (``cohort.pad_ratio``).
+    Groups are emitted lowest priority first, groups of one priority in
+    arrival order.  Leftover chunks of one stay plain
+    :class:`DockingJob`; results are keyed per member.
     """
     if cohort_size <= 1 or len(jobs) <= 1:
         return list(jobs)
-    groups: dict[str, list[DockingJob]] = {}
+    groups: dict[tuple[int, str], list[DockingJob]] = {}
     for job in jobs:
         key = json.dumps({"config": job.config.to_dict(),
                           "n_runs": job.n_runs},
                          sort_keys=True, separators=(",", ":"))
-        groups.setdefault(key, []).append(job)
+        groups.setdefault((job.priority, key), []).append(job)
     out: list[DockingJob | CohortJob] = []
-    for members in groups.values():
+    for _, members in sorted(groups.items(), key=lambda kv: kv[0][0]):
         members.sort(key=lambda j: _spec_size_key(j.spec))
         for i in range(0, len(members), cohort_size):
             chunk = members[i:i + cohort_size]
@@ -305,164 +297,3 @@ def pack_cohorts(jobs: list[DockingJob],
                     jobs=tuple(chunk),
                     label=f"cohort[{chunk[0].label}..{chunk[-1].label}]"))
     return out
-
-
-class QueueFull(RuntimeError):
-    """Structured backpressure signal: the queue is at capacity."""
-
-    def __init__(self, capacity: int, pending: int) -> None:
-        super().__init__(
-            f"job queue full ({pending}/{capacity} jobs pending)")
-        self.capacity = capacity
-        self.pending = pending
-
-
-class WrongShard(RuntimeError):
-    """A job was submitted to a shard that does not own its hash range."""
-
-    def __init__(self, job_id: str, shard: int, owner: int) -> None:
-        super().__init__(
-            f"job {job_id[:12]} belongs to shard {owner}, "
-            f"not shard {shard}")
-        self.job_id = job_id
-        self.shard = shard
-        self.owner = owner
-
-
-class JobQueue:
-    """Bounded, deduplicating priority queue of :class:`DockingJob`.
-
-    Parameters
-    ----------
-    maxsize:
-        Pending-job capacity (``None`` = unbounded).
-    clock:
-        Injectable monotonic clock for deadline checks (tests).
-    expired_keep:
-        How many recently-expired jobs :attr:`expired` retains for
-        inspection; the full count lives in :attr:`expired_total`, so
-        the record stays bounded on long-running services.
-    shard / n_shards:
-        When both are given, this queue owns shard ``shard`` of an
-        ``n_shards``-way content-hash partition (:func:`shard_ranges`)
-        and :meth:`submit` raises :class:`WrongShard` for any job whose
-        id hashes outside its range — multiple pools pulling from their
-        own shard queues therefore see disjoint work by construction.
-    """
-
-    def __init__(self, maxsize: int | None = None,
-                 clock=time.monotonic, expired_keep: int = 64,
-                 shard: int | None = None,
-                 n_shards: int | None = None) -> None:
-        if maxsize is not None and maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        if expired_keep < 1:
-            raise ValueError("expired_keep must be >= 1")
-        if (shard is None) != (n_shards is None):
-            raise ValueError("shard and n_shards must be given together")
-        if shard is not None and not 0 <= shard < n_shards:
-            raise ValueError(f"shard {shard} out of range for "
-                             f"{n_shards} shards")
-        self.shard = shard
-        self.n_shards = n_shards
-        self.maxsize = maxsize
-        self._clock = clock
-        self._heap: list[tuple[int, int, DockingJob]] = []
-        self._seq = 0
-        self._seen: set[str] = set()
-        self._lock = threading.Lock()
-        self._not_full = threading.Condition(self._lock)
-        #: bounded record of recently-expired jobs (most recent last);
-        #: :attr:`expired_total` counts every expiry ever
-        self.expired: deque[DockingJob] = deque(maxlen=expired_keep)
-        self.expired_total = 0
-        self.submitted = 0
-        self.deduped = 0
-        self.popped = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._heap)
-
-    def submit(self, job: DockingJob, block: bool = False,
-               timeout: float | None = None) -> str:
-        """Enqueue a job; returns its content-hash id.
-
-        A job whose id was already submitted (still queued, running, or
-        done) is *not* enqueued again — the id is returned and the
-        duplicate counted.  On a full queue, ``block=True`` waits up to
-        ``timeout`` seconds for space; otherwise :class:`QueueFull`.
-        A sharded queue (``shard=``/``n_shards=``) raises
-        :class:`WrongShard` for jobs outside its hash range.
-        """
-        job_id = job.job_id
-        if self.shard is not None:
-            owner = shard_for(job_id, self.n_shards)
-            if owner != self.shard:
-                raise WrongShard(job_id, self.shard, owner)
-        with self._not_full:
-            if job_id in self._seen:
-                self.deduped += 1
-                get_metrics().counter("queue.deduped").inc()
-                return job_id
-            if self.maxsize is not None:
-                if not block and len(self._heap) >= self.maxsize:
-                    raise QueueFull(self.maxsize, len(self._heap))
-                ok = self._not_full.wait_for(
-                    lambda: len(self._heap) < self.maxsize, timeout)
-                if not ok:
-                    raise QueueFull(self.maxsize, len(self._heap))
-            self._seen.add(job_id)
-            heapq.heappush(self._heap, (job.priority, self._seq, job))
-            self._seq += 1
-            self.submitted += 1
-            m = get_metrics()
-            m.counter("queue.submitted").inc()
-            m.gauge("queue.depth").set(len(self._heap))
-            return job_id
-
-    def pop(self) -> DockingJob | None:
-        """Highest-priority unexpired job, or ``None`` when empty.
-
-        Jobs whose deadline has passed are recorded in :attr:`expired`
-        (bounded; :attr:`expired_total` keeps the full count), skipped,
-        and *forgotten by the dedup set* — an expired job was never run,
-        so an identical resubmission must be accepted, not swallowed as
-        a duplicate.
-        """
-        with self._not_full:
-            now = self._clock()
-            m = get_metrics()
-            while self._heap:
-                _, _, job = heapq.heappop(self._heap)
-                self._not_full.notify()
-                m.gauge("queue.depth").set(len(self._heap))
-                if job.deadline is not None and now > job.deadline:
-                    self._seen.discard(job.job_id)
-                    self.expired.append(job)
-                    self.expired_total += 1
-                    m.counter("queue.expired").inc()
-                    continue
-                self.popped += 1
-                m.counter("queue.popped").inc()
-                return job
-            return None
-
-    def drain(self) -> list[DockingJob]:
-        """Pop every unexpired job, in priority order."""
-        out = []
-        while True:
-            job = self.pop()
-            if job is None:
-                return out
-            out.append(job)
-
-    def stats(self) -> dict:
-        with self._lock:
-            out = {"submitted": self.submitted, "deduped": self.deduped,
-                   "popped": self.popped, "expired": self.expired_total,
-                   "pending": len(self._heap)}
-            if self.shard is not None:
-                out["shard"] = self.shard
-                out["n_shards"] = self.n_shards
-            return out

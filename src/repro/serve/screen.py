@@ -1,14 +1,15 @@
 """`VirtualScreen`: fan a ligand library across the worker pool.
 
 The high-level service API: build one content-addressed
-:class:`~repro.serve.queue.DockingJob` per ligand, order them through the
-priority :class:`~repro.serve.queue.JobQueue`, execute on a
-:class:`~repro.serve.pool.WorkerPool`, stream
-:class:`~repro.serve.pool.JobResult` records as they complete, and
-append each one to the manifest log on disk
-(:class:`~repro.serve.manifest.ShardedManifest`) before anyone sees it,
-so an interrupted screen resumes without re-docking anything already
-finished.
+:class:`~repro.serve.queue.DockingJob` per ligand, drop duplicates and
+jobs the manifest already holds, order the rest by priority, pack them
+into cohorts, and hand the whole list to :func:`~repro.serve.pool
+.run_batch` — the dispatch loop the gateway's shards use too.  It runs
+them on one :class:`~repro.serve.pool.WorkerPool` and appends each
+terminal :class:`~repro.serve.pool.JobResult` to the manifest log on
+disk (:class:`~repro.serve.manifest.ShardedManifest`) before anyone
+sees it, so an interrupted screen resumes without re-docking anything
+already finished.
 
 ::
 
@@ -36,9 +37,9 @@ from repro.obs import get_tracer
 from repro.serve.cache import DEFAULT_CAPACITY, file_sha256, maps_digest
 from repro.serve.manifest import (ShardedManifest, load_manifest_jobs,
                                   rank_records)
-from repro.serve.pool import JobResult, WorkerPool
-from repro.serve.queue import (DockingJob, JobQueue, canonical_spec,
-                               pack_cohorts, spawn_seed)
+from repro.serve.pool import JobResult, WorkerPool, run_batch
+from repro.serve.queue import (DockingJob, canonical_spec, pack_cohorts,
+                               spawn_seed)
 
 __all__ = ["VirtualScreen", "ScreenReport"]
 
@@ -99,11 +100,8 @@ class VirtualScreen:
         ``SeedSequence(seed, spawn_key=(i,))`` (see the seeding contract
         in :mod:`repro.core.config`).
     priorities:
-        Optional per-ligand priority list (lower runs first).
-    deadline_seconds:
-        Relative deadline applied to every job at queue-build time.
-    queue_size:
-        Backpressure bound of the staging queue (``None`` = unbounded).
+        Optional per-ligand priority list (lower runs first, then
+        library order).
     chaos:
         Optional chaos-injection map ``label -> extra spec keys`` merged
         into that entry's job spec (``crash_once`` / ``hang_once`` /
@@ -122,8 +120,6 @@ class VirtualScreen:
     n_runs: int = 4
     seed: int = 2025
     priorities: list[int] | None = None
-    deadline_seconds: float | None = None
-    queue_size: int | None = None
     chaos: dict | None = None
 
     def __post_init__(self) -> None:
@@ -201,12 +197,10 @@ class VirtualScreen:
 
     def jobs(self) -> list[DockingJob]:
         """One content-addressed job per library entry."""
-        deadline = (time.monotonic() + self.deadline_seconds
-                    if self.deadline_seconds is not None else None)
         jobs = []
         # Seed streams are spawned per unique *content*, not per list
         # position, so byte-identical duplicate ligands share one seed
-        # (and thus one job id — the queue dedups them).
+        # (and thus one job id — :meth:`run` dedups them).
         stream_index: dict[str, int] = {}
         for k, (label, spec) in enumerate(self._specs()):
             key = json.dumps(canonical_spec(spec), sort_keys=True)
@@ -216,7 +210,7 @@ class VirtualScreen:
                 seed=spawn_seed(self.seed, i),
                 priority=(self.priorities[k]
                           if self.priorities is not None else 0),
-                deadline=deadline, label=label))
+                label=label))
         return jobs
 
     # ------------------------------------------------------------------
@@ -298,23 +292,37 @@ class VirtualScreen:
                if manifest is not None else None)
 
         span = tracer.span("screen.run", workers=workers, resume=resume)
-        heartbeats: dict = {}
+        pool = None
+        new_results: list[JobResult] = []
         # the log's handles close even when a consumer raises mid-screen
         with span, (nullcontext() if log is None else log):
             with tracer.span("screen.build_queue"):
-                queue = JobQueue(maxsize=self.queue_size)
-                for job in self.jobs():
-                    queue.submit(job, block=True)  # dedups same content
-                to_run = [job for job in queue.drain()
-                          if job.job_id not in results]  # manifest skip
+                jobs = self.jobs()
+                unique: dict[str, DockingJob] = {}
+                for job in jobs:                 # same content, one job
+                    unique.setdefault(job.job_id, job)
+                # lower priority first; sorted() keeps library order
+                to_run = sorted((job for job_id, job in unique.items()
+                                 if job_id not in results),   # resumed
+                                key=lambda job: job.priority)
+                queue = {"submitted": len(unique),
+                         "deduped": len(jobs) - len(unique),
+                         "skipped": len(unique) - len(to_run)}
                 if cohort_size > 1:
                     # pack after dedup/skip so cached work never rides
                     # along in a cohort
                     to_run = pack_cohorts(to_run, cohort_size)
-            tracer.event("queue.stats", **queue.stats())
+            tracer.event("queue.stats", **queue)
 
-            new_results: list[JobResult] = []
-            pool_stats: dict = {}
+            def publish(result: JobResult, _rec: dict) -> None:
+                results[result.job_id] = result
+                new_results.append(result)
+                if log is not None and len(new_results) % 100 == 0:
+                    log.write_meta(self._screen_header(), self._stats(
+                        results, new_results, queue, t0, workers, pool))
+                if stream is not None:
+                    stream(result)
+
             if to_run:
                 pool_kwargs = dict(
                     workers=workers, retries=retries, backoff=backoff,
@@ -328,25 +336,10 @@ class VirtualScreen:
                 if heartbeat_seconds is not None:
                     pool_kwargs["heartbeat_seconds"] = heartbeat_seconds
                 pool = WorkerPool(**pool_kwargs)
-                for result in pool.map(to_run):
-                    results[result.job_id] = result
-                    new_results.append(result)
-                    heartbeats = pool.heartbeats
-                    pool_stats = self._pool_stats(pool)
-                    # persist before notifying: a crash in the consumer
-                    # must not lose a job that already finished
-                    if log is not None:
-                        log.append(result.to_dict())
-                        if len(new_results) % 100 == 0:
-                            log.write_meta(
-                                self._screen_header(),
-                                self._stats(results, new_results, queue,
-                                            t0, workers, heartbeats,
-                                            pool_stats))
-                    if stream is not None:
-                        stream(result)
-                heartbeats = pool.heartbeats
-                pool_stats = self._pool_stats(pool)
+                try:
+                    run_batch(pool, to_run, publish, log=log)
+                finally:
+                    pool.close()
             span.set(jobs_total=len(results),
                      jobs_new=len(new_results),
                      jobs_dead=sum(1 for r in new_results
@@ -356,7 +349,7 @@ class VirtualScreen:
             results=results,
             ranking=rank_records(r.to_dict() for r in results.values()),
             stats=self._stats(results, new_results, queue, t0, workers,
-                              heartbeats, pool_stats),
+                              pool),
             manifest_path=str(manifest) if manifest is not None else None)
         if log is not None:
             log.write_meta(self._screen_header(), report.stats)
@@ -364,19 +357,11 @@ class VirtualScreen:
         tracer.flush()
         return report
 
-    @staticmethod
-    def _pool_stats(pool: WorkerPool) -> dict:
-        """Pool-side fault counters surfaced in stats and the manifest."""
-        return {"quarantines": pool.quarantines,
-                "dead_letters": len(pool.dead_letters),
-                "workers_replaced": pool.workers_replaced}
-
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _stats(results, new_results, queue: JobQueue, t0: float,
-               workers: int, heartbeats: dict | None = None,
-               pool_stats: dict | None = None) -> dict:
+    def _stats(results, new_results, queue: dict, t0: float,
+               workers: int, pool: WorkerPool | None) -> dict:
         wall = time.monotonic() - t0
         cache = {"hits": 0, "misses": 0, "evictions": 0, "races": 0,
                  "disk_hits": 0, "disk_misses": 0, "disk_writes": 0}
@@ -402,13 +387,17 @@ class VirtualScreen:
             "jobs_dead": sum(1 for r in results.values()
                              if r.status == "dead"),
             "jobs_per_second": n_new / wall if wall > 0 else 0.0,
-            "queue": queue.stats(),
+            "queue": dict(queue),
             "cache": cache,
-            "pool": dict(pool_stats or {}),
+            # pool-side fault counters
+            "pool": ({} if pool is None else
+                     {"quarantines": pool.quarantines,
+                      "dead_letters": len(pool.dead_letters),
+                      "workers_replaced": pool.workers_replaced}),
             # last heartbeat per worker: liveness + per-worker metrics
             # snapshot (cache hit rates, job counts) for the manifest
-            "heartbeats": {str(k): v
-                           for k, v in (heartbeats or {}).items()},
+            "heartbeats": ({} if pool is None else
+                           {str(k): v for k, v in pool.heartbeats.items()}),
         }
 
     def _screen_header(self) -> dict:

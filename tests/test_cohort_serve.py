@@ -115,6 +115,19 @@ class TestPackCohorts:
                 for k in [_spec_size_key(m.spec) for m in p.jobs]]
         assert keys == sorted(keys)
 
+    def test_cohorts_keep_priority_order(self):
+        """Size sorting stays within a priority level: the two largest
+        ligands at priority 0 used to be packed behind the priority-1
+        pair, and the pool dispatched that cohort first."""
+        names, priorities = ["1z95", "2bai", "1u4d", "1xoz"], [0, 0, 1, 1]
+        packed = pack_cohorts([case_job(n, i, priority=p)
+                               for i, (n, p) in enumerate(zip(names,
+                                                              priorities))],
+                              2)
+        assert [p.label for p in packed] \
+            == ["cohort[1z95/0..2bai/1]", "cohort[1u4d/2..1xoz/3]"]
+        assert [p.priority for p in packed] == [0, 1]
+
 
 class TestExecuteCohort:
     def test_member_payloads_bit_equal_to_solo_jobs(self):

@@ -197,6 +197,30 @@ class TestAutoscale:
         assert s.workers[0] == 4
 
 
+class TestPriority:
+    """One priority rule for both entry points: lower ``priority`` runs
+    first, then arrival order (a tenant queue used to be FIFO)."""
+
+    def test_screen_and_scheduler_share_one_order(self):
+        from repro.serve import VirtualScreen
+        cfg = DockingConfig(
+            backend="baseline",
+            lga=LGAConfig(pop_size=8, max_evals=200, max_gens=4,
+                          ls_iters=3, ls_rate=0.25))
+        screen = VirtualScreen(cases=["1u4d", "1xoz", "1yv3", "1owe"],
+                               config=cfg, n_runs=1, seed=3,
+                               priorities=[2, 0, 1, 0])
+        streamed = []
+        screen.run(workers=0, stream=lambda r: streamed.append(r.label))
+        s = _sched(n_shards=1, quantum_s=0.5)      # more than one round
+        for job in screen.jobs():
+            s.admit(job)
+        scheduled = []
+        while batch := s.next_batch(0):
+            scheduled += [item.job.label for item in batch]
+        assert streamed == scheduled == ["1xoz", "1owe", "1yv3", "1u4d"]
+
+
 class NanPredictor:
     """Predictor whose fit degenerated: every estimate is NaN."""
 
@@ -233,45 +257,17 @@ class TestUnpredictable:
         assert exc.value.payload["reason"] == "unpredictable"
         assert exc.value.payload["limit_seconds"] is None
 
-    def test_admit_policy_charges_zero_and_keeps_backlog_finite(self):
-        s = _sched(predictor=NanPredictor(), n_shards=1,
-                   slo_seconds=5.0, on_unpredictable="admit")
-        shard, predicted = s.admit(_job(seed=0))
-        assert shard == 0
-        assert predicted == 0.0                    # never NaN
-        assert s.admitted == 1 and s.unpredictable == 1
-        snap = s.snapshot()
-        assert snap["unpredictable"] == 1
-        assert math.isfinite(snap["shards"][0]["predicted_backlog_s"])
-
-    def test_admitted_nan_does_not_wedge_later_admissions(self):
-        """The original bug's worst failure mode: one NaN in the backlog
-        made every later ``wait + predicted`` comparison False."""
-        s = _sched(predictor=NanPredictor(), n_shards=1,
-                   slo_seconds=2.5, on_unpredictable="admit")
-        s.admit(_job(seed=0))
-        # healthy predictor again: finite jobs still admit and still
-        # hit the SLO wall at the right place
-        s.predictor = StubPredictor()
-        s.admit(_job(seed=1))                      # backlog 0 + 1.0 ok
-        s.admit(_job(seed=2))                      # 1.0 + 1.0 ok
-        with pytest.raises(AdmissionError) as exc:
-            s.admit(_job(seed=3))                  # 2.0 + 1.0 > 2.5
-        assert exc.value.payload["reason"] == "slo"
-
     def test_counter_and_snapshot_track_occurrences(self):
         before = get_metrics().counter("gateway.unpredictable").value
-        s = _sched(predictor=NanPredictor(), on_unpredictable="admit")
+        s = _sched(predictor=NanPredictor())
         for seed in range(3):
-            s.admit(_job(seed=seed))
+            with pytest.raises(AdmissionError):
+                s.admit(_job(seed=seed))
         assert s.unpredictable == 3
         assert s.snapshot()["unpredictable"] == 3
+        assert s.snapshot()["rejected"] == 3
         assert get_metrics().counter(
             "gateway.unpredictable").value == before + 3
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="on_unpredictable"):
-            _sched(on_unpredictable="ignore")
 
     def test_infinite_prediction_is_also_unpredictable(self):
         class InfPredictor(NanPredictor):

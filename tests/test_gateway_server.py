@@ -1,18 +1,22 @@
 """End-to-end gateway tests: HTTP submission through NDJSON results.
 
 Real sockets on an ephemeral port, two inline shards (workers=0 — the
-single-CPU CI runner runs jobs in the shard threads themselves), the
-committed predictor for admission.  Small eval budgets keep each dock
-in the tens of milliseconds.
+single-CPU CI runner runs jobs in the shard threads themselves) except
+where a test needs process pools, the committed predictor for
+admission.  Small eval budgets keep each dock in the tens of
+milliseconds.
 """
 
+import itertools
 import json
+import multiprocessing as mp
 
 import pytest
 
 from repro.cli import main
 from repro.gateway import (Gateway, GatewayConfig, GatewayClient,
-                           GatewayRejected)
+                           GatewayRejected, job_from_request, server)
+from repro.gateway.protocol import HttpRequest
 from repro.serve import load_manifest_jobs, rank_records, shard_for
 
 
@@ -152,6 +156,101 @@ class TestManifestLog:
         assert len(want) == 12
         assert sorted(rec["job_id"] for rec in streamed) == want
         assert sorted(rec["job_id"] for rec in lines) == want
+
+
+class TestShardPools:
+    def test_pool_failure_is_logged_before_it_is_streamed(
+            self, tmp_path, monkeypatch):
+        """A pool that fails mid-batch: the jobs it never finished get
+        one dead record each in the manifest log (they used to be dead
+        in memory only), and each job releases its backlog once (the
+        finished ones used to be released twice)."""
+        class Broken(server.WorkerPool):
+            def map(self, jobs):
+                yield from itertools.islice(super().map(jobs), 1)
+                raise RuntimeError("pool broke")
+
+        monkeypatch.setattr(server, "WorkerPool", Broken)
+        gw = Gateway(GatewayConfig(port=0, n_shards=1, workers=0,
+                                   poll_s=0.01,
+                                   manifest=str(tmp_path / "m")))
+        # admitted before the shard thread starts: one batch of three
+        status, _ = gw._submit(HttpRequest(
+            "POST", "/v1/jobs",
+            body=json.dumps({"jobs": [_doc(i=i) for i in range(3)]})
+            .encode()))
+        assert status == 200
+        gw.start()
+        try:
+            client = GatewayClient(f"http://127.0.0.1:{gw.port}")
+            streamed = list(client.stream(timeout=120))
+            lines = [json.loads(line) for line in
+                     (tmp_path / "m" / "shard-0000.ndjson")
+                     .read_text().splitlines()]
+        finally:
+            gw.stop()
+        assert sorted(r["status"] for r in streamed) == ["dead", "dead", "ok"]
+        assert sorted(r["job_id"] for r in lines) \
+            == sorted(r["job_id"] for r in streamed)
+        assert {r["job_id"]: r["status"] for r in lines} \
+            == {r["job_id"]: r["status"] for r in streamed}
+        assert gw.scheduler.completed == 3
+
+    def test_each_shard_keeps_one_process_pool(self, monkeypatch):
+        built = []
+
+        class Counted(server.WorkerPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(server, "WorkerPool", Counted)
+        docs = {0: [], 1: []}
+        for i in range(32):
+            job, _, _ = job_from_request(_doc(i=i, evals=100))
+            docs[shard_for(job.job_id, 2)].append(_doc(i=i, evals=100))
+        gw = Gateway(GatewayConfig(port=0, n_shards=2, workers=1,
+                                   poll_s=0.01)).start()
+        try:
+            client = GatewayClient(f"http://127.0.0.1:{gw.port}")
+            for k in range(3):       # one batch per shard per round
+                client.submit_batch([docs[0][k], docs[1][k]])
+                assert all(rec["status"] == "ok"
+                           for rec in client.stream(timeout=120))
+        finally:
+            gw.stop()
+        assert len(built) == 2
+        assert [p for p in mp.active_children()
+                if p.name.startswith("repro-serve-worker")] == []
+
+    def test_autoscale_replaces_the_pool_only_on_a_new_size(
+            self, monkeypatch):
+        built = []
+
+        class Inline(server.WorkerPool):     # sized, but runs in-thread
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+            def map(self, jobs):
+                yield from self._map_inline(jobs)
+
+        monkeypatch.setattr(server, "WorkerPool", Inline)
+        gw = Gateway(GatewayConfig(port=0, n_shards=1, workers=1,
+                                   autoscale=True, poll_s=0.01))
+        sizes = iter([1, 1, 2])
+        monkeypatch.setattr(gw.scheduler, "apply_autoscale",
+                            lambda shard: next(sizes))
+        gw.start()
+        try:
+            client = GatewayClient(f"http://127.0.0.1:{gw.port}")
+            for i in range(3):              # one batch per submission
+                client.submit(_doc(i=i, evals=100))
+                assert all(rec["status"] == "ok"
+                           for rec in client.stream(timeout=120))
+        finally:
+            gw.stop()
+        assert [p.workers for p in built] == [1, 2]
 
 
 class TestSloAdmission:

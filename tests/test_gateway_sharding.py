@@ -15,8 +15,8 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import (DockingJob, JobQueue, WrongShard, shard_for,
-                         shard_key, shard_ranges)
+from repro.gateway import SLOScheduler
+from repro.serve import DockingJob, shard_for, shard_key, shard_ranges
 
 _SPACE = 1 << 32
 
@@ -98,33 +98,30 @@ class TestCrossProcessStability:
         assert there == here
 
 
+class _FlatPredictor:
+    """Every job costs one predicted second."""
+
+    def shape_for_spec(self, spec):
+        return None
+
+    def predict_seconds(self, shape, budget_evals, **kw):
+        return 1.0
+
+
 class TestShardedQueue:
-    def _job(self, seed):
-        return DockingJob(spec={"kind": "case", "case": "1u4d"},
-                          n_runs=1, seed=seed)
-
-    def test_queue_rejects_foreign_hash_range(self):
-        jobs = [self._job(s) for s in range(16)]
-        # find a job owned by shard 1 of 2 and offer it to shard 0
-        foreign = next(j for j in jobs if shard_for(j.job_id, 2) == 1)
-        local = next(j for j in jobs if shard_for(j.job_id, 2) == 0)
-        q = JobQueue(shard=0, n_shards=2)
-        q.submit(local)
-        try:
-            q.submit(foreign)
-        except WrongShard as exc:
-            assert exc.shard == 0
-            assert exc.owner == 1
-        else:
-            raise AssertionError("WrongShard not raised")
-
     def test_disjoint_queues_partition_a_workload(self):
-        jobs = [self._job(s) for s in range(24)]
-        queues = [JobQueue(shard=i, n_shards=3) for i in range(3)]
+        """The scheduler's hash-routed shard queues drain exactly the
+        jobs ``shard_for`` assigns them: every job once, on its owner."""
+        jobs = [DockingJob(spec={"kind": "case", "case": "1u4d"},
+                           n_runs=1, seed=s) for s in range(24)]
+        sched = SLOScheduler(n_shards=3, predictor=_FlatPredictor(),
+                             quantum_s=100.0)
         for job in jobs:
-            queues[shard_for(job.job_id, 3)].submit(job)
-        drained = []
-        for q in queues:
-            while len(q):
-                drained.append(q.pop().job_id)
-        assert sorted(drained) == sorted(j.job_id for j in jobs)
+            sched.admit(job)
+        drained = {shard: [item.job.job_id
+                           for item in sched.next_batch(shard)]
+                   for shard in range(3)}
+        for shard, ids in drained.items():
+            assert all(shard_for(j, 3) == shard for j in ids)
+        assert sorted(j for ids in drained.values() for j in ids) \
+            == sorted(j.job_id for j in jobs)

@@ -4,6 +4,9 @@ Multiprocessing tests use the spawn start method (the pool default) with
 tiny LGA budgets, so each runs in a few seconds.
 """
 
+import gc
+import itertools
+import multiprocessing as mp
 import os
 
 import pytest
@@ -11,7 +14,8 @@ import pytest
 from repro.core import DockingConfig, DockingEngine
 from repro.robustness import WatchdogTimeout
 from repro.search.lga import LGAConfig
-from repro.serve import DockingJob, WorkerPool, seed_from_spec, spawn_seed
+from repro.serve import (DockingJob, ShardedManifest, WorkerPool, run_batch,
+                         seed_from_spec, spawn_seed)
 from repro.testcases import get_test_case
 
 TINY = DockingConfig(backend="baseline",
@@ -146,6 +150,82 @@ class TestProcessPool:
                           poll_seconds=0.05, max_respawns=0)
         with pytest.raises(RuntimeError, match="crash-looping"):
             list(pool.map([job]))
+
+
+def _worker_pids():
+    return {p.pid for p in mp.active_children()
+            if p.name.startswith("repro-serve-worker")}
+
+
+class TestLongLivedPool:
+    """A pool's workers (inline: its cache) outlive a :meth:`map` call;
+    each call used to spawn, and reap, a fresh set."""
+
+    def test_two_maps_share_workers_and_survive_a_crash(self, tmp_path):
+        gc.collect()              # earlier tests' pools release workers
+        before = _worker_pids()
+        marker = str(tmp_path / "crash-once")
+        first = _jobs(["1xoz", "1yv3"])
+        first.append(DockingJob(
+            spec={"kind": "case", "case": "1u4d", "crash_once": marker},
+            config=TINY, n_runs=2, seed=spawn_seed(7, 2), label="victim"))
+        pool = WorkerPool(workers=2, retries=2, backoff=0.05,
+                          poll_seconds=0.05)
+        try:
+            assert all(r.status == "ok" for r in pool.map(first))
+            assert os.path.exists(marker)
+            assert pool.workers_replaced == 1
+            pids = _worker_pids() - before
+            assert len(pids) == 2
+            second = list(pool.map(_jobs(["1owe", "7cpa"], entropy=8)))
+            assert [r.status for r in second] == ["ok", "ok"]
+            assert _worker_pids() - before == pids
+            assert pool.workers_replaced == 1
+        finally:
+            pool.close()
+        assert not _worker_pids() & pids
+
+    def test_unclosed_pool_releases_workers_when_collected(self):
+        gc.collect()
+        before = _worker_pids()
+        pool = WorkerPool(workers=1, poll_seconds=0.05)
+        list(pool.map(_jobs(["1u4d"])))
+        started = _worker_pids() - before
+        assert len(started) == 1
+        del pool
+        gc.collect()
+        assert not _worker_pids() & started
+
+    def test_inline_pool_keeps_one_cache(self):
+        pool = WorkerPool(workers=0)
+        [a] = pool.map(_jobs(["1u4d"]))
+        [b] = pool.map(_jobs(["1u4d"], entropy=8))
+        assert a.cache["misses"] > 0
+        assert b.cache["misses"] == 0 and b.cache["hits"] > 0
+
+
+class TestRunBatch:
+    class _Broken(WorkerPool):
+        """One real result, then the pool itself fails."""
+
+        def map(self, jobs):
+            yield from itertools.islice(super().map(jobs), 1)
+            raise RuntimeError("pool broke")
+
+    def test_pool_failure_dead_letters_the_rest_log_first(self, tmp_path):
+        seen = []
+        with ShardedManifest(tmp_path / "m", n_shards=1) as log:
+            def publish(result, rec):
+                assert log.load()[result.job_id] == rec    # on disk first
+                seen.append((result.label, result.status))
+
+            with pytest.raises(RuntimeError, match="pool broke"):
+                run_batch(self._Broken(workers=0),
+                          _jobs(["1u4d", "1xoz", "1yv3"]), publish, log=log)
+            records = log.load()
+        assert seen == [("1u4d", "ok"), ("1xoz", "dead"), ("1yv3", "dead")]
+        assert {r["error"]["error_type"] for r in records.values()
+                if r["status"] == "dead"} == {"RuntimeError"}
 
 
 def test_jobs_helper_uses_distinct_spawned_streams():

@@ -1,17 +1,21 @@
-"""Tests for the service job queue: priority, dedup, backpressure."""
+"""Tests for service jobs: content-hash identity, seed specs, and the
+job queue a screen hands the dispatch loop."""
 
 import numpy as np
-import pytest
 
 from repro.core.config import DockingConfig
 from repro.search.lga import LGAConfig
-from repro.serve import DockingJob, JobQueue, QueueFull, seed_from_spec, spawn_seed
+from repro.serve import DockingJob, VirtualScreen, seed_from_spec, spawn_seed
+
+TINY = DockingConfig(backend="baseline",
+                     lga=LGAConfig(pop_size=8, max_evals=200, max_gens=4,
+                                   ls_iters=3, ls_rate=0.25))
 
 
-def _job(case="1u4d", priority=0, seed=0, deadline=None, label=""):
+def _job(case="1u4d", priority=0, seed=0, label=""):
     return DockingJob(spec={"kind": "case", "case": case},
                       n_runs=2, seed=seed, priority=priority,
-                      deadline=deadline, label=label or case)
+                      label=label or case)
 
 
 class TestJobIdentity:
@@ -64,103 +68,27 @@ class TestSeedSpecs:
 
 
 class TestJobQueue:
+    """A screen queues its whole library as one batch (``stats["queue"]``):
+    lower priority first, then library order; one job per content hash;
+    nothing the manifest already holds."""
+
     def test_priority_order_then_fifo(self):
-        q = JobQueue()
-        q.submit(_job("1u4d", priority=5))
-        q.submit(_job("1xoz", priority=-1))
-        q.submit(_job("1yv3", priority=0))
-        q.submit(_job("1owe", priority=0))
-        order = [j.label for j in q.drain()]
+        order = []
+        VirtualScreen(cases=["1u4d", "1xoz", "1yv3", "1owe"], config=TINY,
+                      n_runs=1, priorities=[5, -1, 0, 0]).run(
+            workers=0, stream=lambda r: order.append(r.label))
         assert order == ["1xoz", "1yv3", "1owe", "1u4d"]
 
     def test_dedup_by_content_hash(self):
-        q = JobQueue()
-        first = q.submit(_job("1u4d"))
-        again = q.submit(_job("1u4d", priority=3, label="renamed"))
-        assert first == again
-        assert len(q) == 1
-        assert q.stats()["deduped"] == 1
+        report = VirtualScreen(cases=["1u4d", "1u4d"], config=TINY,
+                               n_runs=1).run(workers=0)
+        assert report.stats["queue"] == {"submitted": 1, "deduped": 1,
+                                         "skipped": 0}
+        assert report.stats["jobs_completed"] == 1
 
-    def test_dedup_persists_after_pop(self):
-        q = JobQueue()
-        q.submit(_job("1u4d"))
-        assert q.pop() is not None
-        q.submit(_job("1u4d"))
-        assert len(q) == 0          # already processed: not re-enqueued
-        assert q.stats()["deduped"] == 1
-
-    def test_queue_full_rejects_with_structure(self):
-        q = JobQueue(maxsize=2)
-        q.submit(_job("1u4d"))
-        q.submit(_job("1xoz"))
-        with pytest.raises(QueueFull) as exc:
-            q.submit(_job("1yv3"))
-        assert exc.value.capacity == 2
-        assert exc.value.pending == 2
-
-    def test_blocking_submit_times_out(self):
-        q = JobQueue(maxsize=1)
-        q.submit(_job("1u4d"))
-        with pytest.raises(QueueFull):
-            q.submit(_job("1xoz"), block=True, timeout=0.05)
-
-    def test_blocking_submit_proceeds_after_pop(self):
-        import threading
-        q = JobQueue(maxsize=1)
-        q.submit(_job("1u4d"))
-        popper = threading.Timer(0.05, q.pop)
-        popper.start()
-        q.submit(_job("1xoz"), block=True, timeout=2.0)
-        popper.join()
-        assert q.stats()["submitted"] == 2
-
-    def test_expired_jobs_skipped_at_pop(self):
-        t = {"now": 0.0}
-        q = JobQueue(clock=lambda: t["now"])
-        q.submit(_job("1u4d", deadline=10.0))
-        q.submit(_job("1xoz"))              # no deadline
-        t["now"] = 11.0
-        popped = q.drain()
-        assert [j.label for j in popped] == ["1xoz"]
-        assert [j.label for j in q.expired] == ["1u4d"]
-        assert q.stats()["expired"] == 1
-
-    def test_expired_job_resubmission_accepted(self):
-        """Regression: an expired job stayed in the dedup set forever, so
-        resubmitting the same work (same content hash, fresh deadline)
-        was silently swallowed and never ran."""
-        t = {"now": 0.0}
-        q = JobQueue(clock=lambda: t["now"])
-        first_id = q.submit(_job("1u4d", deadline=10.0))
-        t["now"] = 11.0
-        assert q.drain() == []              # expired, never ran
-        # identical work resubmitted with a new deadline: the content
-        # hash ignores deadlines, so the id is the same — and it must
-        # be enqueued again, not deduped against the expired attempt
-        again_id = q.submit(_job("1u4d", deadline=20.0))
-        assert again_id == first_id
-        assert len(q) == 1
-        assert q.stats()["deduped"] == 0
-        popped = q.drain()
-        assert [j.job_id for j in popped] == [first_id]
-        # once actually popped, dedup applies as usual
-        q.submit(_job("1u4d", deadline=30.0))
-        assert len(q) == 0
-        assert q.stats()["deduped"] == 1
-
-    def test_expired_record_bounded(self):
-        """The expired record must not grow without bound on a long-lived
-        service; the full count survives in expired_total / stats()."""
-        t = {"now": 0.0}
-        q = JobQueue(clock=lambda: t["now"], expired_keep=3)
-        cases = ["1u4d", "1xoz", "1yv3", "1owe", "7cpa"]
-        for name in cases:
-            q.submit(_job(name, deadline=1.0))
-        t["now"] = 2.0
-        assert q.drain() == []
-        assert len(q.expired) == 3          # bounded, most recent kept
-        assert [j.label for j in q.expired] == cases[-3:]
-        assert q.expired_total == 5
-        assert q.stats()["expired"] == 5
-        with pytest.raises(ValueError):
-            JobQueue(expired_keep=0)
+    def test_dedup_persists_after_pop(self, tmp_path):
+        screen = VirtualScreen(cases=["1u4d"], config=TINY, n_runs=1)
+        screen.run(workers=0, manifest=tmp_path / "m")
+        again = screen.run(workers=0, manifest=tmp_path / "m", resume=True)
+        assert again.stats["queue"]["skipped"] == 1
+        assert again.stats["jobs_completed"] == 0
