@@ -63,7 +63,7 @@ from repro.docking.scoring import ScoringFunction
 from repro.obs import get_metrics, get_tracer
 from repro.robustness.faults import NumericalFaultError
 from repro.reduction.api import ReductionBackend, get_reduction_backend
-from repro.reduction.simt_backend import simt_tree_reduce
+from repro.reduction.simt_backend import _tree_reduce_inplace, tree_width
 
 __all__ = ["LigandPack", "CohortScoring", "CohortGradientCalculator",
            "GENE_GRADIENT_CLAMP"]
@@ -577,14 +577,16 @@ class CohortScoring:
         # contiguous per-ligand packing [inter | intra | 0-pad]: the tree
         # reduction sees only suffix zeros, which every backend ignores
         # (a per-slot slice copy: a single gather over precomputed column
-        # indices measured 4-12x slower than these memcpy-speed slices)
-        contribs = np.zeros((A, B, pack.L), dtype=np.float32)
+        # indices measured 4-12x slower than these memcpy-speed slices).
+        # The buffer is the tree's own power-of-two scratch, reduced in
+        # place
+        contribs = np.zeros((A, B, tree_width(pack.L)), dtype=np.float32)
         for a in range(A):
             n_a = int(pack.n_atoms[a])
             p_a = int(pack.n_pairs[a])
             contribs[a, :, :n_a] = e_inter[a, :, :n_a]
             contribs[a, :, n_a:n_a + p_a] = e_intra[a, :, :p_a]
-        total = simt_tree_reduce(contribs, axis=-1)
+        total = _tree_reduce_inplace(contribs)
         return total.astype(np.float64) + pack.tors_pen
 
     def score(self, genes: np.ndarray, lig=None) -> np.ndarray:
@@ -792,9 +794,10 @@ class CohortGradientCalculator:
             cr = cross3(axis[ec, :, ek, :], arm)
             np.multiply(cr, g_atoms[ec, :, ei, :], out=cr)
             vals = np.sum(cr, axis=-1)                         # (E, B)
-            contrib = np.zeros((A, B, pack.R, pack.N), dtype=np.float32)
+            contrib = np.zeros((A, B, pack.R, tree_width(pack.N)),
+                               dtype=np.float32)
             contrib[ec, :, ek, ei] = vals
-            g_tors = simt_tree_reduce(contrib, axis=-1).astype(np.float64)
+            g_tors = _tree_reduce_inplace(contrib).astype(np.float64)
             # padded torsion rows reduce to exactly +0.0, preserving the
             # zero-gradient invariant on padded gene columns
             gradient[:, 6:6 + pack.R] = g_tors.reshape(batch, pack.R)

@@ -33,7 +33,8 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
-            429: "Too Many Requests", 500: "Internal Server Error"}
+            422: "Unprocessable Content", 429: "Too Many Requests",
+            500: "Internal Server Error"}
 
 
 class ProtocolError(ValueError):

@@ -50,17 +50,21 @@ __all__ = ["AdmissionError", "ScheduledJob", "SLOScheduler"]
 
 
 class AdmissionError(RuntimeError):
-    """Structured 429-style rejection: predicted completion breaks SLO.
+    """Structured rejection: predicted completion breaks the SLO (the
+    gateway's 429), or the job's ligand cannot be read (``reason
+    "unreadable"``: a 422, since no retry can help).
 
     ``payload`` is the JSON body the gateway returns; ``retry_after_s``
     estimates when resubmission would be admitted (backlog drained down
-    to where the job fits).
+    to where the job fits); ``detail`` says why the ligand is unreadable.
     """
 
     def __init__(self, job_id: str, shard: int, reason: str,
                  predicted_s: float, backlog_s: float, limit_s: float,
-                 retry_after_s: float) -> None:
+                 retry_after_s: float, detail: str | None = None) -> None:
         super().__init__(
+            f"job {job_id[:12]} rejected ({reason}): {detail}"
+            if detail is not None else
             f"job {job_id[:12]} rejected ({reason}): predicted "
             f"{backlog_s:.2f}s backlog + {predicted_s:.2f}s job "
             f"> {limit_s:.2f}s limit")
@@ -76,6 +80,8 @@ class AdmissionError(RuntimeError):
             "limit_seconds": _finite_or_none(limit_s),
             "retry_after_s": _finite_or_none(retry_after_s),
         }
+        if detail is not None:
+            self.payload["detail"] = detail
 
 
 def _finite_or_none(value: float | None) -> float | None:
@@ -230,33 +236,42 @@ class SLOScheduler:
 
         Raises :class:`AdmissionError` when the predicted completion
         time (shard backlog at current parallelism + the job itself)
-        exceeds the tighter of the service SLO and the caller deadline,
-        or with reason ``"unpredictable"`` when the predictor returns a
-        non-finite estimate — NaN would pass every limit comparison and
-        poison the shard's backlog.  The ``gateway.unpredictable``
-        counter ticks for each such job.
+        exceeds the tighter of the service SLO and the caller deadline;
+        with reason ``"unreadable"`` when the job's ligand cannot be
+        read to price it (a missing or malformed file, an unknown spec
+        kind); or with reason ``"unpredictable"`` when the predictor
+        returns a non-finite estimate — NaN would pass every limit
+        comparison and poison the shard's backlog.  The
+        ``gateway.unpredictable`` counter ticks for each such job.
         """
-        predicted = self.predict_seconds(job)
+        unreadable = None
+        try:
+            predicted = self.predict_seconds(job)
+        except (OSError, LookupError, TypeError, ValueError) as exc:
+            predicted, unreadable = math.nan, f"{type(exc).__name__}: {exc}"
         job_id = job.job_id
         with self._lock:
             shard = self._shard_of_locked(job_id)
             state = self._shards[shard]
             wait = state.backlog_s / max(1, self.workers[shard])
             if not math.isfinite(predicted):
-                self.unpredictable += 1
+                reason = "unreadable" if unreadable else "unpredictable"
+                if not unreadable:
+                    self.unpredictable += 1
+                    get_metrics().counter("gateway.unpredictable").inc()
                 self.rejected += 1
-                get_metrics().counter("gateway.unpredictable").inc()
                 get_metrics().counter("gateway.rejected").inc()
                 limit = (self.slo_seconds if deadline_s is None
                          else deadline_s if self.slo_seconds is None
                          else min(self.slo_seconds, deadline_s))
                 get_tracer().event(
                     "gateway.reject", job_id=job_id, shard=shard,
-                    tenant=tenant, reason="unpredictable",
+                    tenant=tenant, reason=reason,
                     predicted_s=None, backlog_s=wait, limit_s=limit)
                 raise AdmissionError(
-                    job_id, shard, "unpredictable", predicted, wait,
-                    limit if limit is not None else math.inf, 0.0)
+                    job_id, shard, reason, predicted, wait,
+                    limit if limit is not None else math.inf,
+                    math.nan if unreadable else 0.0, detail=unreadable)
             total = wait + predicted
             limits = [("slo", self.slo_seconds),
                       ("deadline", deadline_s)]

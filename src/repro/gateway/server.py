@@ -16,7 +16,8 @@ Endpoints (JSON in, JSON/NDJSON out, ``Connection: close``):
 ``POST /v1/jobs``         submit one job or ``{"jobs": [...]}``; per-job
                           accept/reject with predicted seconds (a single
                           rejected job answers 429 with the structured
-                          admission payload)
+                          admission payload, or 422 when its ligand
+                          cannot be read)
 ``GET /v1/jobs/<id>``     one job record (``queued``/``running``/terminal)
 ``GET /v1/stream``        NDJSON: terminal records as they complete, until
                           every known job is terminal (``?once=1`` dumps
@@ -334,8 +335,11 @@ class Gateway:
             accepted.append(self._public(rec))
         body = {"accepted": accepted, "rejected": rejected}
         # a bare (non-batch) submission surfaces its rejection as HTTP
-        # backpressure; batches always 200 with both lists, so one
+        # backpressure, or as 422 when its ligand is unreadable (no
+        # retry can help); batches always 200 with both lists, so one
         # rejected job cannot hide its siblings' admissions
+        if not batch and rejected and rejected[0]["reason"] == "unreadable":
+            return 422, json_response(422, rejected[0])
         if not batch and rejected:
             return 429, json_response(
                 429, rejected[0],

@@ -25,7 +25,12 @@ Record layout::
 
 where the meta JSON carries ``name`` / ``atom_types`` / ``torsions`` (as
 ``[atom_a, atom_b, n_moved]`` triples indexing into the concatenated
-``moved`` array) and the array lengths.  Meta JSON is serialised with
+``moved`` array) and the array lengths.  The meta header is also the
+pack's size source: ``n_atoms`` and the per-torsion moved counts give a
+ligand's atom count, N_rot and rotation-list length without decoding any
+array (:meth:`RligReader.meta`, ~15 µs a record), which is how the
+service sizes ``.rlig`` jobs for cohort packing and admission
+(:func:`repro.serve.cache.ligand_shape`).  Meta JSON is serialised with
 sorted keys, so encoding is deterministic: pack → read → pack is
 byte-identical, and the per-record SHA-256 digests stored in the index
 are stable content addresses (the screen layer stamps them into job
@@ -94,6 +99,27 @@ def encode_ligand(ligand: Ligand) -> bytes:
                      bonds.tobytes(), moved.tobytes()])
 
 
+def _read_meta(buf: memoryview, path: str | Path) -> tuple[dict, int]:
+    """A record's meta header and the offset of its first array; raises
+    :class:`ParseError` when it is truncated or malformed."""
+    if len(buf) < _META_LEN.size:
+        raise ParseError(path, "record truncated before meta length")
+    (meta_len,) = _META_LEN.unpack(buf[:_META_LEN.size])
+    off = _META_LEN.size + meta_len
+    if len(buf) < off:
+        raise ParseError(path, "record truncated inside meta JSON")
+    try:
+        meta = json.loads(bytes(buf[_META_LEN.size:off]))
+        fields = {"name": meta["name"], "atom_types": meta["atom_types"],
+                  "n_atoms": int(meta["n_atoms"]),
+                  "n_bonds": int(meta["n_bonds"]),
+                  "torsions": meta["torsions"],
+                  "n_moved": sum(int(t[2]) for t in meta["torsions"])}
+    except (ValueError, KeyError, TypeError, IndexError):
+        raise ParseError(path, "record meta JSON malformed") from None
+    return fields, off
+
+
 def decode_ligand(buf: bytes | memoryview,
                   path: str | Path = "<rlig record>") -> Ligand:
     """Invert :func:`encode_ligand`; raises :class:`ParseError` on a
@@ -103,22 +129,9 @@ def decode_ligand(buf: bytes | memoryview,
     def fail(reason: str):
         raise ParseError(path, reason)
 
-    if len(buf) < _META_LEN.size:
-        fail("record truncated before meta length")
-    (meta_len,) = _META_LEN.unpack(buf[:_META_LEN.size])
-    off = _META_LEN.size + meta_len
-    if len(buf) < off:
-        fail("record truncated inside meta JSON")
-    try:
-        meta = json.loads(bytes(buf[_META_LEN.size:off]))
-        name = meta["name"]
-        atom_types = meta["atom_types"]
-        n_atoms = int(meta["n_atoms"])
-        n_bonds = int(meta["n_bonds"])
-        torsions = meta["torsions"]
-    except (ValueError, KeyError, TypeError):
-        fail("record meta JSON malformed")
-    n_moved = sum(int(t[2]) for t in torsions)
+    meta, off = _read_meta(buf, path)
+    n_atoms, n_bonds, n_moved = (meta["n_atoms"], meta["n_bonds"],
+                                 meta["n_moved"])
     need = off + 8 * 3 * n_atoms + 8 * n_atoms + 4 * 2 * n_bonds + 4 * n_moved
     if len(buf) < need:
         fail(f"record truncated: need {need} bytes, have {len(buf)}")
@@ -135,11 +148,12 @@ def decode_ligand(buf: bytes | memoryview,
     moved = take(n_moved, "<i4", 4)
     tbs, pos = [], 0
     try:
-        for a, b, k in torsions:
+        for a, b, k in meta["torsions"]:
             tbs.append(TorsionBond(int(a), int(b),
                                    tuple(int(m) for m in moved[pos:pos + k])))
             pos += int(k)
-        ligand = Ligand(name=name, atom_types=list(atom_types),
+        ligand = Ligand(name=meta["name"],
+                        atom_types=list(meta["atom_types"]),
                         ref_coords=coords.copy(), charges=charges.copy(),
                         bonds=[(int(i), int(j)) for i, j in bonds],
                         torsions=tbs)
@@ -262,11 +276,19 @@ class RligReader:
         """Content digest of record ``i`` (precomputed at pack time)."""
         return self.index[i]["sha256"]
 
-    def read(self, i: int) -> Ligand:
+    def _record(self, i: int) -> memoryview:
         ent = self.index[i]
-        record = memoryview(self._mm)[ent["offset"]:
-                                      ent["offset"] + ent["length"]]
-        return decode_ligand(record, self.path)
+        return memoryview(self._mm)[ent["offset"]:
+                                    ent["offset"] + ent["length"]]
+
+    def read(self, i: int) -> Ligand:
+        return decode_ligand(self._record(i), self.path)
+
+    def meta(self, i: int) -> dict:
+        """Record ``i``'s meta header alone (no array is decoded):
+        ``name``, ``atom_types``, ``n_atoms``, ``n_bonds``, ``torsions``
+        and their summed moved count ``n_moved``."""
+        return _read_meta(self._record(i), self.path)[0]
 
     def read_bytes(self, i: int) -> bytes:
         """Raw record bytes (for re-hashing / verification)."""

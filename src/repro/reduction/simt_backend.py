@@ -19,9 +19,36 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["simt_tree_reduce", "warp_shuffle_reduce"]
+__all__ = ["simt_tree_reduce", "warp_shuffle_reduce", "tree_width"]
 
 _WARP = 32
+
+
+def tree_width(n: int) -> int:
+    """Width of the shared-memory buffer that tree-reduces ``n`` values:
+    the next power of two (``0`` for no values)."""
+    return 1 << (n - 1).bit_length() if n > 0 else 0
+
+
+def _tree_reduce_inplace(buf: np.ndarray) -> np.ndarray:
+    """The stride-halving tree over the last axis of a float32 scratch
+    buffer of :func:`tree_width` width (real values first, zeros after),
+    added in place; returns the ``(...)`` sums as a view into ``buf``.
+
+    Callers that build their operand anyway (the cohort engine's
+    contribution rows) allocate it at this width and reduce it here
+    directly, without :func:`simt_tree_reduce`'s copy.
+    """
+    size = buf.shape[-1]
+    if size == 0:
+        return np.zeros(buf.shape[:-1], dtype=np.float32)
+    while size > 1:
+        half = size // 2
+        # in-place pairwise add (same FP32 adds the copy-assign form
+        # performed, without the per-stage temporary)
+        buf[..., :half] += buf[..., half:size]
+        size = half
+    return buf[..., 0]
 
 
 def simt_tree_reduce(values: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -37,21 +64,13 @@ def simt_tree_reduce(values: np.ndarray, axis: int = -1) -> np.ndarray:
     v = np.asarray(values, dtype=np.float32)
     v = np.moveaxis(v, axis, -1)
     n = v.shape[-1]
-    if n == 0:
-        return np.zeros(v.shape[:-1], dtype=np.float32)
-    size = 1 << (n - 1).bit_length()
+    size = tree_width(n)
     if size != n:
         pad = np.zeros(v.shape[:-1] + (size - n,), dtype=np.float32)
         v = np.concatenate([v, pad], axis=-1)
     else:
         v = v.copy()
-    while size > 1:
-        half = size // 2
-        # in-place pairwise add into the scratch copy (same FP32 adds the
-        # copy-assign form performed, without the per-stage temporary)
-        v[..., :half] += v[..., half:size]
-        size = half
-    return v[..., 0]
+    return _tree_reduce_inplace(v)
 
 
 def warp_shuffle_reduce(values: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -22,14 +22,17 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
+from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.io.errors import ParseError
 
 __all__ = ["ContentCache", "file_sha256", "maps_digest", "load_ligand",
-           "load_maps", "load_case", "load_rlig_member", "open_rlig"]
+           "load_maps", "load_case", "load_rlig_member", "open_rlig",
+           "LigandShape", "ligand_shape"]
 
 #: default worker cache capacity [bytes]
 DEFAULT_CAPACITY = 256 * 1024 * 1024
@@ -413,6 +416,51 @@ def load_case(spec: dict, cache: ContentCache | None = None):
         from repro.cli import replace_case_ligand
         base = load_case({"kind": "case", "case": spec["case"]}, cache)
         return replace_case_ligand(base, ligand)
+    raise ValueError(f"unknown job spec kind {kind!r}")
+
+
+class LigandShape(NamedTuple):
+    """How big a job's ligand is: the per-ligand loop bounds a lock-step
+    cohort pads to its largest member (atoms, torsion steps, rotation
+    list).  Tuples order atoms first, so sorting shapes sorts ligands by
+    the atom lanes they occupy."""
+
+    n_atoms: int
+    n_rot: int
+    n_rotlist: int
+
+    @classmethod
+    def of(cls, ligand) -> "LigandShape":
+        return cls(ligand.n_atoms, ligand.n_rot, ligand.n_rotlist)
+
+
+@lru_cache(maxsize=None)
+def _case_shape(name: str) -> LigandShape:
+    from repro.testcases.library import case_ligand
+    return LigandShape.of(case_ligand(name))
+
+
+def ligand_shape(spec: dict) -> LigandShape:
+    """The shape of the ligand a job spec docks (kinds as in
+    :func:`load_case`), without building the case.
+
+    A ``.rlig`` member is sized from its record's meta header alone
+    (:meth:`~repro.io.rlig.RligReader.meta`: no array is decoded); a
+    PDBQT ligand is parsed; a named case grows only its ligand.  Raises
+    what reading the ligand raises (:class:`OSError`,
+    :class:`~repro.io.errors.ParseError`, ``ValueError`` for an unknown
+    case or spec kind, ``KeyError`` for a spec missing its ligand).
+    """
+    kind = spec.get("kind")
+    if kind == "case":
+        return _case_shape(spec["case"])
+    if kind in ("case-ligand", "files"):
+        from repro.io import read_pdbqt
+        return LigandShape.of(read_pdbqt(spec["ligand"]))
+    if kind == "rlig":
+        meta = open_rlig(spec["pack"]).meta(spec["index"])
+        return LigandShape(meta["n_atoms"], len(meta["torsions"]),
+                           meta["n_atoms"] + meta["n_moved"])
     raise ValueError(f"unknown job spec kind {kind!r}")
 
 

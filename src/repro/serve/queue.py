@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.config import DockingConfig
+from repro.serve.cache import LigandShape, ligand_shape
 
 __all__ = ["DockingJob", "CohortJob", "canonical_spec", "pack_cohorts",
            "spawn_seed", "seed_from_spec", "shard_for", "shard_ranges",
@@ -235,47 +236,31 @@ class CohortJob:
                    label=d.get("label", ""))
 
 
-def _spec_size_key(spec: dict) -> tuple[int, int]:
-    """Greedy-packing sort key ``(atoms, torsions)`` for a job spec.
-
-    Library cases report their known rotatable-bond count (atom counts
-    scale with it, so one key suffices); file-based ligands are sized by
-    counting ATOM/HETATM and BRANCH records.  Unreadable specs sort
-    first — they still pack, just without a size hint.
-    """
-    kind = spec.get("kind")
-    if kind == "case":
-        from repro.testcases.library import _NAME_TO_NROT
-        nrot = _NAME_TO_NROT.get(spec.get("case"), 0)
-        return (nrot, nrot)
-    path = spec.get("ligand")
-    if not path:
-        return (0, 0)
+def _shape_key(job: DockingJob) -> LigandShape:
     try:
-        atoms = tors = 0
-        with open(path) as fh:
-            for line in fh:
-                if line.startswith(("ATOM", "HETATM")):
-                    atoms += 1
-                elif line.startswith("BRANCH"):
-                    tors += 1
-        return (atoms, tors)
-    except OSError:
-        return (0, 0)
+        return ligand_shape(job.spec)
+    except (OSError, LookupError, TypeError, ValueError):
+        # unreadable: it packs last, and fails in its worker like any
+        # job whose ligand cannot be loaded
+        return LigandShape(0, 0, 0)
 
 
 def pack_cohorts(jobs: list[DockingJob],
                  cohort_size: int) -> list[DockingJob | CohortJob]:
-    """Greedily bucket jobs into size-sorted cohorts of ``cohort_size``.
+    """Bucket jobs into shape-sorted cohorts of ``cohort_size``.
 
     Jobs are grouped by priority and (config, n_runs) — a cohort must
     share the last two, and must not carry a job ahead of its priority
-    level — then sorted by :func:`_spec_size_key` (atoms, torsions) so
-    each cohort packs ligands of similar size, minimising the padding
-    the lock-step engine burns on heterogeneity (``cohort.pad_ratio``).
-    Groups are emitted lowest priority first, groups of one priority in
-    arrival order.  Leftover chunks of one stay plain
-    :class:`DockingJob`; results are keyed per member.
+    level.  Each group is sorted by :func:`~repro.serve.cache
+    .ligand_shape`, largest first (a stable sort: equal shapes keep
+    arrival order), and chunked in that order, so each cohort packs
+    ligands of similar size and pays little padding for the lock-step
+    engine's largest member (``LigandPack.pad_ratio``).  Pool workers
+    pull from one shared task queue, so this is longest-job-first: the
+    biggest cohort starts first and a short leftover chunk of the
+    smallest ligands runs last.  Groups are emitted lowest priority
+    first, groups of one priority in arrival order.  Leftover chunks of
+    one stay plain :class:`DockingJob`; results are keyed per member.
     """
     if cohort_size <= 1 or len(jobs) <= 1:
         return list(jobs)
@@ -287,7 +272,7 @@ def pack_cohorts(jobs: list[DockingJob],
         groups.setdefault((job.priority, key), []).append(job)
     out: list[DockingJob | CohortJob] = []
     for _, members in sorted(groups.items(), key=lambda kv: kv[0][0]):
-        members.sort(key=lambda j: _spec_size_key(j.spec))
+        members.sort(key=_shape_key, reverse=True)
         for i in range(0, len(members), cohort_size):
             chunk = members[i:i + cohort_size]
             if len(chunk) == 1:

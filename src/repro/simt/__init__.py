@@ -27,8 +27,7 @@ from repro.simt.costmodel import (
     REDUCTION_BACKENDS,
 )
 from repro.simt.devices import A100, B200, H100, DeviceSpec, get_device, list_devices
-from repro.simt.predictor import (JobShape, RuntimePredictor,
-                                  shape_from_case, shape_from_pdbqt)
+from repro.simt.predictor import JobShape, RuntimePredictor, shape_from_case
 from repro.simt.profiler import KernelProfile, profile_kernel
 from repro.simt.roofline import RooflinePoint, classify, ridge_point
 
@@ -48,7 +47,6 @@ __all__ = [
     "JobShape",
     "RuntimePredictor",
     "shape_from_case",
-    "shape_from_pdbqt",
     "KernelProfile",
     "RooflinePoint",
     "classify",

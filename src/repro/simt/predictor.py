@@ -33,10 +33,12 @@ import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from repro.simt.costmodel import KernelCostModel, KernelWorkload
 
 __all__ = ["JobShape", "RuntimePredictor", "shape_from_case",
-           "shape_from_pdbqt", "DEFAULT_BENCH_PATH", "BENCH_SCHEMA"]
+           "DEFAULT_BENCH_PATH", "BENCH_SCHEMA"]
 
 #: committed calibration/latency record (repository root)
 DEFAULT_BENCH_PATH = Path(__file__).resolve().parents[3] / \
@@ -87,34 +89,6 @@ def shape_from_case(case) -> JobShape:
     return JobShape(n_atoms=wl.n_atoms, n_rot=case.n_rot,
                     n_rotlist=wl.n_rotlist, n_intra=wl.n_intra,
                     n_genes=wl.n_genes)
-
-
-def shape_from_pdbqt(path: str, ratios: dict | None = None) -> JobShape:
-    """Estimate a shape from a PDBQT file without building the case.
-
-    Counts ATOM/HETATM and BRANCH records (cheap, single pass — the
-    admission decision must not parse grids or refine poses) and applies
-    the committed shape table's median per-atom ratios for the fields a
-    line count cannot see (rotation-list entries, intra pairs).
-    """
-    atoms = n_rot = 0
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith(("ATOM", "HETATM")):
-                atoms += 1
-            elif line.startswith("BRANCH"):
-                n_rot += 1
-    atoms = max(atoms, 1)
-    r = ratios or {}
-    scale = float(r.get("atoms_scale", 2.5))
-    rotlist_per_atom = float(r.get("rotlist_per_atom", 1.0))
-    intra_per_atom = float(r.get("intra_per_atom", 1.0))
-    n_atoms = max(1, int(atoms * scale))
-    return JobShape(
-        n_atoms=n_atoms, n_rot=n_rot,
-        n_rotlist=max(1, int(n_atoms * rotlist_per_atom)),
-        n_intra=max(1, int(n_atoms * intra_per_atom)),
-        n_genes=6 + n_rot)
 
 
 class RuntimePredictor:
@@ -278,40 +252,38 @@ class RuntimePredictor:
 
     def shape_for_spec(self, spec: dict) -> JobShape:
         """Resolve a job spec (see :func:`repro.serve.cache.load_case`)
-        to a shape: committed table for named cases, nearest-N_rot
-        interpolation for unknown names, line-count estimation for
-        file-based ligands."""
-        kind = spec.get("kind")
-        if kind == "case" and spec.get("case") in self.shapes:
-            return self.shapes[spec["case"]]
-        if kind == "case" or not spec.get("ligand"):
+        to a cost-model shape.
+
+        Named cases price from the committed table (a name it lacks
+        takes the row nearest its N_rot).  Every other spec — ``.rlig``
+        members and PDBQT ligands — prices from the ligand's own
+        :func:`~repro.serve.cache.ligand_shape`, paper-scaled the way
+        :meth:`TestCase.workload
+        <repro.testcases.generator.TestCase.workload>` scales a case.
+        The intra-pair count is the one loop bound a shape does not
+        carry (counting pairs needs the bond graph); it is read off the
+        committed table at the scaled atom count.  Raises what reading
+        the ligand raises.
+        """
+        if spec.get("kind") == "case":
+            shape = self.shapes.get(spec.get("case"))
+            if shape is not None:
+                return shape
             from repro.testcases.library import _NAME_TO_NROT
             n_rot = _NAME_TO_NROT.get(spec.get("case"), 8)
-            return self._shape_for_nrot(n_rot)
-        return shape_from_pdbqt(spec["ligand"], self._ratios())
-
-    def _shape_for_nrot(self, n_rot: int) -> JobShape:
-        """Nearest committed shape by rotatable-bond count."""
-        if not self.shapes:
-            return JobShape(n_atoms=40, n_rot=n_rot, n_rotlist=40,
-                            n_intra=40, n_genes=6 + n_rot)
-        best = min(self.shapes.values(),
-                   key=lambda s: abs(s.n_rot - n_rot))
-        return best
-
-    def _ratios(self) -> dict:
-        """Median per-atom ratios of the committed shape table, used to
-        estimate rotation-list / intra-pair counts for file ligands."""
-        if not self.shapes:
-            return {}
-        shapes = list(self.shapes.values())
-        return {
-            "atoms_scale": 2.5,
-            "rotlist_per_atom": statistics.median(
-                s.n_rotlist / s.n_atoms for s in shapes),
-            "intra_per_atom": statistics.median(
-                s.n_intra / s.n_atoms for s in shapes),
-        }
+            return min(self.shapes.values(),
+                       key=lambda s: abs(s.n_rot - n_rot))
+        from repro.serve.cache import ligand_shape
+        from repro.testcases.generator import WORKLOAD_SCALE
+        lig = ligand_shape(spec)
+        n_atoms = max(1, int(lig.n_atoms * WORKLOAD_SCALE))
+        rows = sorted(self.shapes.values(), key=lambda s: s.n_atoms)
+        n_intra = float(np.interp(n_atoms, [s.n_atoms for s in rows],
+                                  [s.n_intra for s in rows]))
+        return JobShape(
+            n_atoms=n_atoms, n_rot=lig.n_rot,
+            n_rotlist=max(1, int(lig.n_rotlist * WORKLOAD_SCALE)),
+            n_intra=max(1, int(n_intra)), n_genes=6 + lig.n_rot)
 
     # ------------------------------------------------------------------
     # accuracy report (the EXPERIMENTS / acceptance numbers)

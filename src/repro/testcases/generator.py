@@ -33,10 +33,14 @@ from repro.docking.scoring import ScoringFunction
 from repro.search.adadelta import AdadeltaConfig, AdadeltaLocalSearch
 from repro.simt.costmodel import KernelWorkload
 
-__all__ = ["TestCase", "make_test_case"]
+__all__ = ["TestCase", "make_test_case", "WORKLOAD_SCALE"]
 
 _BOND_LENGTH = 1.5
 _GRID_SPACING = 0.5
+
+#: size ratio of the real set-of-42 molecules to the synthetic minis
+#: (see :meth:`TestCase.workload`)
+WORKLOAD_SCALE = 2.5
 
 
 @dataclass
@@ -60,7 +64,7 @@ class TestCase:
         return ScoringFunction(self.ligand, self.maps)
 
     def workload(self, n_blocks: int,
-                 scale: float = 2.5) -> KernelWorkload:
+                 scale: float = WORKLOAD_SCALE) -> KernelWorkload:
         """Kernel workload shape for the cost model (Table 5/6 inputs).
 
         ``scale`` bridges the synthetic minis to the molecules their names

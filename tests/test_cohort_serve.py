@@ -14,13 +14,16 @@ import json
 import pytest
 
 from repro.core import DockingConfig, DockingEngine
+from repro.docking.cohort import LigandPack
+from repro.io import pack_rlig
 from repro.search.lga import LGAConfig
 from repro.serve import (VirtualScreen, load_manifest_jobs, rank_records,
                          seed_from_spec, spawn_seed)
+from repro.serve.cache import ligand_shape, load_case
 from repro.serve.pool import execute_cohort, execute_job
-from repro.serve.queue import (CohortJob, DockingJob, _spec_size_key,
-                               pack_cohorts)
+from repro.serve.queue import CohortJob, DockingJob, pack_cohorts
 from repro.testcases import get_test_case
+from repro.testcases.library import case_ligand
 
 TINY = DockingConfig(backend="baseline",
                      lga=LGAConfig(pop_size=8, max_evals=300, max_gens=6,
@@ -105,15 +108,16 @@ class TestPackCohorts:
                          m.n_runs) for m in p.jobs}) == 1
 
     def test_members_sorted_by_ligand_size(self):
-        # deliberately shuffled sizes: packing sorts by (atoms, torsions)
-        # so each cohort holds similarly-sized ligands (low pad_ratio)
+        # deliberately shuffled sizes: packing sorts by ligand_shape
+        # (atoms first), largest first, so each cohort holds
+        # similarly-sized ligands (low pad_ratio)
         names = ["7cpa", "1u4d", "1xoz", "1yv3", "1owe", "7cpa"]
         packed = pack_cohorts([case_job(n, i)
                                for i, n in enumerate(names)], 3)
         assert all(isinstance(p, CohortJob) for p in packed)
         keys = [k for p in packed
-                for k in [_spec_size_key(m.spec) for m in p.jobs]]
-        assert keys == sorted(keys)
+                for k in [ligand_shape(m.spec) for m in p.jobs]]
+        assert keys == sorted(keys, reverse=True)
 
     def test_cohorts_keep_priority_order(self):
         """Size sorting stays within a priority level: the two largest
@@ -125,8 +129,45 @@ class TestPackCohorts:
                                                               priorities))],
                               2)
         assert [p.label for p in packed] \
-            == ["cohort[1z95/0..2bai/1]", "cohort[1u4d/2..1xoz/3]"]
+            == ["cohort[2bai/1..1z95/0]", "cohort[1xoz/3..1u4d/2]"]
         assert [p.priority for p in packed] == [0, 1]
+
+    def test_equal_shapes_keep_arrival_order(self):
+        jobs = [case_job("1xoz", i) for i in range(3)] \
+            + [case_job("7cpa", i) for i in range(3, 6)]
+        packed = pack_cohorts(jobs, 3)
+        assert [[m.label for m in p.jobs] for p in packed] \
+            == [["7cpa/3", "7cpa/4", "7cpa/5"],
+                ["1xoz/0", "1xoz/1", "1xoz/2"]]
+
+    def test_rlig_library_packs_largest_first(self, tmp_path):
+        """A ``.rlig`` spec used to carry no size, so a library packed in
+        library order: every cohort padded to whichever large ligand
+        happened to land in it.  Sorted by the record's meta header, the
+        first cohort holds the largest ligands and the cohorts' summed
+        ``LigandPack.pad_ratio`` falls."""
+        names = ["7cpa", "1u4d", "1kzk", "1gpk", "1owe", "1n1m", "1t46",
+                 "1jyq"]                      # N_rot shuffled over 0..18
+        pack = tmp_path / "lib.rlig"
+        pack_rlig(pack, [case_ligand(n) for n in names])
+        jobs = [DockingJob(spec={"kind": "rlig", "pack": str(pack),
+                                 "index": i, "case": "7cpa"},
+                           config=TINY, n_runs=2, seed=spawn_seed(5, i),
+                           label=name)
+                for i, name in enumerate(names)]
+        packed = pack_cohorts(jobs, 4)
+        assert all(isinstance(p, CohortJob) for p in packed)
+
+        def pad(chunks):
+            return sum(LigandPack([load_case(m.spec).scoring()
+                                   for m in chunk]).pad_ratio
+                       for chunk in chunks)
+
+        library_order = pad([jobs[:4], jobs[4:]])
+        assert pad([p.jobs for p in packed]) < library_order
+        by_size = sorted(names, key=lambda n: case_ligand(n).n_atoms,
+                         reverse=True)
+        assert {m.label for m in packed[0].jobs} == set(by_size[:4])
 
 
 class TestExecuteCohort:

@@ -9,9 +9,10 @@ import math
 
 import pytest
 
+from repro.io import pack_rlig, write_pdbqt
 from repro.simt.predictor import (DEFAULT_BENCH_PATH, JobShape,
-                                  RuntimePredictor, shape_from_case,
-                                  shape_from_pdbqt)
+                                  RuntimePredictor, shape_from_case)
+from repro.testcases.library import case_ligand
 
 SMALL = JobShape(n_atoms=20, n_rot=2, n_rotlist=20, n_intra=10,
                  n_genes=8)
@@ -172,19 +173,36 @@ class TestShapeResolution:
         shape = p.shape_for_spec({"kind": "case", "case": "no-such"})
         assert shape in (SMALL, LARGE)
 
-    def test_file_ligand_estimated_from_line_counts(self, tmp_path):
-        lig = tmp_path / "lig.pdbqt"
-        lines = ["ROOT"] + [f"ATOM  {i:5d}  C   LIG A   1" for i in
-                            range(10)] + ["ENDROOT"] + \
-                ["BRANCH 1 2", "ENDBRANCH 1 2"] * 3
-        lig.write_text("\n".join(lines) + "\n")
-        shape = shape_from_pdbqt(str(lig))
-        assert shape.n_rot == 3
-        assert shape.n_genes == 9
-        assert shape.n_atoms >= 10     # paper-scaled from 10 raw atoms
-        via_spec = _predictor().shape_for_spec(
-            {"kind": "ligand", "ligand": str(lig)})
-        assert via_spec.n_rot == 3
+    def test_file_and_rlig_ligands_price_from_their_exact_shape(
+            self, tmp_path):
+        """A PDBQT or ``.rlig`` ligand prices from its own atoms,
+        torsions and rotation list, scaled as ``TestCase.workload``
+        scales a case: 7cpa's ligand docked from a file gets 7cpa's
+        committed row (its scaled atom count is a table row, so the
+        intra-pair estimate lands on that row exactly)."""
+        p = RuntimePredictor.from_bench(DEFAULT_BENCH_PATH)
+        ligand = case_ligand("7cpa")
+        pdbqt = tmp_path / "lig.pdbqt"
+        write_pdbqt(ligand, pdbqt)
+        pack = tmp_path / "lib.rlig"
+        pack_rlig(pack, [ligand])
+        specs = [{"kind": "case-ligand", "case": "7cpa",
+                  "ligand": str(pdbqt)},
+                 {"kind": "rlig", "pack": str(pack), "index": 0,
+                  "case": "7cpa"}]
+        for spec in specs:
+            assert p.shape_for_spec(spec) == p.shapes["7cpa"], spec
+
+    def test_rlig_ligands_are_not_one_stand_in_shape(self, tmp_path):
+        p = RuntimePredictor.from_bench(DEFAULT_BENCH_PATH)
+        pack = tmp_path / "lib.rlig"
+        pack_rlig(pack, [case_ligand(n) for n in ("1u4d", "7cpa", "2brb")])
+        shapes = [p.shape_for_spec({"kind": "rlig", "pack": str(pack),
+                                    "index": i, "case": "7cpa"})
+                  for i in range(3)]
+        assert [s.n_rot for s in shapes] == [0, 15, 20]
+        seconds = [p.predict_seconds(s, 1000) for s in shapes]
+        assert seconds == sorted(seconds) and seconds[0] < seconds[2]
 
     def test_shape_from_case_matches_committed_table(self):
         from repro.testcases import get_test_case

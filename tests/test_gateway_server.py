@@ -100,6 +100,41 @@ class TestEndToEnd:
         assert exc.value.payload["reason"] == "deadline"
         assert exc.value.payload["retry_after_s"] > 0
 
+    def test_unreadable_ligand_is_rejected_per_job(self, tmp_path):
+        """An unreadable ligand in a batch used to answer 500
+        FileNotFoundError after its sibling had been admitted; it is a
+        per-job rejection now, and a bare submission of it a 422 with
+        no Retry-After, since no retry can help."""
+        import http.client
+        bad = _doc(i=1, spec={"kind": "case-ligand", "case": "1u4d",
+                              "ligand": str(tmp_path / "none.pdbqt")})
+        gw = Gateway(GatewayConfig(port=0, n_shards=1, workers=0,
+                                   poll_s=0.01)).start()
+        try:
+            client = GatewayClient(f"http://127.0.0.1:{gw.port}")
+            out = client.submit_batch([_doc(i=0), bad])
+            assert len(out["accepted"]) == 1
+            [rej] = out["rejected"]
+            assert rej["error"] == "admission_rejected"
+            assert rej["reason"] == "unreadable"
+            assert "FileNotFoundError" in rej["detail"]
+            assert rej["retry_after_s"] is None
+            assert [r["status"] for r in client.stream()] == ["ok"]
+
+            conn = http.client.HTTPConnection("127.0.0.1", gw.port,
+                                              timeout=10)
+            conn.request("POST", "/v1/jobs", body=json.dumps(bad),
+                         headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            assert resp.status == 422
+            assert resp.getheader("Retry-After") is None
+            assert json.loads(resp.read())["reason"] == "unreadable"
+            conn.close()
+            scheduler = client.stats()["scheduler"]
+            assert (scheduler["admitted"], scheduler["rejected"]) == (1, 2)
+        finally:
+            gw.stop()
+
     def test_duplicate_submission_is_idempotent(self, gateway):
         _, client = gateway
         first = client.submit(_doc(i=1))["accepted"][0]

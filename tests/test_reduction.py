@@ -18,6 +18,7 @@ from repro.reduction import (
     unpack_result,
 )
 from repro.reduction.api import ExactReduction
+from repro.reduction.simt_backend import _tree_reduce_inplace, tree_width
 
 
 class TestMatrices:
@@ -116,6 +117,26 @@ class TestSimtTree:
         seq = float(acc)
         exact = float(v.astype(np.float64).sum())
         assert abs(tree - exact) <= abs(seq - exact) * 10  # both close; tree usually closer
+
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 8, 9, 32, 33, 64, 65])
+    def test_in_place_helper_bit_equals_copying_reduce(self, n):
+        """The cohort engine fills a tree-width scratch buffer and
+        reduces it in place; every sum must match simt_tree_reduce's
+        copy-and-pad path bit for bit."""
+        rng = np.random.default_rng(n)
+        vals = (rng.standard_normal((3, 5, n))
+                * 10.0 ** rng.integers(-6, 6, (3, 5, n))).astype(np.float32)
+        buf = np.zeros((3, 5, tree_width(n)), dtype=np.float32)
+        buf[..., :n] = vals
+        got = _tree_reduce_inplace(buf)
+        want = simt_tree_reduce(vals)
+        assert got.shape == want.shape == (3, 5)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_tree_width(self):
+        assert [tree_width(n) for n in (0, 1, 2, 3, 8, 9)] \
+            == [0, 1, 2, 4, 8, 16]
 
 
 class TestBackends:
