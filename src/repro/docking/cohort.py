@@ -27,6 +27,13 @@ same ligand packed alone, and its scores to the scalar reference
   interpolation blends, AD4 pair terms, out-of-box penalties, clamps)
   vectorises across the cohort axis without changing per-element
   arithmetic;
+* only memory layouts differ from the single-ligand shapes, never an
+  operation or its order: sums over an xyz axis are explicit adds that
+  equal ``np.sum`` bit for bit (:func:`~repro.docking.quaternion.xyz_sum`);
+  the trilinear corners are gathered corner-major, ``(8, 4, C, B, N)``,
+  onto ``(3, C, B, N)`` coordinate planes; and :func:`grotbond` runs on
+  ``(3, C*N, B)`` planes whose FP32 tree halves a leading atom axis,
+  adding the same pairs as the tree over a trailing one;
 * the two operations whose summation order is layout-dependent — the
   pair->atom scatter ``einsum`` and the energy incidence matmul — stay
   per-ligand, on contiguous copies with exactly the single-path shapes.
@@ -56,9 +63,9 @@ from repro.docking.energy import (
     _MS_LAM,
     _MS_RK,
 )
-from repro.docking.grids import OUT_OF_BOX_PENALTY, GridMaps
+from repro.docking.grids import _corner_flat, _grid_terms
 from repro.docking.pose import RotationList
-from repro.docking.quaternion import cross3, so3_left_jacobian
+from repro.docking.quaternion import cross3, so3_left_jacobian, xyz_sum
 from repro.docking.scoring import ScoringFunction
 from repro.obs import get_metrics, get_tracer
 from repro.robustness.faults import NumericalFaultError
@@ -131,28 +138,28 @@ class LigandPack:
         self.flat_maps = chunks[0] if len(chunks) == 1 \
             else np.concatenate(chunks)
 
-        C, N, P, R = self.C, self.N, self.P, self.R
-        offs = np.zeros((4, C, 1, N, 1), dtype=np.int64)
+        C, N, P = self.C, self.N, self.P
+        offs = np.zeros((4, C, 1, N), dtype=np.int64)
         for a, sf in enumerate(scorings):
             m = sf.maps
             b0 = base[id(m)]
             n_a = int(self.n_atoms[a])
-            offs[0, a, 0, :n_a, 0] = b0 + sf.type_idx * m._n_voxels
-            offs[0, a, 0, n_a:, 0] = b0         # pad atoms: any in-bounds
-            offs[1:, a, 0, :, 0] = b0 + m._chan_base[:, None]
+            offs[0, a, 0, :n_a] = b0 + sf.type_idx * m._n_voxels
+            offs[0, a, 0, n_a:] = b0            # pad atoms: any in-bounds
+            offs[1:, a, 0, :] = b0 + m._chan_base[:, None]
         self.offs = offs
+        # per-ligand box geometry as (3, C, 1, 1) planes against the
+        # (3, C, B, N) component planes of inter_energy
         self.origin = np.stack(
-            [sf.maps.origin for sf in scorings])[:, None, None, :]
+            [sf.maps.origin for sf in scorings], axis=1)[..., None, None]
         self.spacing = np.array(
-            [sf.maps.spacing for sf in scorings])[:, None, None, None]
-        dims = np.array([sf.maps.shape for sf in scorings], dtype=np.float64)
-        self.dims_lim = (dims - 1.0 - 1e-9)[:, None, None, :]
-        self.shape_m1 = (np.array([sf.maps.shape for sf in scorings],
-                                  dtype=np.int64) - 1)[:, None, None, :]
-        self.ny = np.array([sf.maps.shape[1] for sf in scorings],
-                           dtype=np.int64)[:, None, None]
-        self.nz = np.array([sf.maps.shape[2] for sf in scorings],
-                           dtype=np.int64)[:, None, None]
+            [sf.maps.spacing for sf in scorings])[:, None, None]
+        shapes = np.array([sf.maps.shape for sf in scorings],
+                          dtype=np.int64).T[..., None, None]
+        self.dims_lim = shapes.astype(np.float64) - 1.0 - 1e-9
+        self.shape_m1 = shapes - 1
+        self.ny = shapes[1]
+        self.nz = shapes[2]
 
         # ---- per-atom AD4 parameters
         self.charges = np.zeros((C, 1, N))
@@ -202,27 +209,7 @@ class LigandPack:
             self.scat_g.append(sg)
             self.scat_e.append(se)
 
-        # ---- torsions: padded axis-atom indices plus one global sparse
-        # (ligand, torsion, moved-atom) entry list for Grotbond
-        self.axa = np.zeros((C, 1, R, 1), dtype=np.int64)
-        self.axb = np.zeros((C, 1, R, 1), dtype=np.int64)
-        ec, ek, ei = [], [], []
-        for a, sf in enumerate(scorings):
-            lig = sf.ligand
-            for k, tors in enumerate(lig.torsions):
-                self.axa[a, 0, k, 0] = tors.atom_a
-                self.axb[a, 0, k, 0] = tors.atom_b
-            moved = np.zeros((lig.n_rot, lig.n_atoms))
-            for k, tors in enumerate(lig.torsions):
-                moved[k, list(tors.moved)] = 1.0
-            pk, pi_ = np.nonzero(moved)
-            ec.append(np.full(pk.shape[0], a, dtype=np.int64))
-            ek.append(pk.astype(np.int64))
-            ei.append(pi_.astype(np.int64))
-        self.ec = np.concatenate(ec) if ec else np.zeros(0, dtype=np.int64)
-        self.ek = np.concatenate(ek) if ek else np.zeros(0, dtype=np.int64)
-        self.ei = np.concatenate(ei) if ei else np.zeros(0, dtype=np.int64)
-
+        self._init_torsion_rows()
         self.tors_pen = np.array(
             [sf.torsional_penalty for sf in scorings])[:, None]
         self.smooth_col = np.array(
@@ -272,6 +259,34 @@ class LigandPack:
         #: fraction of atom lanes that is padding waste
         self.pad_ratio = 1.0 - float(self.n_atoms.sum()) / (self.C * self.N)
 
+    def _init_torsion_rows(self) -> None:
+        """Row indices of the Grotbond gather and scatter, compiled with
+        the pack (and with every subset, like its rotation list).
+
+        :func:`grotbond` works on ``(3, C*N, B)`` component planes, so
+        every index names a whole contiguous ``B``-row: the axis
+        endpoints of each real torsion ``t`` (slot-major, ``(T,)``), and
+        per moved-atom entry ``e`` its atom row, its torsion ``t`` and its
+        destination row in the ``(tree_width(N) * C*R, B)`` tree buffer
+        (atom-major, so the tree halves a leading axis).
+        """
+        N, R, C = self.N, self.R, self.C
+        rows_a, rows_b, atoms, tors, dst = [], [], [], [], []
+        for a, lig in enumerate(self.ligands):
+            for k, t in enumerate(lig.torsions):
+                moved = np.unique(np.asarray(t.moved, dtype=np.int64))
+                atoms.append(a * N + moved)
+                tors.append(np.full(moved.shape, len(rows_a)))
+                dst.append((moved * C + a) * R + k)
+                rows_a.append(a * N + t.atom_a)
+                rows_b.append(a * N + t.atom_b)
+        none = [np.zeros(0, dtype=np.int64)]     # a torsion-free pack
+        self.tor_rows_a = np.array(rows_a, dtype=np.int64)
+        self.tor_rows_b = np.array(rows_b, dtype=np.int64)
+        self.moved_rows = np.concatenate(atoms + none)
+        self.moved_tors = np.concatenate(tors + none)
+        self.moved_dst = np.concatenate(dst + none)
+
     def _init_pair_index(self) -> None:
         """Fancy-index form of the pair endpoint gather (bit-equivalent
         to ``take_along_axis`` — gathers copy, they never compute — but
@@ -318,13 +333,13 @@ class LigandPack:
         sub.global_indices = self.global_indices[idx]
         sub.grid_injector = self.grid_injector
         sub._init_derived()
-        N, P, R = sub.N, sub.P, sub.R
+        N, P = sub.N, sub.P
         sub.flat_maps = self.flat_maps
         sub.offs = np.ascontiguousarray(self.offs[:, idx, :, :N])
-        sub.origin = self.origin[idx]
+        sub.origin = self.origin[:, idx]
         sub.spacing = self.spacing[idx]
-        sub.dims_lim = self.dims_lim[idx]
-        sub.shape_m1 = self.shape_m1[idx]
+        sub.dims_lim = self.dims_lim[:, idx]
+        sub.shape_m1 = self.shape_m1[:, idx]
         sub.ny = self.ny[idx]
         sub.nz = self.nz[idx]
         sub.charges = np.ascontiguousarray(self.charges[idx][:, :, :N])
@@ -340,14 +355,7 @@ class LigandPack:
         sub._init_pair_index()
         sub.scat_g = [self.scat_g[i] for i in idx]
         sub.scat_e = [self.scat_e[i] for i in idx]
-        sub.axa = np.ascontiguousarray(self.axa[idx][:, :, :R])
-        sub.axb = np.ascontiguousarray(self.axb[idx][:, :, :R])
-        pos = np.full(self.C, -1, dtype=np.int64)
-        pos[idx] = np.arange(len(idx), dtype=np.int64)
-        sel = pos[self.ec] >= 0
-        sub.ec = pos[self.ec[sel]]
-        sub.ek = self.ek[sel]
-        sub.ei = self.ei[sel]
+        sub._init_torsion_rows()
         sub.tors_pen = self.tors_pen[idx]
         sub.smooth_col = self.smooth_col[idx]
         sub.any_smooth = bool(sub.smooth_col.any())
@@ -366,9 +374,9 @@ class LigandPack:
         Called only on the slow path (a non-finite value was seen), so the
         corruption is on record — trace event plus metrics counter naming
         the offending lanes — even when the run's fault policy clamps and
-        continues (``ignore``).
+        continues (``ignore``).  ``u`` is ``(3, C, B, N)`` planes.
         """
-        bad = ~np.isfinite(u).reshape(self.C, -1).all(axis=1)
+        bad = ~np.isfinite(u).reshape(3, self.C, -1).all(axis=(0, 2))
         lanes = [int(g) for g in self.global_indices[bad]]
         names = [getattr(self.ligands[int(a)], "name", "")
                  for a in np.nonzero(bad)[0]]
@@ -378,8 +386,10 @@ class LigandPack:
                            n_values=int(np.count_nonzero(~np.isfinite(u))))
 
     def inter_energy(self, coords: np.ndarray, with_gradient: bool = False):
-        """Grid-map interpolation over ``(C, B, N, 3)`` coordinates."""
-        u = (coords - self.origin) / self.spacing
+        """Grid-map interpolation over ``(C, B, N, 3)`` coordinates, on
+        ``(3, C, B, N)`` component planes from one transpose up front."""
+        u = np.subtract(np.moveaxis(coords, -1, 0), self.origin, order="C")
+        u /= self.spacing
         # non-finite coordinates used to be masked silently; keep the
         # clamp (the trajectory still needs finite lookups) but record
         # which lanes were hit first.  The finite fast path skips the
@@ -393,30 +403,14 @@ class LigandPack:
         i0 = np.floor(uc).astype(np.int64)
         i1 = np.minimum(i0 + 1, self.shape_m1)
         f = uc - i0
-        x0, y0, z0 = i0[..., 0], i0[..., 1], i0[..., 2]
-        x1, y1, z1 = i1[..., 0], i1[..., 1], i1[..., 2]
-        bx0 = x0 * self.ny
-        bx1 = x1 * self.ny
-        r00 = (bx0 + y0) * self.nz
-        r10 = (bx1 + y0) * self.nz
-        r01 = (bx0 + y1) * self.nz
-        r11 = (bx1 + y1) * self.nz
-        flat = np.empty(i0.shape[:-1] + (8,), dtype=np.int64)
-        flat[..., 0] = r00 + z0
-        flat[..., 1] = r10 + z0
-        flat[..., 2] = r01 + z0
-        flat[..., 3] = r11 + z0
-        flat[..., 4] = r00 + z1
-        flat[..., 5] = r10 + z1
-        flat[..., 6] = r01 + z1
-        flat[..., 7] = r11 + z1
-        c = self.flat_maps.take(flat[None] + self.offs)    # (4, C, B, N, 8)
+        flat = _corner_flat(i0, i1, self.ny, self.nz)    # (8, C, B, N)
+        c = self.flat_maps.take(flat[:, None] + self.offs)  # (8, 4, C, B, N)
         if self.grid_injector is not None:
             # grid-gather stride site: corrupt the fetched corner values
             # (modelling corrupt device memory under the trilinear blend)
             c, inj = self.grid_injector.corrupt_values(c)
             if inj.any():
-                per_lane = inj.sum(axis=(0, 2, 3, 4))
+                per_lane = inj.sum(axis=(0, 1, 3, 4))
                 get_metrics().counter("cohort.grid_injected").inc(
                     int(inj.sum()))
                 get_tracer().event(
@@ -424,18 +418,9 @@ class LigandPack:
                     lanes=[int(g) for g in
                            self.global_indices[per_lane > 0]],
                     n_values=int(inj.sum()))
-        e = GridMaps._interp(c, f)
-        energy = (e[0] + self.charges * e[1]
-                  + self.solpar * e[2] + self.vol * e[3])
-        d_out = out * self.spacing
-        energy = energy + OUT_OF_BOX_PENALTY * np.sum(d_out ** 2, axis=-1)
-        if not with_gradient:
-            return energy
-        g = GridMaps._interp_grad_raw(c, f) / self.spacing
-        grad = (g[0] + self.charges[..., None] * g[1]
-                + self.solpar[..., None] * g[2] + self.vol[..., None] * g[3])
-        grad = grad + 2.0 * OUT_OF_BOX_PENALTY * d_out
-        return energy, grad
+        return _grid_terms(c, f, out * self.spacing, self.spacing,
+                           self.charges, self.solpar, self.vol,
+                           with_gradient)
 
     def intra(self, coords: np.ndarray, with_geometry: bool = False):
         """AD4 pairwise terms over ``(C, B, N, 3)`` coordinates; padded
@@ -468,7 +453,8 @@ class LigandPack:
             pm6, r_opt = self._pm6, self.r_opt
             smooth = self.smooth_col
             lead = None
-        r_raw = np.sqrt(np.sum(delta * delta, axis=-1))
+        r_raw = np.sqrt(xyz_sum(delta[..., 0], delta[..., 1], delta[..., 2],
+                                squares=True))
         r = np.maximum(r_raw, RMIN)
         in_well = None
         if self.any_smooth:
@@ -549,6 +535,48 @@ class LigandPack:
         if with_geometry:
             return energy, de_dr, delta, r_raw
         return energy, de_dr
+
+
+def grotbond(coords: np.ndarray, g_atoms: np.ndarray,
+             pack: LigandPack) -> np.ndarray:
+    """Algorithm 4's ``Grotbond``: per-rotatable-bond gradient sums.
+
+    Torsion ``k`` of slot ``a`` sums ``(axis_k x (r_i - b_k)) . g_i`` over
+    the atoms ``i`` it moves (``axis_k`` the unit vector from ``a_k`` to
+    ``b_k``): short data-dependent sums that stay on SIMT cores in every
+    configuration, one FP32 stride-halving tree per torsion and batch
+    row over its ``tree_width(N)`` atom slots.  ``coords`` and
+    ``g_atoms`` are ``(A, B, N, 3)``; returns the ``(A, B, R)`` float32
+    sums (``+0.0`` on padded torsions).
+
+    Every element sees the float64 operations of a gather over
+    ``(..., 3)`` rows, in the same order; only the layout differs: both
+    inputs are transposed once to ``(3, A*N, B)`` planes, every gather
+    and the scatter move whole ``B``-rows by the pack's compiled row
+    indices, the cross product is written one component at a time, and
+    the tree halves the leading axis of a ``(tree_width(N), A*R, B)``
+    buffer.
+    """
+    A, B, N = g_atoms.shape[:3]
+    R = pack.R
+    buf = np.zeros((tree_width(N), A * R, B), dtype=np.float32)
+    planes = (3, A * N, B)
+    cp = np.ascontiguousarray(coords.transpose(3, 0, 2, 1)).reshape(planes)
+    gp = np.ascontiguousarray(g_atoms.transpose(3, 0, 2, 1)).reshape(planes)
+    b_pos = cp[:, pack.tor_rows_b]                    # (3, T, B)
+    axis = b_pos - cp[:, pack.tor_rows_a]
+    axis /= np.maximum(np.sqrt(xyz_sum(*axis, squares=True)), 1e-12)
+    ax0, ax1, ax2 = axis[:, pack.moved_tors]          # (E, B) each
+    r0, r1, r2 = cp[:, pack.moved_rows] - b_pos[:, pack.moved_tors]
+    g0, g1, g2 = gp[:, pack.moved_rows]
+    # cross3(axis, arm) * g, component by component, then np.sum's
+    # left-to-right sum (an all -0.0 product row stays +0.0)
+    vals = xyz_sum((ax1 * r2 - ax2 * r1) * g0,
+                   (ax2 * r0 - ax0 * r2) * g1,
+                   (ax0 * r1 - ax1 * r0) * g2)
+    buf.reshape(-1, B)[pack.moved_dst] = vals
+    return _tree_reduce_inplace(buf, axis=0).reshape(A, R, B) \
+        .transpose(0, 2, 1)
 
 
 class CohortScoring:
@@ -697,10 +725,11 @@ class CohortGradientCalculator:
                                        + ep @ pack.scat_e[a].T)
             else:
                 k = len(idx)
+                # explicit row counts: -1 is ambiguous when p_a == 0
                 pg = np.ascontiguousarray(
-                    pair_grad[idx][:, :, :p_a, :]).reshape(-1, p_a, 3)
+                    pair_grad[idx][:, :, :p_a, :]).reshape(k * B, p_a, 3)
                 ep = np.ascontiguousarray(
-                    e_pairs[idx][:, :, :p_a]).reshape(-1, p_a)
+                    e_pairs[idx][:, :, :p_a]).reshape(k * B, p_a)
                 g_atoms[idx, :, :n_a] = g_inter[idx][:, :, :n_a] \
                     + np.einsum("np,bpc->bnc", pack.scat_g[a], pg,
                                 optimize=_SCATTER_PATH).reshape(k, B, n_a, 3)
@@ -784,23 +813,10 @@ class CohortGradientCalculator:
         gradient[:, 0:3] = g_trans
         gradient[:, 3:6] = g_orient
         if pack.R:
-            a_pos = np.take_along_axis(coords, pack.axa, axis=2)
-            b_pos = np.take_along_axis(coords, pack.axb, axis=2)
-            axis = b_pos - a_pos
-            axis /= np.maximum(np.sqrt(
-                np.sum(axis * axis, axis=-1, keepdims=True)), 1e-12)
-            ec, ek, ei = pack.ec, pack.ek, pack.ei
-            arm = coords[ec, :, ei, :] - b_pos[ec, :, ek, :]   # (E, B, 3)
-            cr = cross3(axis[ec, :, ek, :], arm)
-            np.multiply(cr, g_atoms[ec, :, ei, :], out=cr)
-            vals = np.sum(cr, axis=-1)                         # (E, B)
-            contrib = np.zeros((A, B, pack.R, tree_width(pack.N)),
-                               dtype=np.float32)
-            contrib[ec, :, ek, ei] = vals
-            g_tors = _tree_reduce_inplace(contrib).astype(np.float64)
             # padded torsion rows reduce to exactly +0.0, preserving the
             # zero-gradient invariant on padded gene columns
-            gradient[:, 6:6 + pack.R] = g_tors.reshape(batch, pack.R)
+            gradient.reshape(A, B, G)[..., 6:6 + pack.R] = grotbond(
+                coords, g_atoms, pack)
         np.clip(gradient, -GENE_GRADIENT_CLAMP, GENE_GRADIENT_CLAMP,
                 out=gradient)
         return energy, gradient

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.docking.ligand import Ligand
 from repro.docking.params import FE_WEIGHTS, HBOND_ACCEPTOR, HBOND_DONOR
+from repro.docking.quaternion import xyz_sum
 
 __all__ = [
     "ECLAMP",
@@ -207,8 +208,9 @@ def intra_contributions(tables: PairTables, coords: np.ndarray,
     """
     coords = np.asarray(coords, dtype=np.float64)
     delta = coords[..., tables.i, :] - coords[..., tables.j, :]
-    # same reduce as np.linalg.norm without its wrapper overhead
-    r_raw = np.sqrt(np.sum(delta * delta, axis=-1))
+    # np.linalg.norm's reduction, without its wrapper or strided sum
+    r_raw = np.sqrt(xyz_sum(delta[..., 0], delta[..., 1], delta[..., 2],
+                            squares=True))
     r = np.maximum(r_raw, RMIN)
     in_well = None
     if smooth:

@@ -20,10 +20,110 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.docking.quaternion import xyz_sum
+
 __all__ = ["GridMaps", "OUT_OF_BOX_PENALTY"]
 
 #: quadratic penalty slope for atoms outside the box [kcal/mol/Å^2]
 OUT_OF_BOX_PENALTY = 50.0
+
+
+def _planes(v, ndim: int) -> np.ndarray:
+    """A per-axis ``(3,)`` vector shaped ``(3, 1, ..., 1)`` to broadcast
+    against rank-``ndim`` component planes."""
+    return np.asarray(v).reshape((3,) + (1,) * (ndim - 1))
+
+
+def _corner_flat(i0: np.ndarray, i1: np.ndarray, ny, nz) -> np.ndarray:
+    """Raveled indices ``(8, ...)`` of the eight interpolation corners.
+
+    ``i0`` / ``i1`` are ``(3, ...)`` lower / upper corner planes; ``ny``
+    and ``nz`` broadcast against one plane (scalars for one map set,
+    per-ligand columns in a cohort pack).  Computed once per lookup and
+    shared by all four map channels.  Corner-major, so each corner's
+    gathered values are one contiguous block for the blends; order
+    ``c000, c100, c010, c110, c001, ..., c111``.
+    """
+    x0, y0, z0 = i0
+    x1, y1, z1 = i1
+    bx0 = x0 * ny
+    bx1 = x1 * ny
+    r00 = (bx0 + y0) * nz
+    r10 = (bx1 + y0) * nz
+    r01 = (bx0 + y1) * nz
+    r11 = (bx1 + y1) * nz
+    flat = np.empty((8,) + x0.shape, dtype=np.int64)
+    np.add(r00, z0, out=flat[0])
+    np.add(r10, z0, out=flat[1])
+    np.add(r01, z0, out=flat[2])
+    np.add(r11, z0, out=flat[3])
+    np.add(r00, z1, out=flat[4])
+    np.add(r10, z1, out=flat[5])
+    np.add(r01, z1, out=flat[6])
+    np.add(r11, z1, out=flat[7])
+    return flat
+
+
+def _interp(c: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Trilinear blend of the corner-major values ``c (8, ...)`` at the
+    fraction planes ``f (3, ...)``; extra leading axes of ``c[k]`` (the
+    channel axis of the fused gather) broadcast against ``f``."""
+    fx, fy, fz = f
+    gx, gy, gz = 1 - fx, 1 - fy, 1 - fz
+    c00 = c[0] * gx + c[1] * fx
+    c10 = c[2] * gx + c[3] * fx
+    c01 = c[4] * gx + c[5] * fx
+    c11 = c[6] * gx + c[7] * fx
+    c0 = c00 * gy + c10 * fy
+    c1 = c01 * gy + c11 * fy
+    return c0 * gz + c1 * fz
+
+
+def _interp_grad_raw(c: np.ndarray, f: np.ndarray):
+    """Analytic gradient of the trilinear interpolant in *grid units*
+    (not yet divided by the spacing), as the three component arrays
+    ``(gx, gy, gz)``, each shaped like one corner ``c[k]``."""
+    fx, fy, fz = f
+    ox, oy, oz = 1 - fx, 1 - fy, 1 - fz
+    c000, c100, c010, c110, c001, c101, c011, c111 = c
+    gx = ((c100 - c000) * oy * oz
+          + (c110 - c010) * fy * oz
+          + (c101 - c001) * oy * fz
+          + (c111 - c011) * fy * fz)
+    gy = ((c010 - c000) * ox * oz
+          + (c110 - c100) * fx * oz
+          + (c011 - c001) * ox * fz
+          + (c111 - c101) * fx * fz)
+    gz = ((c001 - c000) * ox * oy
+          + (c101 - c100) * fx * oy
+          + (c011 - c010) * ox * fy
+          + (c111 - c110) * fx * fy)
+    return gx, gy, gz
+
+
+def _grid_terms(c: np.ndarray, f: np.ndarray, d_out: np.ndarray, spacing,
+                charges, solpar, vol, with_gradient: bool):
+    """Per-atom energies (and gradients) from the gathered corners.
+
+    ``c`` is the ``(8, 4, ..., n)`` corner-major gather of the four map
+    channels, ``f`` and ``d_out`` the ``(3, ..., n)`` fraction and
+    out-of-box displacement [Å] planes; ``spacing`` and the per-atom AD4
+    parameters broadcast against ``(..., n)``.  Returns ``(..., n)``
+    energies, plus ``(..., n, 3)`` gradients when ``with_gradient`` is
+    set.  The single-ligand reference and cohort packs both call it.
+    """
+    e = _interp(c, f)                                   # (4, ..., n)
+    energy = e[0] + charges * e[1] + solpar * e[2] + vol * e[3]
+    # out-of-box quadratic penalty (grid-space displacement -> Å)
+    energy = energy + OUT_OF_BOX_PENALTY * xyz_sum(*d_out, squares=True)
+    if not with_gradient:
+        return energy
+    grad = np.empty(energy.shape + (3,))
+    for k, g in enumerate(_interp_grad_raw(c, f)):
+        g /= spacing                                    # (4, ..., n)
+        grad[..., k] = (g[0] + charges * g[1] + solpar * g[2]
+                        + vol * g[3]) + 2.0 * OUT_OF_BOX_PENALTY * d_out[k]
+    return energy, grad
 
 
 @dataclass
@@ -193,60 +293,40 @@ class GridMaps:
     # interpolation core
 
     def _locate(self, coords: np.ndarray):
-        """Grid-relative coordinates, corner indices, fractions, and the
-        out-of-box displacement of every atom."""
-        u = (np.asarray(coords, dtype=np.float64) - self.origin) / self.spacing
-        dims = np.asarray(self.shape, dtype=np.float64)
+        """Corner indices, fractions and out-of-box displacement of every
+        atom, as ``(3, ..., n)`` component planes."""
+        coords = np.asarray(coords, dtype=np.float64)
+        # one strided transpose up front; every step after it runs on
+        # contiguous planes
+        u = np.subtract(np.moveaxis(coords, -1, 0),
+                        _planes(self.origin, coords.ndim), order="C")
+        u /= self.spacing
         # non-finite coordinates (degenerate poses) land far outside the
         # box: clamped inside with a very large out-of-box penalty
         u = np.nan_to_num(u, nan=1e4, posinf=1e4, neginf=-1e4)
-        uc = np.clip(u, 0.0, dims - 1.0 - 1e-9)
+        dims = np.asarray(self.shape, dtype=np.float64)
+        uc = np.clip(u, 0.0, _planes(dims - 1.0 - 1e-9, coords.ndim))
         out = u - uc                     # signed out-of-box displacement
         i0 = np.floor(uc).astype(np.int64)
-        i1 = np.minimum(i0 + 1, (np.asarray(self.shape) - 1))
+        i1 = np.minimum(i0 + 1, _planes(np.asarray(self.shape) - 1,
+                                        coords.ndim))
         f = uc - i0
-        return uc, i0, i1, f, out
-
-    def _corner_flat(self, i0: np.ndarray, i1: np.ndarray) -> np.ndarray:
-        """Raveled indices ``(..., 8)`` of the eight interpolation corners.
-
-        Computed once per lookup and shared by all four map channels — the
-        multi-dimensional fancy indexing this replaces re-derived the same
-        flat offsets once per corner per channel (32 times).  Corner order
-        matches :meth:`_interp`: ``c000, c100, c010, c110, c001, ..., c111``.
-        """
-        _, ny, nz = self.shape
-        x0, y0, z0 = i0[..., 0], i0[..., 1], i0[..., 2]
-        x1, y1, z1 = i1[..., 0], i1[..., 1], i1[..., 2]
-        bx0 = x0 * ny
-        bx1 = x1 * ny
-        r00 = (bx0 + y0) * nz
-        r10 = (bx1 + y0) * nz
-        r01 = (bx0 + y1) * nz
-        r11 = (bx1 + y1) * nz
-        flat = np.empty(i0.shape[:-1] + (8,), dtype=np.int64)
-        flat[..., 0] = r00 + z0
-        flat[..., 1] = r10 + z0
-        flat[..., 2] = r01 + z0
-        flat[..., 3] = r11 + z0
-        flat[..., 4] = r00 + z1
-        flat[..., 5] = r10 + z1
-        flat[..., 6] = r01 + z1
-        flat[..., 7] = r11 + z1
-        return flat
+        return i0, i1, f, out
 
     def _gather_corners(self, type_idx: np.ndarray, i0: np.ndarray,
                         i1: np.ndarray) -> np.ndarray:
         """Corner values of all four channels in one ``take``.
 
-        Returns ``(4, ..., n_atoms, 8)``: channel 0 is the per-atom-type
-        affinity map, channels 1-3 the shared elec / desolv_v / desolv_s
-        maps.  Per-atom type offsets plus the flat corner indices address
-        the stacked buffer built in ``__post_init__``.
+        Returns ``(8, 4, ..., n_atoms)``, corner-major: channel 0 is the
+        per-atom-type affinity map, channels 1-3 the shared elec /
+        desolv_v / desolv_s maps.  Per-atom type offsets plus the flat
+        corner indices address the stacked buffer built in
+        ``__post_init__``.
         """
         if self._flat_maps is None:
             self._build_flat()
-        flat = self._corner_flat(i0, i1)               # (..., n, 8)
+        _, ny, nz = self.shape
+        flat = _corner_flat(i0, i1, ny, nz)            # (8, ..., n)
         n = type_idx.shape[0]
         # channel 0: per-atom voxel-block offset; channels 1-3: fixed
         # blocks.  The offset tensor depends only on the caller's type_idx
@@ -261,70 +341,10 @@ class GridMaps:
             offs = np.empty((4, n), dtype=np.int64)
             np.multiply(type_idx, self._n_voxels, out=offs[0])
             offs[1:] = self._chan_base[:, None]
-            # right-align the per-atom axis against flat's (..., n, 8)
-            offs = offs.reshape((4,) + (1,) * (flat.ndim - 2) + (n, 1))
+            # right-align the per-atom axis against flat's (8, ..., n)
+            offs = offs.reshape((4,) + (1,) * (flat.ndim - 2) + (n,))
             self._offs_cache = (type_idx, flat.ndim, offs)
-        return self._flat_maps.take(flat[None] + offs)
-
-    @staticmethod
-    def _corners(maps: np.ndarray, sel, i0, i1):
-        """Gather the eight corner values (single-channel legacy path).
-
-        ``maps`` is ``(T, nx, ny, nz)`` with ``sel`` per-atom map indices, or
-        ``(nx, ny, nz)`` with ``sel is None``.
-        """
-        x0, y0, z0 = i0[..., 0], i0[..., 1], i0[..., 2]
-        x1, y1, z1 = i1[..., 0], i1[..., 1], i1[..., 2]
-        if sel is None:
-            g = lambda ix, iy, iz: maps[ix, iy, iz]
-        else:
-            g = lambda ix, iy, iz: maps[sel, ix, iy, iz]
-        return np.stack(
-            [g(x0, y0, z0), g(x1, y0, z0), g(x0, y1, z0), g(x1, y1, z0),
-             g(x0, y0, z1), g(x1, y0, z1), g(x0, y1, z1), g(x1, y1, z1)],
-            axis=-1)
-
-    @staticmethod
-    def _interp(c, f):
-        """Trilinear blend of the eight corner values ``c (..., 8)`` at
-        fractions ``f (..., 3)``; extra leading axes of ``c`` (the channel
-        axis of the fused gather) broadcast against ``f``."""
-        fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
-        gx, gy, gz = 1 - fx, 1 - fy, 1 - fz
-        c00 = c[..., 0] * gx + c[..., 1] * fx
-        c10 = c[..., 2] * gx + c[..., 3] * fx
-        c01 = c[..., 4] * gx + c[..., 5] * fx
-        c11 = c[..., 6] * gx + c[..., 7] * fx
-        c0 = c00 * gy + c10 * fy
-        c1 = c01 * gy + c11 * fy
-        return c0 * gz + c1 * fz
-
-    @staticmethod
-    def _interp_grad_raw(c, f):
-        """Analytic gradient of the trilinear interpolant in *grid units*
-        (not yet divided by the spacing — cohort packs divide by a
-        per-ligand spacing tensor instead of this map's scalar)."""
-        fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
-        ox, oy, oz = 1 - fx, 1 - fy, 1 - fz
-        c000, c100, c010, c110 = c[..., 0], c[..., 1], c[..., 2], c[..., 3]
-        c001, c101, c011, c111 = c[..., 4], c[..., 5], c[..., 6], c[..., 7]
-        gx = ((c100 - c000) * oy * oz
-              + (c110 - c010) * fy * oz
-              + (c101 - c001) * oy * fz
-              + (c111 - c011) * fy * fz)
-        gy = ((c010 - c000) * ox * oz
-              + (c110 - c100) * fx * oz
-              + (c011 - c001) * ox * fz
-              + (c111 - c101) * fx * fz)
-        gz = ((c001 - c000) * ox * oy
-              + (c101 - c100) * fx * oy
-              + (c011 - c010) * ox * fy
-              + (c111 - c110) * fx * fy)
-        return np.stack([gx, gy, gz], axis=-1)
-
-    def _interp_grad(self, c, f):
-        """Analytic gradient of the trilinear interpolant [per Å]."""
-        return self._interp_grad_raw(c, f) / self.spacing
+        return self._flat_maps.take(flat[:, None] + offs)
 
     # ------------------------------------------------------------------
     # public lookups
@@ -347,28 +367,9 @@ class GridMaps:
         ``(pop, n_atoms)`` energies, plus ``(pop, n_atoms, 3)`` gradients
         when ``with_gradient`` is set.
         """
-        _, i0, i1, f, out = self._locate(coords)
-        charges = np.asarray(charges, dtype=np.float64)
-        solpar = np.asarray(solpar, dtype=np.float64)
-        vol = np.asarray(vol, dtype=np.float64)
-
-        # fused corner gather + channel-stacked blends: one take for all
-        # four map channels, then one (vectorised over the channel axis)
-        # trilinear blend — per-channel values are bit-identical to four
-        # separate single-channel interpolations
-        c = self._gather_corners(type_idx, i0, i1)     # (4, ..., n, 8)
-        e = self._interp(c, f)                         # (4, ..., n)
-        energy = e[0] + charges * e[1] + solpar * e[2] + vol * e[3]
-
-        # out-of-box quadratic penalty (grid-space displacement -> Å)
-        d_out = out * self.spacing
-        energy = energy + OUT_OF_BOX_PENALTY * np.sum(d_out ** 2, axis=-1)
-
-        if not with_gradient:
-            return energy
-
-        g = self._interp_grad(c, f)                    # (4, ..., n, 3)
-        grad = (g[0] + charges[..., None] * g[1]
-                + solpar[..., None] * g[2] + vol[..., None] * g[3])
-        grad = grad + 2.0 * OUT_OF_BOX_PENALTY * d_out
-        return energy, grad
+        i0, i1, f, out = self._locate(coords)
+        c = self._gather_corners(type_idx, i0, i1)     # (8, 4, ..., n)
+        return _grid_terms(c, f, out * self.spacing, self.spacing,
+                           np.asarray(charges, dtype=np.float64),
+                           np.asarray(solpar, dtype=np.float64),
+                           np.asarray(vol, dtype=np.float64), with_gradient)

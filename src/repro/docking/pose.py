@@ -122,8 +122,11 @@ class RotationList:
             sin_all = np.sin(angles)
             omc_all = 1.0 - cos_all
         # torsions, root -> leaf: the inlined equivalent of
-        # quaternion.axis_angle_rotate; the three-term dot products keep
-        # np.sum's left-to-right order, so the bits match
+        # quaternion.axis_angle_rotate.  The explicit three-term sums add
+        # in np.sum's left-to-right order: the axis norm (a sum of
+        # squares) matches np.sum bit for bit, and k_dot does except on
+        # an all -0.0 product row, where it keeps -0.0 and np.sum gives
+        # +0.0 (see quaternion.xyz_sum)
         for k, (atom_a, atom_b, moved, seg, slot) in enumerate(self.steps):
             b = coords[atom_b]                       # (3, B) / (n, 3, B)
             axis = b - coords[atom_a]

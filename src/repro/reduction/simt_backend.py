@@ -30,25 +30,31 @@ def tree_width(n: int) -> int:
     return 1 << (n - 1).bit_length() if n > 0 else 0
 
 
-def _tree_reduce_inplace(buf: np.ndarray) -> np.ndarray:
-    """The stride-halving tree over the last axis of a float32 scratch
-    buffer of :func:`tree_width` width (real values first, zeros after),
-    added in place; returns the ``(...)`` sums as a view into ``buf``.
+def _tree_reduce_inplace(buf: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The stride-halving tree over ``axis`` of a float32 scratch buffer
+    of :func:`tree_width` width along it (real values first, zeros
+    after), added in place; returns the sums (``axis`` dropped) as a view
+    into ``buf``.
 
     Callers that build their operand anyway (the cohort engine's
     contribution rows) allocate it at this width and reduce it here
-    directly, without :func:`simt_tree_reduce`'s copy.
+    directly, without :func:`simt_tree_reduce`'s copy.  ``axis=0`` runs
+    the same pairwise adds over a leading axis, where each stage is one
+    contiguous block add (the Grotbond torsion sums use it).
     """
-    size = buf.shape[-1]
+    axis %= buf.ndim
+    lead = (slice(None),) * axis
+    size = buf.shape[axis]
     if size == 0:
-        return np.zeros(buf.shape[:-1], dtype=np.float32)
+        return np.zeros(buf.shape[:axis] + buf.shape[axis + 1:],
+                        dtype=np.float32)
     while size > 1:
         half = size // 2
         # in-place pairwise add (same FP32 adds the copy-assign form
         # performed, without the per-stage temporary)
-        buf[..., :half] += buf[..., half:size]
+        buf[lead + (slice(0, half),)] += buf[lead + (slice(half, size),)]
         size = half
-    return buf[..., 0]
+    return buf[lead + (0,)]
 
 
 def simt_tree_reduce(values: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Tests for the content-addressed grid/ligand cache."""
 
 import multiprocessing as mp
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.io import read_maps, write_maps, write_pdbqt
+from repro.io import pack_rlig, read_maps, write_maps, write_pdbqt
 from repro.serve import ContentCache, file_sha256, maps_digest
-from repro.serve.cache import load_ligand, load_maps
+from repro.serve.cache import load_ligand, load_maps, open_rlig
 
 
 class TestAccounting:
@@ -103,6 +104,44 @@ class TestAccounting:
         d = ContentCache.delta(before, c.stats())
         assert (d["hits"], d["misses"]) == (1, 1)
         assert d["hit_rate"] == pytest.approx(0.5)
+
+
+class TestSharedPackReader:
+    """``open_rlig``: one shared reader per pack file and process."""
+
+    def test_repack_opens_a_new_reader_and_closes_the_old(
+            self, tmp_path, butane_like):
+        path = tmp_path / "lib.rlig"
+        pack_rlig(path, [butane_like])
+        first = open_rlig(path)
+        assert open_rlig(str(path)) is first
+        pack_rlig(path, [butane_like, butane_like])
+        second = open_rlig(path)
+        assert second is not first
+        assert len(second) == 2
+        assert first._mm is None and first._fh is None     # closed
+        assert open_rlig(path) is second
+
+    def test_repeated_lookups_resolve_the_path_once(
+            self, tmp_path, butane_like, monkeypatch):
+        path = tmp_path / "lib.rlig"
+        pack_rlig(path, [butane_like])
+        resolved = []
+        resolve = Path.resolve
+
+        def counting(self, *args, **kwargs):
+            resolved.append(str(self))
+            return resolve(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "resolve", counting)
+        readers = {id(open_rlig(path)) for _ in range(5)}
+        assert resolved == [str(path)]
+        # another name for the same file: resolved once, same reader
+        alias = tmp_path / "alias.rlig"
+        alias.symlink_to(path)
+        readers |= {id(open_rlig(alias)) for _ in range(3)}
+        assert resolved == [str(path), str(alias)]
+        assert len(readers) == 1
 
 
 class TestContentAddressing:
