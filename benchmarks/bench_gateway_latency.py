@@ -1,8 +1,8 @@
 """Gateway bench: predictor calibration traces + submit→result latency.
 
-Produces ``BENCH_gateway.json`` (schema ``bench-gateway/v1``), the file
-the serving stack's runtime predictor is calibrated against and the CI
-gateway job validates with ``tools/check_bench.py``:
+Produces ``BENCH_gateway.json``, the file the serving stack's runtime
+predictor is calibrated against and CI's bench gate checks a fresh
+``--smoke`` run against with ``tools/check_bench.py``:
 
 * ``shapes`` — the cost-model shape table of the library cases used for
   prediction (committed so admission control can price a named case
@@ -15,7 +15,8 @@ gateway job validates with ``tools/check_bench.py``:
   error against those same traces (the acceptance gate is p50 ≤ 30%);
 * ``latency`` — end-to-end p50/p99 submit→result latency through a
   live in-process gateway (HTTP submission, 2 inline shards, NDJSON
-  stream), the number the "Serving at scale" docs quote.
+  stream), the number the "Serving at scale" docs quote;
+* ``metrics`` — the gated envelope (:func:`metrics`).
 
 Machine speed is normalised the same way as ``bench_hot_path.py``: the
 file records ``numpy_ref_s`` and consumers rescale by the local/committed
@@ -39,9 +40,8 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_hot_path import calibrate  # noqa: E402  (shared machine proxy)
-
-SCHEMA = "bench-gateway/v1"
+# the shared machine probe and the bench envelope
+from bench_hot_path import SCHEMA, calibrate, metric  # noqa: E402
 
 #: calibration cases spanning the library's rotatable-bond range — the
 #: predictor's per-eval cost is regressed on their cost-model shapes
@@ -151,22 +151,45 @@ def measure_latency(doc: dict, n_jobs: int, evals: int) -> dict:
                                    "max": round(float(lat.max()), 4)}}
 
 
+def metrics(doc: dict) -> list[dict]:
+    """The file's gated envelope, derived from its raw sections.
+
+    Latency scales with machine slowness and per-job budget, so the
+    compared number is ``p50 / (numpy_ref_s x evals_per_job)`` —
+    calibration units of submit→result time per eval.
+    """
+    lat, cal = doc["latency"], doc["calibration"]
+    per_eval = lat["submit_to_result_s"]["p50"] / (
+        doc["machine"]["numpy_ref_s"] * lat["evals_per_job"])
+    return [
+        metric("latency.p50_per_eval", "ref/eval", "lower", per_eval, 0.50,
+               smoke=True),
+        metric("calibration.p50_rel_err", "share", "lower",
+               cal["accuracy"]["p50_rel_err"], max=0.30),
+        metric("calibration.traces", "count", "higher",
+               len(cal["entries"]), min=3),
+        metric("latency.shards_used", "count", "higher",
+               len(lat["shards_used"]), min=2),
+    ]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="BENCH_gateway.json")
     ap.add_argument("--smoke", action="store_true",
-                    help="fewer cases, smaller budgets (CI)")
-    ap.add_argument("--repeats", type=int, default=2)
-    ap.add_argument("--latency-jobs", type=int, default=8)
+                    help="fewer cases, smaller budgets, one timing pass "
+                         "(CI)")
     args = ap.parse_args(argv)
 
     from repro.simt.predictor import RuntimePredictor, JobShape
 
     cases = SMOKE_CASES if args.smoke else CALIBRATION_CASES
     spec = CAL_SMOKE if args.smoke else CAL
+    repeats = 1 if args.smoke else 2
 
     doc = {
         "schema": SCHEMA,
+        "bench": "gateway",
         "machine": {
             "numpy_ref_s": round(calibrate(), 4),
             "python": platform.python_version(),
@@ -180,13 +203,13 @@ def main(argv=None) -> int:
     print("calibration traces:")
     entries = doc["calibration"]["entries"]
     for name in cases:
-        entry = measure_case(name, "baseline", spec, args.repeats)
+        entry = measure_case(name, "baseline", spec, repeats)
         entries.append(entry)
         us = entry["wall_s"] / entry["total_evals"] * 1e6
         print(f"  {name:6s} baseline   {entry['wall_s']:7.3f}s "
               f"/ {entry['total_evals']:6d} evals  ({us:6.1f} us/eval)")
     for name, backend in (EXTRA_BACKENDS if not args.smoke else ()):
-        entry = measure_case(name, backend, spec, args.repeats)
+        entry = measure_case(name, backend, spec, repeats)
         entries.append(entry)
         us = entry["wall_s"] / entry["total_evals"] * 1e6
         print(f"  {name:6s} {backend:10s} {entry['wall_s']:7.3f}s "
@@ -212,14 +235,15 @@ def main(argv=None) -> int:
 
     print("gateway latency:")
     doc["latency"] = measure_latency(
-        doc, n_jobs=args.latency_jobs,
-        evals=400 if not args.smoke else 200)
+        doc, n_jobs=6 if args.smoke else 8,
+        evals=200 if args.smoke else 400)
     s = doc["latency"]["submit_to_result_s"]
     print(f"  {doc['latency']['n_jobs']} jobs over "
           f"{len(doc['latency']['shards_used'])} shards: "
           f"p50 {s['p50']:.3f}s, p99 {s['p99']:.3f}s, "
           f"max {s['max']:.3f}s")
 
+    doc["metrics"] = metrics(doc)
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {args.out}")
     return 0

@@ -20,18 +20,17 @@ section — the single-ligand throughput at the screening configuration
 against within the same file.
 
 The result is written as ``BENCH_hot_path.json``; the committed copy at
-the repository root is the performance baseline the CI bench-smoke job
-gates against (see ``tools/check_bench.py``).  Because absolute evals/s
-is machine-dependent, every file also records ``numpy_ref_s`` — the wall
-time of a fixed NumPy calibration workload — so two files can be
-compared in machine-normalised units (evals per calibration-unit).
+the repository root is the performance baseline CI's bench gate compares
+a fresh ``--smoke`` run against (see ``tools/check_bench.py``).  Because
+absolute evals/s is machine-dependent, every file also records
+``numpy_ref_s`` — the wall time of a fixed NumPy calibration workload —
+and its ``metrics`` envelope (:func:`metrics`) states throughput in
+machine-normalised units (evals per calibration unit).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_hot_path.py --out BENCH_hot_path.json
     PYTHONPATH=src python benchmarks/bench_hot_path.py --smoke --out fresh.json
-    # record a pre-optimisation reference measured with an older checkout:
-    PYTHONPATH=src python benchmarks/bench_hot_path.py --pre-file pre.json ...
 """
 
 from __future__ import annotations
@@ -45,7 +44,13 @@ from pathlib import Path
 
 import numpy as np
 
-SCHEMA = "bench-hot-path/v2"
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tools.check_bench import SCHEMA, metric  # noqa: E402
+
+#: fractional drop of a machine-normalised rate that counts as a regression
+BOUND = 0.30
+#: cohort width whose throughput must beat the single-ligand screen row
+GATE_SIZE = "16"
 
 #: back-ends benchmarked by the full reference run (the paper's three
 #: configurations plus the exact float64 reference and the warp-shuffle
@@ -142,8 +147,7 @@ def _stage_breakdown(records: list[dict], metrics_delta: dict,
             spans[rec["name"]] = spans.get(rec["name"], 0.0) + rec["dur_s"]
 
     # stage histograms are emitted by the lock-step engine; older
-    # checkouts (the committed "pre" measurement) only have the spans, so
-    # fall back
+    # checkouts only have the spans, so fall back
     return {
         "score_s": hist_total("lga.stage.score_s"),
         "ga_s": hist_total("lga.stage.ga_s")
@@ -272,30 +276,54 @@ def run_section(config: dict, backends: tuple[str, ...],
     return section
 
 
+def metrics(doc: dict) -> list[dict]:
+    """The file's gated envelope, derived from its raw sections.
+
+    Throughput is machine-normalised — evals/s times the machine's
+    ``numpy_ref_s``, i.e. evals per calibration unit — so a CI runner's
+    smoke run compares with the committed file.  The cohort speedup is a
+    ratio of two rows measured in the same run, so it needs no scaling.
+    """
+    ref_s = doc["machine"]["numpy_ref_s"]
+
+    def rate(name: str, rec: dict, **smoke) -> dict:
+        return metric(f"{name}.evals_per_ref", "evals/ref", "higher",
+                      rec["evals_per_s"] * ref_s, BOUND, **smoke)
+
+    out = [rate(f"smoke.{b}", rec, smoke=True)
+           for b, rec in doc["smoke"]["backends"].items()]
+    out += [rate(f"cohort_smoke.{size}", rec, smoke=True)
+            for size, rec in doc["cohort_smoke"]["sizes"].items()]
+    if doc["screen"] is not None:
+        single = doc["screen"]["backends"]["baseline"]
+        out.append(rate("screen.baseline", single))
+        cohort = doc["cohort"]["sizes"][GATE_SIZE]
+        out.append(metric(f"cohort.{GATE_SIZE}_vs_single", "x", "higher",
+                          cohort["evals_per_s"] / single["evals_per_s"],
+                          min=2.0))
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="BENCH_hot_path.json",
                     help="output JSON path")
     ap.add_argument("--smoke", action="store_true",
-                    help="small case only (CI bench-smoke job)")
-    ap.add_argument("--repeats", type=int, default=2,
-                    help="timing passes per backend (best-of)")
-    ap.add_argument("--pre-file", default=None,
-                    help="JSON from a pre-optimisation checkout whose "
-                         "reference section becomes this file's 'pre'")
+                    help="small case only, best of 3 (CI bench gate)")
     ap.add_argument("--cohort", type=int, default=None, metavar="N",
                     help="quick mode: measure the single-ligand reference "
                          "baseline and one homogeneous cohort of N, print "
                          "the speedup, and exit (no file written)")
     args = ap.parse_args(argv)
+    repeats = 3 if args.smoke else 2      # timing passes (best-of)
 
     if args.cohort is not None:
         print("single-ligand screen config (baseline backend):")
-        single = measure(SCREEN, "baseline", args.repeats)
+        single = measure(SCREEN, "baseline", repeats)
         print(f"  single        {single['evals_per_s']:10.0f} evals/s")
         print(f"cohort {args.cohort} (homogeneous {SCREEN['case']}):")
         rec = measure_cohort([SCREEN["case"]] * args.cohort,
-                             SCREEN, "baseline", args.repeats)
+                             SCREEN, "baseline", repeats)
         ratio = rec["evals_per_s"] / single["evals_per_s"]
         print(f"  cohort {args.cohort:3d}    {rec['evals_per_s']:10.0f} "
               f"evals/s   ({ratio:.2f}x single, "
@@ -304,6 +332,7 @@ def main(argv=None) -> int:
 
     doc = {
         "schema": SCHEMA,
+        "bench": "hot_path",
         "machine": {
             "numpy_ref_s": round(calibrate(), 4),
             "python": platform.python_version(),
@@ -315,47 +344,29 @@ def main(argv=None) -> int:
         "cohort_smoke": None,
         "cohort": None,
         "cohort_mixed": None,
-        "pre": None,
-        "speedup": None,
     }
 
     print("smoke case:")
-    doc["smoke"] = run_section(SMOKE, SMOKE_BACKENDS, args.repeats)
+    doc["smoke"] = run_section(SMOKE, SMOKE_BACKENDS, repeats)
     print("cohort smoke sweep:")
     doc["cohort_smoke"] = run_cohort_section(
-        SMOKE, "baseline", COHORT_SMOKE_SIZES, args.repeats)
+        SMOKE, "baseline", COHORT_SMOKE_SIZES, repeats)
 
     if not args.smoke:
         print("reference case:")
         doc["reference"] = run_section(REFERENCE, REFERENCE_BACKENDS,
-                                       args.repeats)
+                                       repeats)
         print("screen config, single-ligand:")
-        doc["screen"] = run_section(SCREEN, ("baseline",), args.repeats)
+        doc["screen"] = run_section(SCREEN, ("baseline",), repeats)
         print("cohort sweep (homogeneous, screen config):")
         doc["cohort"] = run_cohort_section(
-            SCREEN, "baseline", COHORT_SIZES, args.repeats)
+            SCREEN, "baseline", COHORT_SIZES, repeats)
         print("cohort sweep (mixed set-of-42 prefix, screen config):")
         doc["cohort_mixed"] = run_cohort_section(
-            SCREEN, "baseline", COHORT_MIXED_SIZES, max(1, args.repeats - 1),
+            SCREEN, "baseline", COHORT_MIXED_SIZES, max(1, repeats - 1),
             mixed=True)
 
-    if args.pre_file:
-        pre_doc = json.loads(Path(args.pre_file).read_text())
-        doc["pre"] = {
-            "machine": pre_doc["machine"],
-            "reference": pre_doc["reference"],
-            "smoke": pre_doc.get("smoke"),
-        }
-        if doc["reference"] is not None and pre_doc.get("reference"):
-            doc["speedup"] = {
-                b: round(doc["reference"]["backends"][b]["evals_per_s"]
-                         / pre_doc["reference"]["backends"][b]["evals_per_s"],
-                         3)
-                for b in doc["reference"]["backends"]
-                if b in pre_doc["reference"]["backends"]
-            }
-            print("speedup vs pre:", doc["speedup"])
-
+    doc["metrics"] = metrics(doc)
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {args.out}")
     return 0

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Precision frontier of the reduction backends (``bench-precision/v1``).
+"""Precision frontier of the reduction backends (``BENCH_precision.json``).
 
 Every reduction backend trades accuracy, modelled cost and fault
 robustness differently; this benchmark measures all three axes for the
@@ -29,18 +29,21 @@ root is the committed baseline):
 * **E50** — evaluations to 50% docking success on a small seeded LGA
   grid per backend, the end-to-end consequence of reduction error.
 
+The ``metrics`` envelope (:func:`metrics`) gates them.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_precision_frontier.py \
         --smoke --out fresh-precision.json
 
-CI's precision-smoke job validates the fresh file against the committed
-baseline with ``tools/check_bench.py`` (ULP-bound and E50 gates).
+CI's bench gate checks the fresh file against the committed baseline
+with ``tools/check_bench.py`` (ULP-bound and E50 gates).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -50,9 +53,10 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_hot_path import calibrate  # noqa: E402
+from bench_hot_path import SCHEMA, calibrate, metric  # noqa: E402
 
-SCHEMA = "bench-precision/v1"
+#: fractional rise of a max-ulp error or an E50 that counts as a regression
+BOUND = 0.30
 
 #: every registered backend; keep in sync with repro.reduction.api
 BACKENDS = ("baseline", "warp-shuffle", "tc-fp16", "tcec-tf32", "exact",
@@ -250,14 +254,44 @@ def measure_e50(name: str, spec: dict) -> dict:
 
 # ----------------------------------------------------------------------
 
+def metrics(doc: dict) -> list[dict]:
+    """The file's gated envelope, derived from its raw sections.
+
+    ULP errors are deterministic (seeded families; the smoke grid draws a
+    prefix of the full grid's samples), so every run carries them.  E50
+    values compare only between files that measured the same grid, so
+    their names carry a digest of ``e50_config``.  The baseline backend's
+    E50 must be finite: an all-failure grid means the budget starves the
+    search and the per-backend numbers are censoring artifacts.
+    """
+    backends = doc["backends"]
+    out = [metric("backends", "count", "higher", len(backends), min=6)]
+    for name, rec in backends.items():
+        # the exact reference must stay correctly rounded
+        exact = {"max": 0.5} if name == "exact" else {}
+        out.append(metric(f"{name}.max_ulp_err", "ulp", "lower",
+                          rec["max_ulp_err"], BOUND, smoke=True, **exact))
+        if rec["guaranteed_bound_ok"] is not None:
+            out.append(metric(f"{name}.guaranteed_bound_ok", "bool",
+                              "higher", rec["guaranteed_bound_ok"], min=1))
+    grid = hashlib.sha256(json.dumps(doc["e50_config"], sort_keys=True)
+                          .encode()).hexdigest()[:8]
+    out.append(metric("e50.baseline_finite", "bool", "higher",
+                      backends["baseline"]["e50"]["e50_score"] is not None,
+                      min=1))
+    out += [metric(f"e50.{grid}.{name}", "evals", "lower",
+                   rec["e50"]["e50_score"], BOUND)
+            for name, rec in backends.items()
+            if rec["e50"]["e50_score"] is not None]
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="BENCH_precision.json")
     ap.add_argument("--smoke", action="store_true",
                     help="reduced grid for CI (fewer ULP samples, "
                          "smaller E50 budget)")
-    ap.add_argument("--skip-e50", action="store_true",
-                    help="accuracy + cost + faults only")
     args = ap.parse_args(argv)
 
     n_samples = 4 if args.smoke else 16
@@ -271,10 +305,11 @@ def main(argv=None) -> int:
 
     doc = {
         "schema": SCHEMA,
+        "bench": "precision",
         "machine": {"numpy_ref_s": round(calibrate(), 4)},
         "cost_model": COST,
         "ulp_study": {"seed": 42, "n_samples": len(samples)},
-        "e50_config": None if args.skip_e50 else e50_spec,
+        "e50_config": e50_spec,
         "backends": {},
     }
     for name in BACKENDS:
@@ -282,15 +317,16 @@ def main(argv=None) -> int:
         rec["cost"] = modelled_cost(name)
         rec["fault"] = measure_susceptibility(
             name, np.random.default_rng(7))
-        rec["e50"] = None if args.skip_e50 else measure_e50(name, e50_spec)
+        rec["e50"] = measure_e50(name, e50_spec)
         doc["backends"][name] = rec
         cost = rec["cost"]
         fault = rec["fault"]
         print(f"  {name:14s} max ulp {rec['max_ulp_err']:10.3g}  "
               f"cycles {cost['reduce_slot_cycles'] if cost else '—':>10}  "
               f"suscept {fault['susceptibility'] if fault else '—':>6}  "
-              f"E50 {(rec['e50'] or {}).get('e50_score', '—')}")
+              f"E50 {rec['e50']['e50_score']}")
 
+    doc["metrics"] = metrics(doc)
     Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True)
                               + "\n")
     print(f"wrote {args.out}")

@@ -322,9 +322,15 @@ def _worker_main(task_q, result_q, worker_id: int, cache_bytes: int,
     gets an idle heartbeat only while it carries news (the first one,
     or new job counts): nobody reads the result queue between
     :meth:`WorkerPool.map` calls, and repeats would pile up there.
+
+    A worker whose parent has died exits before it takes another job:
+    it holds the write end of its own task queue, so it would never see
+    EOF, and no one is left to send the drain sentinel.  The idle wait
+    wakes every ``heartbeat_seconds``, so an idle orphan exits that fast.
     """
     import queue as _queue
 
+    parent = mp.parent_process()
     tracer = get_tracer()
     if trace_path is not None:
         from repro.obs import configure
@@ -334,6 +340,9 @@ def _worker_main(task_q, result_q, worker_id: int, cache_bytes: int,
     reported = None           # job counts of the last heartbeat sent
     tracer.event("worker.start", worker_id=worker_id, pid=os.getpid())
     while True:
+        if parent is not None and not parent.is_alive():
+            result_q.cancel_join_thread()     # no reader is left
+            return
         try:
             job = task_q.get(timeout=max(heartbeat_seconds, 0.05))
         except _queue.Empty:

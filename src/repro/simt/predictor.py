@@ -44,8 +44,8 @@ __all__ = ["JobShape", "RuntimePredictor", "shape_from_case",
 DEFAULT_BENCH_PATH = Path(__file__).resolve().parents[3] / \
     "BENCH_gateway.json"
 
-#: schema tag of the gateway bench JSON (validated by tools/check_bench.py)
-BENCH_SCHEMA = "bench-gateway/v1"
+#: envelope tag of every bench JSON (validated by tools/check_bench.py)
+BENCH_SCHEMA = "bench/v1"
 
 
 @dataclass(frozen=True)
@@ -332,9 +332,10 @@ class RuntimePredictor:
                    local_ref_s: float | None = None) -> "RuntimePredictor":
         """Load the committed gateway bench file and fit on its traces."""
         doc = json.loads(Path(path).read_text())
-        if doc.get("schema") != BENCH_SCHEMA:
-            raise ValueError(f"{path}: schema {doc.get('schema')!r} "
-                             f"!= {BENCH_SCHEMA!r}")
+        if doc.get("schema") != BENCH_SCHEMA or doc.get("bench") != "gateway":
+            raise ValueError(f"{path}: not a {BENCH_SCHEMA!r} gateway "
+                             f"bench file (schema {doc.get('schema')!r}, "
+                             f"bench {doc.get('bench')!r})")
         shapes = {name: JobShape.from_dict(d)
                   for name, d in doc.get("shapes", {}).items()}
         cal = doc.get("calibration", {})

@@ -8,6 +8,12 @@ import gc
 import itertools
 import multiprocessing as mp
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +163,54 @@ def _worker_pids():
             if p.name.startswith("repro-serve-worker")}
 
 
+def _running(pid: int) -> bool:
+    """``pid`` exists and is not a zombie (an unreaped exit counts as
+    exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+_ORPHAN_PARENT = textwrap.dedent("""
+    import multiprocessing as mp
+    import sys
+    import threading
+    import time
+
+    from repro.core import DockingConfig
+    from repro.search.lga import LGAConfig
+    from repro.serve import DockingJob, WorkerPool, spawn_seed
+
+    if __name__ == "__main__":
+        n_jobs = int(sys.argv[1])
+        config = DockingConfig(
+            backend="baseline",
+            lga=LGAConfig(pop_size=8, max_evals=3000, max_gens=60,
+                          ls_iters=5, ls_rate=0.25))     # ~0.3 s a job
+        pool = WorkerPool(workers=1, heartbeat_seconds=0.2)
+        jobs = [DockingJob(spec={"kind": "case", "case": "1u4d"},
+                           config=config, n_runs=1, seed=spawn_seed(7, i),
+                           label=f"job{i}") for i in range(n_jobs)]
+        first = threading.Event()
+
+        def drain():
+            for _ in pool.map(jobs):
+                first.set()
+
+        mapper = threading.Thread(target=drain, daemon=True)
+        mapper.start()
+        assert first.wait(timeout=120), "no result"
+        if n_jobs == 1:
+            mapper.join()
+        [worker] = [p for p in mp.active_children()
+                    if p.name.startswith("repro-serve-worker")]
+        print(worker.pid, flush=True)
+        time.sleep(120)
+""")
+
+
 class TestLongLivedPool:
     """A pool's workers (inline: its cache) outlive a :meth:`map` call;
     each call used to spawn, and reap, a fresh set."""
@@ -195,6 +249,35 @@ class TestLongLivedPool:
         del pool
         gc.collect()
         assert not _worker_pids() & started
+
+    @pytest.mark.parametrize("n_jobs", [1, 200], ids=["idle", "busy"])
+    def test_worker_exits_when_its_parent_is_killed(self, tmp_path, n_jobs):
+        # idle: the map is done; busy: one result is in and the task
+        # pipe still holds dozens of jobs (~1 kB each in a 64 kB pipe),
+        # which an orphan must not work through
+        script = tmp_path / "parent.py"
+        script.write_text(_ORPHAN_PARENT)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        parent = subprocess.Popen(
+            [sys.executable, str(script), str(n_jobs)], env=env,
+            stdout=subprocess.PIPE, text=True)
+        worker = None
+        try:
+            worker = int(parent.stdout.readline())
+            parent.send_signal(signal.SIGKILL)       # the parent alone
+            parent.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while _running(worker) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(worker)
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+            parent.stdout.close()
+            if worker is not None and _running(worker):
+                os.kill(worker, signal.SIGKILL)
 
     def test_inline_pool_keeps_one_cache(self):
         pool = WorkerPool(workers=0)

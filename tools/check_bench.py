@@ -1,59 +1,31 @@
 #!/usr/bin/env python
-"""Validate a ``bench_hot_path`` JSON file and gate on regressions.
+"""Gate a ``BENCH_*.json`` file alone, or a fresh run against it.
 
-CI's bench-smoke job runs ``benchmarks/bench_hot_path.py --smoke`` on the
-PR checkout and pipes the fresh file through this checker together with
-the committed baseline (``BENCH_hot_path.json`` at the repository root)::
+Every bench file carries one envelope beside its raw sections::
 
-    python tools/check_bench.py BENCH_hot_path.json \
-        --fresh fresh.json --tolerance 0.30
+    {"schema": "bench/v1", "bench": "<name>", "machine": {...},
+     "metrics": [{"name": ..., "unit": ..., "better": "higher" | "lower",
+                  "bound": <fraction> | null, "value": <number>,
+                  "min": ..., "max": ..., "smoke": true}, ...]}
 
-Three gates:
+``bound`` is the fractional tolerance of a comparison against the
+baseline (null: the metric is not compared).  ``min`` / ``max`` are hard
+limits that every file must meet.  ``smoke: true`` marks a bounded metric
+that every run of the producer emits, so both files of a comparison must
+carry it.  Booleans are stored as 0/1.  Producers write machine-dependent
+rates already scaled by their ``machine.numpy_ref_s`` probe, so this
+checker compares plain numbers and knows no bench by name::
 
-* **schema** — every file must carry the ``bench-hot-path/v2`` layout:
-  machine calibration, per-backend throughput records with positive
-  evals/s and a per-stage breakdown, plus cohort sweep sections
-  (``cohort_smoke`` / ``cohort`` / ``cohort_mixed``) whose per-size
-  records carry positive throughput and a ``pad_ratio`` in ``[0, 1)``;
-* **regression** — for every backend present in both files' smoke
-  sections, and every cohort size present in both files' cohort-smoke
-  sweeps, the fresh *machine-normalised* throughput (evals/s scaled by
-  the machine's ``numpy_ref_s`` calibration time, i.e. evals per
-  calibration-unit) must be within ``--tolerance`` of the committed
-  baseline.  Absolute evals/s is machine-dependent; the calibration
-  workload makes a laptop's file comparable to a CI runner's;
-* **cohort speedup** — a file carrying both a ``screen`` single-ligand
-  measurement and a ``cohort`` sweep with size 16 must show the cohort
-  at >= ``--cohort-min-speedup`` (default 2.0) times the single-ligand
-  baseline-backend throughput — the multi-ligand engine's reason to
-  exist.  Both sides run the *same* screening configuration (few runs
-  per ligand, the workload the cohort engine widens) on the same
-  machine in the same run, so the ratio needs no normalisation.
+    python tools/check_bench.py BENCH_hot_path.json --fresh fresh.json
 
-The checker also validates ``bench-gateway/v1`` files
-(``BENCH_gateway.json`` from ``benchmarks/bench_gateway_latency.py``) —
-dispatched on the file's ``schema`` field: shape table and calibration
-traces well-formed, the runtime predictor's p50 relative error within
-``--max-p50-err`` (default 0.30, the serving acceptance gate), latency
-quantiles ordered, and (with ``--fresh``) machine-normalised p50
-submit→result latency within tolerance of the committed baseline.
-
-``bench-precision/v1`` files (``BENCH_precision.json`` from
-``benchmarks/bench_precision_frontier.py``) gate the reduction-backend
-precision frontier: every Ozaki-scheme backend must have met its
-analytic error bound on every adversarial sample, the ``exact``
-reference must stay correctly rounded (``--max-exact-ulp``), a present
-E50 grid must have a measurable baseline, and (with ``--fresh``)
-per-backend max-ulp error — plus E50 when both files measured the same
-grid — is compared within ``--tolerance``.
-
-``bench-store-io/v1`` files (``BENCH_store_io.json`` from
-``benchmarks/bench_store_io.py``) get their own gates: a warm
-store-backed screen must show zero ``parse.*`` / ``grid.build`` spans
-(with the cold run showing the contrast), the sharded warm manifest must
-merge to the single-file ranking, sharded appends must beat full-rewrite
-per completion by ``--manifest-min-speedup``, and (with ``--fresh``)
-pack/read/append/screen rates are compared machine-normalised.
+Each file's envelope must be well-formed, with a positive machine probe,
+and meet every limit.  With ``--fresh``, both files must name the same
+bench, and a metric carried by both must have the same declaration in
+both: the baseline's bounds govern, so a fresh file cannot loosen them.
+Every smoke metric of either file must be in the other, at least one
+bounded metric must be shared, and each shared bounded metric must hold
+``fresh >= base * (1 - bound)`` when higher is better, or
+``fresh <= base * (1 + bound)`` when lower is.
 
 Pure stdlib, so it runs before any project dependency is importable.
 """
@@ -62,774 +34,185 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
-SCHEMA = "bench-hot-path/v2"
-GATEWAY_SCHEMA = "bench-gateway/v1"
-STORE_SCHEMA = "bench-store-io/v1"
-PRECISION_SCHEMA = "bench-precision/v1"
+SCHEMA = "bench/v1"
 
-#: minimum backends a precision file must cover (frontier completeness)
-_PRECISION_MIN_BACKENDS = 6
-
-#: span names that must not fire on a warm store-backed worker
-_WARM_FORBIDDEN_SPANS = ("parse.ligand", "parse.maps", "grid.build")
-
-_SHAPE_KEYS = ("n_atoms", "n_rot", "n_rotlist", "n_intra", "n_genes")
-
-_STAGE_KEYS = ("score_s", "ga_s", "ls_s", "reduce4_s")
-_COHORT_SECTIONS = ("cohort_smoke", "cohort", "cohort_mixed")
-#: gated cohort width of the speedup acceptance check
-_GATE_SIZE = "16"
+#: the fields two files must agree on for a metric they both carry
+_DECLARATION = ("unit", "better", "bound", "min", "max", "smoke")
+_FIELDS = {"name", "value", *_DECLARATION}
 
 
 class BenchError(Exception):
     pass
 
 
-def _fail(path: str, msg: str) -> None:
-    raise BenchError(f"{path}: {msg}")
+def metric(name: str, unit: str, better: str, value: float,
+           bound: float | None = None, **limits) -> dict:
+    """One ``metrics`` entry; ``limits`` takes ``min``, ``max`` and
+    ``smoke``.  A boolean value is stored as 0/1."""
+    if isinstance(value, bool):
+        value = int(value)
+    return {"name": name, "unit": unit, "better": better, "bound": bound,
+            "value": value, **limits}
 
 
-def load(path: str) -> dict:
+def _number(x) -> bool:
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
+def _problem(m) -> str | None:
+    """Why ``m`` is not a well-formed metric, or None."""
+    if not isinstance(m, dict):
+        return "must be an object"
+    if set(m) - _FIELDS:
+        return f"unknown fields {sorted(set(m) - _FIELDS)}"
+    if not isinstance(m.get("name"), str) or not m["name"]:
+        return "needs a name"
+    if not isinstance(m.get("unit"), str):
+        return "needs a unit"
+    if m.get("better") not in ("higher", "lower"):
+        return f"better must be 'higher' or 'lower', got {m.get('better')!r}"
+    if "bound" not in m or not (m["bound"] is None
+                                or _number(m["bound"]) and m["bound"] >= 0):
+        return f"bound must be null or >= 0, got {m.get('bound')!r}"
+    if not _number(m.get("value")):
+        return f"value must be a finite number, got {m.get('value')!r}"
+    for key in ("min", "max"):
+        if key in m and not _number(m[key]):
+            return f"{key} must be a finite number, got {m[key]!r}"
+    if m.get("smoke", True) is not True:
+        return f"smoke must be true or absent, got {m['smoke']!r}"
+    if m.get("smoke") and m["bound"] is None:
+        return "a smoke metric must carry a bound"
+    return None
+
+
+def load(path: str) -> tuple[str, dict[str, dict]]:
+    """Read one bench file and check its envelope: (bench, metrics by
+    name)."""
     try:
         doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        _fail(path, "no such file")
-    except json.JSONDecodeError as exc:
-        _fail(path, f"not valid JSON: {exc}")
+    except (OSError, json.JSONDecodeError) as exc:
+        raise BenchError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
-        _fail(path, "top level must be an object")
-    return doc
-
-
-def validate(path: str, doc: dict) -> None:
+        raise BenchError(f"{path}: top level must be an object")
     if doc.get("schema") != SCHEMA:
-        _fail(path, f"schema {doc.get('schema')!r} != {SCHEMA!r}")
-
+        raise BenchError(f"{path}: schema {doc.get('schema')!r} != "
+                         f"{SCHEMA!r}")
+    if not isinstance(doc.get("bench"), str) or not doc["bench"]:
+        raise BenchError(f"{path}: 'bench' must name the bench")
     machine = doc.get("machine")
-    if not isinstance(machine, dict):
-        _fail(path, "missing 'machine' section")
-    ref_s = machine.get("numpy_ref_s")
-    if not isinstance(ref_s, (int, float)) or ref_s <= 0:
-        _fail(path, f"machine.numpy_ref_s must be positive, got {ref_s!r}")
-
-    sections = [s for s in ("smoke", "reference", "screen")
-                if doc.get(s) is not None]
-    if not any(s in ("smoke", "reference") for s in sections):
-        _fail(path, "needs at least one of 'smoke' / 'reference'")
-    for sname in sections:
-        section = doc[sname]
-        for key in ("case", "n_runs", "seed", "lga", "backends"):
-            if key not in section:
-                _fail(path, f"{sname}: missing {key!r}")
-        backends = section["backends"]
-        if not isinstance(backends, dict) or not backends:
-            _fail(path, f"{sname}: 'backends' must be a non-empty object")
-        for bname, rec in backends.items():
-            where = f"{sname}.backends.{bname}"
-            for key in ("wall_s", "total_evals", "evals_per_s"):
-                v = rec.get(key)
-                if not isinstance(v, (int, float)) or v <= 0:
-                    _fail(path, f"{where}: {key} must be positive, "
-                                f"got {v!r}")
-            stages = rec.get("stages")
-            if not isinstance(stages, dict):
-                _fail(path, f"{where}: missing 'stages' breakdown")
-            unknown = set(stages) - set(_STAGE_KEYS)
-            if unknown:
-                _fail(path, f"{where}: unknown stage keys {sorted(unknown)}")
-            for key, v in stages.items():
-                if v is not None and (not isinstance(v, (int, float))
-                                      or v < 0):
-                    _fail(path, f"{where}: stage {key} must be null or "
-                                f">= 0, got {v!r}")
-
-    for sname in _COHORT_SECTIONS:
-        section = doc.get(sname)
-        if section is None:
-            continue
-        for key in ("case", "n_runs", "seed", "lga", "backend", "sizes"):
-            if key not in section:
-                _fail(path, f"{sname}: missing {key!r}")
-        sizes = section["sizes"]
-        if not isinstance(sizes, dict) or not sizes:
-            _fail(path, f"{sname}: 'sizes' must be a non-empty object")
-        for size, rec in sizes.items():
-            where = f"{sname}.sizes.{size}"
-            if not str(size).isdigit() or int(size) < 1:
-                _fail(path, f"{sname}: size key {size!r} must be a "
-                            f"positive integer")
-            for key in ("cohort", "wall_s", "total_evals", "evals_per_s"):
-                v = rec.get(key)
-                if not isinstance(v, (int, float)) or v <= 0:
-                    _fail(path, f"{where}: {key} must be positive, "
-                                f"got {v!r}")
-            pad = rec.get("pad_ratio")
-            if (not isinstance(pad, (int, float))
-                    or not 0.0 <= pad < 1.0):
-                _fail(path, f"{where}: pad_ratio must be in [0, 1), "
-                            f"got {pad!r}")
+    ref_s = machine.get("numpy_ref_s") if isinstance(machine, dict) else None
+    if not _number(ref_s) or ref_s <= 0:
+        raise BenchError(f"{path}: machine.numpy_ref_s must be positive, "
+                         f"got {ref_s!r}")
+    entries = doc.get("metrics")
+    if not isinstance(entries, list) or not entries:
+        raise BenchError(f"{path}: 'metrics' must be a non-empty list")
+    metrics: dict[str, dict] = {}
+    for i, m in enumerate(entries):
+        problem = _problem(m)
+        if problem:
+            raise BenchError(f"{path}: metrics[{i}]: {problem}")
+        if m["name"] in metrics:
+            raise BenchError(f"{path}: duplicate metric {m['name']!r}")
+        metrics[m["name"]] = m
+    return doc["bench"], metrics
 
 
-def validate_gateway(path: str, doc: dict) -> None:
-    """Schema gate of a ``bench-gateway/v1`` file."""
-    machine = doc.get("machine")
-    if not isinstance(machine, dict):
-        _fail(path, "missing 'machine' section")
-    ref_s = machine.get("numpy_ref_s")
-    if not isinstance(ref_s, (int, float)) or ref_s <= 0:
-        _fail(path, f"machine.numpy_ref_s must be positive, got {ref_s!r}")
-
-    shapes = doc.get("shapes")
-    if not isinstance(shapes, dict) or not shapes:
-        _fail(path, "'shapes' must be a non-empty object")
-    for name, shape in shapes.items():
-        if not isinstance(shape, dict):
-            _fail(path, f"shapes.{name}: must be an object")
-        for key in _SHAPE_KEYS:
-            v = shape.get(key)
-            if not isinstance(v, int) or v < 0:
-                _fail(path, f"shapes.{name}: {key} must be a "
-                            f"non-negative integer, got {v!r}")
-        if shape["n_atoms"] < 1 or shape["n_genes"] < 6:
-            _fail(path, f"shapes.{name}: implausible shape {shape!r}")
-
-    cal = doc.get("calibration")
-    if not isinstance(cal, dict):
-        _fail(path, "missing 'calibration' section")
-    entries = cal.get("entries")
-    if not isinstance(entries, list) or len(entries) < 3:
-        _fail(path, "calibration.entries needs >= 3 measured traces")
-    for i, rec in enumerate(entries):
-        where = f"calibration.entries[{i}]"
-        if rec.get("case") not in shapes:
-            _fail(path, f"{where}: case {rec.get('case')!r} has no "
-                        f"entry in 'shapes'")
-        if not isinstance(rec.get("backend"), str) or not rec["backend"]:
-            _fail(path, f"{where}: missing backend")
-        for key in ("wall_s", "total_evals"):
-            v = rec.get(key)
-            if not isinstance(v, (int, float)) or v <= 0:
-                _fail(path, f"{where}: {key} must be positive, got {v!r}")
-    fit = cal.get("fit")
-    if not isinstance(fit, dict):
-        _fail(path, "missing calibration.fit")
-    for key in ("coeff_a", "coeff_b"):
-        v = fit.get(key)
-        if not isinstance(v, (int, float)) or v < 0:
-            _fail(path, f"calibration.fit.{key} must be >= 0, got {v!r}")
-    acc = cal.get("accuracy")
-    if not isinstance(acc, dict):
-        _fail(path, "missing calibration.accuracy")
-    for key in ("p50_rel_err", "p90_rel_err"):
-        v = acc.get(key)
-        if not isinstance(v, (int, float)) or v < 0:
-            _fail(path, f"calibration.accuracy.{key} must be >= 0, "
-                        f"got {v!r}")
-
-    lat = doc.get("latency")
-    if not isinstance(lat, dict):
-        _fail(path, "missing 'latency' section")
-    n_shards = lat.get("n_shards")
-    if not isinstance(n_shards, int) or n_shards < 1:
-        _fail(path, f"latency.n_shards must be >= 1, got {n_shards!r}")
-    used = lat.get("shards_used")
-    if not isinstance(used, list) or len(used) < min(2, n_shards):
-        _fail(path, f"latency.shards_used must cover >= "
-                    f"{min(2, n_shards)} shards, got {used!r}")
-    epj = lat.get("evals_per_job")
-    if not isinstance(epj, (int, float)) or epj <= 0:
-        _fail(path, f"latency.evals_per_job must be positive, got {epj!r}")
-    quant = lat.get("submit_to_result_s")
-    if not isinstance(quant, dict):
-        _fail(path, "missing latency.submit_to_result_s")
-    for key in ("p50", "p90", "p99", "mean", "max"):
-        v = quant.get(key)
-        if not isinstance(v, (int, float)) or v <= 0:
-            _fail(path, f"latency.submit_to_result_s.{key} must be "
-                        f"positive, got {v!r}")
-    if not quant["p50"] <= quant["p90"] <= quant["p99"] <= quant["max"]:
-        _fail(path, f"latency quantiles out of order: {quant!r}")
-
-
-def gateway_gate(path: str, doc: dict, max_p50_err: float) -> list[str]:
-    """Predictor-accuracy acceptance gate of a gateway bench file."""
-    acc = doc["calibration"]["accuracy"]
-    err = acc["p50_rel_err"]
-    status = "OK" if err <= max_p50_err else "TOO INACCURATE"
-    print(f"  predictor p50 rel err {err:.1%} over {acc.get('n', '?')} "
-          f"traces (need <= {max_p50_err:.0%})  {status}")
-    if status != "OK":
-        return [f"{path}: predictor p50 relative error {err:.1%} exceeds "
-                f"the {max_p50_err:.0%} acceptance gate"]
-    return []
-
-
-def compare_gateway(baseline: dict, fresh: dict,
-                    tolerance: float) -> list[str]:
-    """Machine-normalised per-eval p50 latency regression check.
-
-    Latency scales with machine slowness and per-job budget, so the
-    comparable number is ``p50 / (numpy_ref_s x evals_per_job)`` —
-    calibration units per eval of submit→result time.
-    """
-    def per_eval(doc: dict) -> float:
-        lat = doc["latency"]
-        return (lat["submit_to_result_s"]["p50"]
-                / (doc["machine"]["numpy_ref_s"] * lat["evals_per_job"]))
-
-    base_n, fresh_n = per_eval(baseline), per_eval(fresh)
-    ratio = fresh_n / base_n
-    status = "OK" if ratio <= 1.0 + tolerance else "REGRESSION"
-    print(f"  p50 latency/eval normalised {fresh_n:8.3f} vs "
-          f"baseline {base_n:8.3f}  ({ratio:5.2f}x)  {status}")
-    if status != "OK":
-        return [f"latency: machine-normalised p50 submit→result rose to "
-                f"{ratio:.2f}x of baseline "
-                f"(tolerance {1.0 + tolerance:.2f}x)"]
-    return []
-
-
-def validate_store(path: str, doc: dict) -> None:
-    """Schema gate of a ``bench-store-io/v1`` file."""
-    machine = doc.get("machine")
-    if not isinstance(machine, dict):
-        _fail(path, "missing 'machine' section")
-    ref_s = machine.get("numpy_ref_s")
-    if not isinstance(ref_s, (int, float)) or ref_s <= 0:
-        _fail(path, f"machine.numpy_ref_s must be positive, got {ref_s!r}")
-
-    pack = doc.get("pack")
-    if not isinstance(pack, dict):
-        _fail(path, "missing 'pack' section")
-    if not isinstance(pack.get("n_ligands"), int) or pack["n_ligands"] < 1:
-        _fail(path, f"pack.n_ligands must be a positive integer, "
-                    f"got {pack.get('n_ligands')!r}")
-    for key in ("pack_s", "pack_ligands_per_s", "read_s",
-                "read_ligands_per_s", "pack_bytes", "bytes_per_ligand"):
-        v = pack.get(key)
-        if not isinstance(v, (int, float)) or v <= 0:
-            _fail(path, f"pack.{key} must be positive, got {v!r}")
-
-    man = doc.get("manifest")
-    if not isinstance(man, dict):
-        _fail(path, "missing 'manifest' section")
-    if not isinstance(man.get("n_jobs"), int) or man["n_jobs"] < 1:
-        _fail(path, f"manifest.n_jobs must be a positive integer, "
-                    f"got {man.get('n_jobs')!r}")
-    if not isinstance(man.get("n_shards"), int) or man["n_shards"] < 1:
-        _fail(path, f"manifest.n_shards must be >= 1, "
-                    f"got {man.get('n_shards')!r}")
-    for key in ("sharded_append_s", "sharded_s_per_job",
-                "sharded_jobs_per_s", "single_s_per_job",
-                "append_vs_rewrite_speedup"):
-        v = man.get(key)
-        if not isinstance(v, (int, float)) or v <= 0:
-            _fail(path, f"manifest.{key} must be positive, got {v!r}")
-
-    store = doc.get("store")
-    if not isinstance(store, dict):
-        _fail(path, "missing 'store' section")
-    for key in ("cold_load_s", "warm_load_s", "speedup", "grid_bytes"):
-        v = store.get(key)
-        if not isinstance(v, (int, float)) or v <= 0:
-            _fail(path, f"store.{key} must be positive, got {v!r}")
-
-    screen = doc.get("screen")
-    if not isinstance(screen, dict):
-        _fail(path, "missing 'screen' section")
-    if not isinstance(screen.get("rankings_identical"), bool):
-        _fail(path, "screen.rankings_identical must be a boolean")
-    for sname in ("cold", "warm"):
-        section = screen.get(sname)
-        if not isinstance(section, dict):
-            _fail(path, f"missing screen.{sname} section")
-        for key in ("wall_s", "jobs_per_s"):
-            v = section.get(key)
-            if not isinstance(v, (int, float)) or v <= 0:
-                _fail(path, f"screen.{sname}.{key} must be positive, "
-                            f"got {v!r}")
-        spans = section.get("spans")
-        if not isinstance(spans, dict):
-            _fail(path, f"missing screen.{sname}.spans")
-        for name in _WARM_FORBIDDEN_SPANS:
-            v = spans.get(name)
-            if not isinstance(v, int) or v < 0:
-                _fail(path, f"screen.{sname}.spans.{name} must be a "
-                            f"non-negative integer, got {v!r}")
-
-
-def store_gate(path: str, doc: dict, min_speedup: float) -> list[str]:
-    """Acceptance gates of a store bench file.
-
-    * a warm store-backed screen must never re-parse inputs or rebuild
-      grids (the disk tier's reason to exist);
-    * the cold screen must show the contrast (``grid.build`` fired), or
-      the trace plumbing silently broke and the zero above means
-      nothing;
-    * the sharded warm manifest must merge to the same ranking as the
-      single-file path;
-    * sharded appends must beat full-document rewrites per completion.
-    """
+def check_limits(path: str, metrics: dict[str, dict]) -> list[str]:
+    """Every ``min`` / ``max`` of one file."""
     problems = []
-    screen = doc["screen"]
-    warm = screen["warm"]["spans"]
-    hot = {k: v for k, v in warm.items()
-           if k in _WARM_FORBIDDEN_SPANS and v}
-    status = "OK" if not hot else "NOT WARM"
-    print(f"  warm screen spans {warm}  {status}")
-    if hot:
-        problems.append(f"{path}: warm screen fired cold-path spans "
-                        f"{hot} (must all be zero)")
-    if not any(screen["cold"]["spans"].get(name, 0)
-               for name in _WARM_FORBIDDEN_SPANS):
-        problems.append(f"{path}: cold screen fired none of "
-                        f"{list(_WARM_FORBIDDEN_SPANS)} — trace counting "
-                        f"is broken, the warm zeros prove nothing")
-    if not screen["rankings_identical"]:
-        problems.append(f"{path}: sharded-manifest ranking differs from "
-                        f"the single-file ranking")
-    speedup = doc["manifest"]["append_vs_rewrite_speedup"]
-    status = "OK" if speedup >= min_speedup else "TOO SLOW"
-    print(f"  manifest append-vs-rewrite speedup {speedup:6.1f}x "
-          f"(need >= {min_speedup:.1f}x)  {status}")
-    if status != "OK":
-        problems.append(
-            f"{path}: sharded append is only {speedup:.2f}x faster than "
-            f"a full rewrite per job (need >= {min_speedup:.1f}x)")
-    return problems
-
-
-def compare_store(baseline: dict, fresh: dict,
-                  tolerance: float) -> list[str]:
-    """Machine-normalised regression check of the store throughputs.
-
-    Rates scale inversely with machine slowness, so the comparable
-    number is ``rate x numpy_ref_s`` — work units per calibration unit.
-    """
-    metrics = (("pack lig/s", lambda d: d["pack"]["pack_ligands_per_s"]),
-               ("read lig/s", lambda d: d["pack"]["read_ligands_per_s"]),
-               ("append/s", lambda d: d["manifest"]["sharded_jobs_per_s"]),
-               ("warm jobs/s",
-                lambda d: d["screen"]["warm"]["jobs_per_s"]))
-    problems = []
-    for label, get in metrics:
-        base_n = get(baseline) * baseline["machine"]["numpy_ref_s"]
-        fresh_n = get(fresh) * fresh["machine"]["numpy_ref_s"]
-        ratio = fresh_n / base_n
-        status = "OK" if ratio >= 1.0 - tolerance else "REGRESSION"
-        print(f"  {label:12s} normalised {fresh_n:10.1f} vs "
-              f"baseline {base_n:10.1f}  ({ratio:5.2f}x)  {status}")
-        if status != "OK":
-            problems.append(
-                f"{label}: machine-normalised rate fell to {ratio:.2f}x "
-                f"of baseline (tolerance {1.0 - tolerance:.2f}x)")
-    return problems
-
-
-def _store_main(args: argparse.Namespace, baseline: dict) -> int:
-    """``bench-store-io/v1`` branch of :func:`main` (schema-dispatched)."""
-    try:
-        validate_store(args.baseline, baseline)
-        fresh = None
-        if args.fresh:
-            fresh = load(args.fresh)
-            if fresh.get("schema") != STORE_SCHEMA:
-                _fail(args.fresh, f"schema {fresh.get('schema')!r} != "
-                                  f"{STORE_SCHEMA!r} (baseline is a "
-                                  f"store file)")
-            validate_store(args.fresh, fresh)
-    except BenchError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
-
-    print(f"OK: {args.baseline}: schema {STORE_SCHEMA} valid")
-    problems = store_gate(args.baseline, baseline,
-                          args.manifest_min_speedup)
-    if fresh is not None:
-        print(f"OK: {args.fresh}: schema {STORE_SCHEMA} valid")
-        problems += store_gate(args.fresh, fresh,
-                               args.manifest_min_speedup)
-        problems += compare_store(baseline, fresh, args.tolerance)
-    if problems:
-        for msg in problems:
-            print(f"FAIL: {msg}", file=sys.stderr)
-        return 1
-    if fresh is not None:
-        print(f"OK: no regression beyond {args.tolerance:.0%} tolerance")
-    return 0
-
-
-def validate_precision(path: str, doc: dict) -> None:
-    """Schema gate of a ``bench-precision/v1`` file."""
-    machine = doc.get("machine")
-    if not isinstance(machine, dict):
-        _fail(path, "missing 'machine' section")
-    ref_s = machine.get("numpy_ref_s")
-    if not isinstance(ref_s, (int, float)) or ref_s <= 0:
-        _fail(path, f"machine.numpy_ref_s must be positive, got {ref_s!r}")
-
-    backends = doc.get("backends")
-    if not isinstance(backends, dict):
-        _fail(path, "'backends' must be an object")
-    if len(backends) < _PRECISION_MIN_BACKENDS:
-        _fail(path, f"precision frontier needs >= "
-                    f"{_PRECISION_MIN_BACKENDS} backends, got "
-                    f"{len(backends)}: {sorted(backends)}")
-    for bname, rec in backends.items():
-        where = f"backends.{bname}"
-        for key in ("max_ulp_err", "mean_ulp_err"):
-            v = rec.get(key)
-            if not isinstance(v, (int, float)) or v < 0:
-                _fail(path, f"{where}: {key} must be >= 0, got {v!r}")
-        n = rec.get("n_samples")
-        if not isinstance(n, int) or n < 1:
-            _fail(path, f"{where}: n_samples must be a positive integer, "
-                        f"got {n!r}")
-        if not isinstance(rec.get("per_family_max_ulp"), dict):
-            _fail(path, f"{where}: missing per_family_max_ulp")
-        ok = rec.get("guaranteed_bound_ok")
-        if ok is not None and not isinstance(ok, bool):
-            _fail(path, f"{where}: guaranteed_bound_ok must be null or "
-                        f"boolean, got {ok!r}")
-        cost = rec.get("cost")
-        if cost is not None:
-            for key in ("reduce_slot_cycles", "iteration_us"):
-                v = cost.get(key)
-                if not isinstance(v, (int, float)) or v <= 0:
-                    _fail(path, f"{where}.cost: {key} must be positive, "
-                                f"got {v!r}")
-            tf = cost.get("tensor_fraction")
-            if not isinstance(tf, (int, float)) or not 0.0 <= tf <= 1.0:
-                _fail(path, f"{where}.cost: tensor_fraction must be in "
-                            f"[0, 1], got {tf!r}")
-        fault = rec.get("fault")
-        if fault is not None:
-            sites = fault.get("sites")
-            flipped = fault.get("flipped")
-            if not isinstance(sites, int) or sites < 1:
-                _fail(path, f"{where}.fault: sites must be >= 1, "
-                            f"got {sites!r}")
-            if not isinstance(flipped, int) or not 0 <= flipped <= sites:
-                _fail(path, f"{where}.fault: flipped must be in "
-                            f"[0, sites], got {flipped!r}")
-            s = fault.get("susceptibility")
-            if not isinstance(s, (int, float)) or not 0.0 <= s <= 1.0:
-                _fail(path, f"{where}.fault: susceptibility must be in "
-                            f"[0, 1], got {s!r}")
-        e50 = rec.get("e50")
-        if e50 is not None:
-            v = e50.get("e50_score")
-            if v is not None and (not isinstance(v, (int, float))
-                                  or v <= 0):
-                _fail(path, f"{where}.e50: e50_score must be null or "
-                            f"positive, got {v!r}")
-            sr = e50.get("success_rate")
-            if not isinstance(sr, (int, float)) or not 0.0 <= sr <= 1.0:
-                _fail(path, f"{where}.e50: success_rate must be in "
-                            f"[0, 1], got {sr!r}")
-
-
-def precision_gate(path: str, doc: dict, max_exact_ulp: float) -> list[str]:
-    """Acceptance gates of one precision file.
-
-    * every backend carrying an analytic guarantee (the Ozaki slicers)
-      must have met it on every adversarial sample;
-    * the ``exact`` reference must be correctly rounded (<= ``0.5``
-      output ulp against the float64 ground truth);
-    * when the file carries an E50 grid, the baseline backend's E50
-      must be finite — an all-failure grid means the budget starves
-      the search and the per-backend numbers are censoring artifacts.
-    """
-    problems = []
-    backends = doc["backends"]
-    for bname in sorted(backends):
-        ok = backends[bname].get("guaranteed_bound_ok")
-        if ok is None:
-            continue
-        status = "OK" if ok else "BOUND VIOLATED"
-        print(f"  {bname:14s} guaranteed error bound  {status}")
-        if not ok:
-            problems.append(f"{path}: {bname} exceeded its guaranteed "
-                            f"error bound on an adversarial sample")
-    exact = backends.get("exact")
-    if exact is not None:
-        err = exact["max_ulp_err"]
-        status = "OK" if err <= max_exact_ulp else "NOT CORRECTLY ROUNDED"
-        print(f"  exact          max ulp {err:.4f} "
-              f"(need <= {max_exact_ulp})  {status}")
-        if err > max_exact_ulp:
-            problems.append(f"{path}: exact backend drifted to "
-                            f"{err:.4f} ulp (must stay correctly "
-                            f"rounded, <= {max_exact_ulp})")
-    if doc.get("e50_config") is not None:
-        base = backends.get("baseline", {}).get("e50") or {}
-        if base.get("e50_score") is None:
-            problems.append(f"{path}: baseline E50 is unmeasurable "
-                            f"(zero successes) — the E50 grid budget "
-                            f"starves the search")
-    return problems
-
-
-def compare_precision(baseline: dict, fresh: dict,
-                      tolerance: float) -> list[str]:
-    """ULP and E50 regression gates against the committed baseline.
-
-    ULP errors are deterministic (seeded families; the smoke grid draws
-    a prefix of the full grid's samples), so the fresh max may only
-    *exceed* the baseline by noise-free tolerance.  E50 values are only
-    comparable when both files measured the same grid; smoke runs use a
-    reduced budget and skip the comparison.
-    """
-    problems = []
-    common = sorted(set(baseline["backends"]) & set(fresh["backends"]))
-    if not common:
-        return ["no common backends in precision files"]
-    for bname in common:
-        base_e = baseline["backends"][bname]["max_ulp_err"]
-        fresh_e = fresh["backends"][bname]["max_ulp_err"]
-        limit = base_e * (1.0 + tolerance) + 1.0   # +1 ulp absolute floor
-        status = "OK" if fresh_e <= limit else "REGRESSION"
-        print(f"  {bname:14s} max ulp {fresh_e:12.4g} vs "
-              f"baseline {base_e:12.4g}  {status}")
-        if status != "OK":
-            problems.append(
-                f"{bname}: max ulp error rose to {fresh_e:.4g} "
-                f"(baseline {base_e:.4g}, tolerance {tolerance:.0%})")
-    if (baseline.get("e50_config") is not None
-            and baseline.get("e50_config") == fresh.get("e50_config")):
-        for bname in common:
-            base_rec = baseline["backends"][bname].get("e50") or {}
-            fresh_rec = fresh["backends"][bname].get("e50") or {}
-            base_v, fresh_v = base_rec.get("e50_score"), \
-                fresh_rec.get("e50_score")
-            if base_v is None or fresh_v is None:
+    for name, m in metrics.items():
+        for key in ("min", "max"):
+            if key not in m:
                 continue
-            ratio = fresh_v / base_v
-            status = "OK" if ratio <= 1.0 + tolerance else "REGRESSION"
-            print(f"  {bname:14s} E50 {fresh_v:8.1f} vs "
-                  f"baseline {base_v:8.1f}  ({ratio:5.2f}x)  {status}")
-            if status != "OK":
-                problems.append(
-                    f"{bname}: E50 rose to {ratio:.2f}x of baseline "
-                    f"(tolerance {1.0 + tolerance:.2f}x)")
-    else:
-        print("  E50 grids differ between files; skipping E50 "
-              "regression (ULP gates still apply)")
+            ok = m["value"] >= m[key] if key == "min" else m["value"] <= m[key]
+            print(f"  {name:40s} {m['value']:12.6g} ({key} {m[key]:g})  "
+                  f"{'OK' if ok else 'LIMIT BROKEN'}")
+            if not ok:
+                problems.append(f"{path}: {name} = {m['value']:.6g} breaks "
+                                f"its {key} {m[key]:g}")
     return problems
 
 
-def _precision_main(args: argparse.Namespace, baseline: dict) -> int:
-    """``bench-precision/v1`` branch of :func:`main` (schema-dispatched)."""
-    try:
-        validate_precision(args.baseline, baseline)
-        fresh = None
-        if args.fresh:
-            fresh = load(args.fresh)
-            if fresh.get("schema") != PRECISION_SCHEMA:
-                _fail(args.fresh, f"schema {fresh.get('schema')!r} != "
-                                  f"{PRECISION_SCHEMA!r} (baseline is a "
-                                  f"precision file)")
-            validate_precision(args.fresh, fresh)
-    except BenchError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
-
-    print(f"OK: {args.baseline}: schema {PRECISION_SCHEMA} valid")
-    problems = precision_gate(args.baseline, baseline, args.max_exact_ulp)
-    if fresh is not None:
-        print(f"OK: {args.fresh}: schema {PRECISION_SCHEMA} valid")
-        problems += precision_gate(args.fresh, fresh, args.max_exact_ulp)
-        problems += compare_precision(baseline, fresh, args.tolerance)
-    if problems:
-        for msg in problems:
-            print(f"FAIL: {msg}", file=sys.stderr)
-        return 1
-    if fresh is not None:
-        print(f"OK: no regression beyond {args.tolerance:.0%} tolerance")
-    return 0
-
-
-def normalised(doc: dict, section: str) -> dict[str, float]:
-    """Machine-normalised throughput per backend: evals per calibration
-    unit (evals/s x numpy_ref_s)."""
-    ref_s = doc["machine"]["numpy_ref_s"]
-    return {b: rec["evals_per_s"] * ref_s
-            for b, rec in doc[section]["backends"].items()}
-
-
-def compare(baseline: dict, fresh: dict, tolerance: float,
-            section: str = "smoke") -> list[str]:
-    if baseline.get(section) is None:
-        return [f"baseline has no {section!r} section to compare against"]
-    if fresh.get(section) is None:
-        return [f"fresh file has no {section!r} section"]
-    base_n = normalised(baseline, section)
-    fresh_n = normalised(fresh, section)
+def compare(base: dict[str, dict], fresh: dict[str, dict]) -> list[str]:
+    """Fresh metrics against the baseline's declarations and bounds."""
     problems = []
-    for backend in sorted(set(base_n) & set(fresh_n)):
-        ratio = fresh_n[backend] / base_n[backend]
-        status = "OK" if ratio >= 1.0 - tolerance else "REGRESSION"
-        print(f"  {backend:14s} normalised {fresh_n[backend]:8.1f} vs "
-              f"baseline {base_n[backend]:8.1f}  ({ratio:5.2f}x)  {status}")
-        if status != "OK":
+    shared = [name for name in base if name in fresh]
+    for name in shared:
+        differ = [k for k in _DECLARATION
+                  if base[name].get(k) != fresh[name].get(k)]
+        if differ:
+            problems.append(f"{name}: declaration differs between the "
+                            f"files in {differ}")
+    for name in sorted(base.keys() ^ fresh.keys()):
+        m, side = ((base[name], "fresh") if name in base
+                   else (fresh[name], "baseline"))
+        if m.get("smoke"):
+            problems.append(f"{name}: smoke metric missing from the "
+                            f"{side} file")
+    bounded = [name for name in shared if base[name]["bound"] is not None]
+    if not bounded:
+        problems.append("no bounded metric in both files")
+    for name in bounded:
+        decl = base[name]
+        base_v, fresh_v = decl["value"], fresh[name]["value"]
+        if decl["better"] == "higher":
+            edge = base_v * (1.0 - decl["bound"])
+            ok = fresh_v >= edge
+        else:
+            edge = base_v * (1.0 + decl["bound"])
+            ok = fresh_v <= edge
+        ratio = f"{fresh_v / base_v:5.2f}x" if base_v else "  n/a"
+        print(f"  {name:40s} {fresh_v:12.6g} vs baseline {base_v:12.6g} "
+              f"({ratio})  {'OK' if ok else 'REGRESSION'}")
+        if not ok:
             problems.append(
-                f"{section}/{backend}: machine-normalised evals/s fell to "
-                f"{ratio:.2f}x of baseline (tolerance {1.0 - tolerance:.2f}x)")
-    if not set(base_n) & set(fresh_n):
-        problems.append(f"no common backends in {section!r} sections")
+                f"{name}: {fresh_v:.6g} {decl['unit']} against baseline "
+                f"{base_v:.6g} ({decl['better']} is better, bound "
+                f"{decl['bound']:.0%}, edge {edge:.6g})")
     return problems
-
-
-def compare_cohort(baseline: dict, fresh: dict, tolerance: float,
-                   section: str = "cohort_smoke") -> list[str]:
-    """Per-size machine-normalised regression check of a cohort sweep."""
-    if baseline.get(section) is None or fresh.get(section) is None:
-        return []          # sweep absent on one side: nothing to gate
-    base_ref = baseline["machine"]["numpy_ref_s"]
-    fresh_ref = fresh["machine"]["numpy_ref_s"]
-    base_sizes = baseline[section]["sizes"]
-    fresh_sizes = fresh[section]["sizes"]
-    problems = []
-    common = sorted(set(base_sizes) & set(fresh_sizes), key=int)
-    for size in common:
-        base_n = base_sizes[size]["evals_per_s"] * base_ref
-        fresh_n = fresh_sizes[size]["evals_per_s"] * fresh_ref
-        ratio = fresh_n / base_n
-        status = "OK" if ratio >= 1.0 - tolerance else "REGRESSION"
-        print(f"  cohort {size:>3s}    normalised {fresh_n:8.1f} vs "
-              f"baseline {base_n:8.1f}  ({ratio:5.2f}x)  {status}")
-        if status != "OK":
-            problems.append(
-                f"{section}/size {size}: machine-normalised evals/s fell "
-                f"to {ratio:.2f}x of baseline "
-                f"(tolerance {1.0 - tolerance:.2f}x)")
-    if not common:
-        problems.append(f"no common sizes in {section!r} sweeps")
-    return problems
-
-
-def cohort_gate(path: str, doc: dict, min_speedup: float) -> list[str]:
-    """Within-file speedup gate: cohort 16 vs the single-ligand path at
-    the same screening configuration (the ``screen`` section).
-
-    Only applies when the file carries both measurements (full reference
-    runs); smoke files pass vacuously.
-    """
-    ref = doc.get("screen")
-    sweep = doc.get("cohort")
-    if ref is None or sweep is None:
-        return []
-    single = ref["backends"].get("baseline")
-    rec = sweep["sizes"].get(_GATE_SIZE)
-    if single is None or rec is None:
-        return []
-    ratio = rec["evals_per_s"] / single["evals_per_s"]
-    status = "OK" if ratio >= min_speedup else "TOO SLOW"
-    print(f"  cohort {_GATE_SIZE} speedup: {rec['evals_per_s']:.0f} vs "
-          f"single {single['evals_per_s']:.0f} evals/s "
-          f"({ratio:.2f}x, need >= {min_speedup:.1f}x)  {status}")
-    if status != "OK":
-        return [f"{path}: cohort {_GATE_SIZE} is only {ratio:.2f}x the "
-                f"single-ligand baseline (need >= {min_speedup:.1f}x)"]
-    return []
-
-
-def _gateway_main(args: argparse.Namespace, baseline: dict) -> int:
-    """``bench-gateway/v1`` branch of :func:`main` (schema-dispatched)."""
-    try:
-        validate_gateway(args.baseline, baseline)
-        fresh = None
-        if args.fresh:
-            fresh = load(args.fresh)
-            if fresh.get("schema") != GATEWAY_SCHEMA:
-                _fail(args.fresh, f"schema {fresh.get('schema')!r} != "
-                                  f"{GATEWAY_SCHEMA!r} (baseline is a "
-                                  f"gateway file)")
-            validate_gateway(args.fresh, fresh)
-    except BenchError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
-
-    print(f"OK: {args.baseline}: schema {GATEWAY_SCHEMA} valid")
-    problems = gateway_gate(args.baseline, baseline, args.max_p50_err)
-    if fresh is not None:
-        print(f"OK: {args.fresh}: schema {GATEWAY_SCHEMA} valid")
-        problems += gateway_gate(args.fresh, fresh, args.max_p50_err)
-        problems += compare_gateway(baseline, fresh, args.tolerance)
-    if problems:
-        for msg in problems:
-            print(f"FAIL: {msg}", file=sys.stderr)
-        return 1
-    if fresh is not None:
-        print(f"OK: no regression beyond {args.tolerance:.0%} tolerance")
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("baseline", help="committed BENCH_hot_path.json")
+    p.add_argument("baseline", help="committed BENCH_*.json")
     p.add_argument("--fresh", default=None,
-                   help="freshly measured file to compare (smoke section); "
-                        "omitted = schema validation only")
-    p.add_argument("--tolerance", type=float, default=0.30,
-                   help="allowed fractional throughput drop (default 0.30)")
-    p.add_argument("--section", default="smoke",
-                   choices=("smoke", "reference"),
-                   help="which section to regression-compare")
-    p.add_argument("--cohort-min-speedup", type=float, default=2.0,
-                   help="required cohort-16 speedup over the "
-                        "single-ligand baseline backend (files carrying "
-                        "both measurements; default 2.0)")
-    p.add_argument("--max-p50-err", type=float, default=0.30,
-                   help="gateway files: max allowed predictor p50 "
-                        "relative error (default 0.30)")
-    p.add_argument("--manifest-min-speedup", type=float, default=2.0,
-                   help="store files: required sharded-append speedup "
-                        "over single-file rewrite per job (default 2.0)")
-    p.add_argument("--max-exact-ulp", type=float, default=0.5,
-                   help="precision files: max allowed ulp error of the "
-                        "exact reference backend (default 0.5 — "
-                        "correctly rounded)")
+                   help="freshly measured file of the same bench; "
+                        "omitted = check the baseline alone")
     args = p.parse_args(argv)
 
     try:
-        baseline = load(args.baseline)
-        if baseline.get("schema") == GATEWAY_SCHEMA:
-            return _gateway_main(args, baseline)
-        if baseline.get("schema") == STORE_SCHEMA:
-            return _store_main(args, baseline)
-        if baseline.get("schema") == PRECISION_SCHEMA:
-            return _precision_main(args, baseline)
-        validate(args.baseline, baseline)
+        bench, base = load(args.baseline)
         fresh = None
         if args.fresh:
-            fresh = load(args.fresh)
-            validate(args.fresh, fresh)
+            fresh_bench, fresh = load(args.fresh)
+            if fresh_bench != bench:
+                raise BenchError(f"{args.fresh}: bench {fresh_bench!r} != "
+                                 f"baseline bench {bench!r}")
     except BenchError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
 
-    print(f"OK: {args.baseline}: schema {SCHEMA} valid")
-    problems = cohort_gate(args.baseline, baseline,
-                           args.cohort_min_speedup)
+    print(f"OK: {args.baseline}: {bench} envelope valid "
+          f"({len(base)} metrics)")
+    problems = check_limits(args.baseline, base)
     if fresh is not None:
-        print(f"OK: {args.fresh}: schema {SCHEMA} valid")
-        problems += cohort_gate(args.fresh, fresh,
-                                args.cohort_min_speedup)
-        problems += compare(baseline, fresh, args.tolerance, args.section)
-        if (baseline.get("screen") is not None
-                and fresh.get("screen") is not None):
-            problems += compare(baseline, fresh, args.tolerance, "screen")
-        problems += compare_cohort(baseline, fresh, args.tolerance)
+        print(f"OK: {args.fresh}: {bench} envelope valid "
+              f"({len(fresh)} metrics)")
+        problems += check_limits(args.fresh, fresh)
+        problems += compare(base, fresh)
     if problems:
         for msg in problems:
             print(f"FAIL: {msg}", file=sys.stderr)
         return 1
     if fresh is not None:
-        print(f"OK: no regression beyond {args.tolerance:.0%} tolerance")
+        print("OK: every shared metric within its bound")
     return 0
 
 
