@@ -6,13 +6,13 @@ the denominator of the paper's µs/eval metric) of the lock-step engine
 of one, timed from construction to the last run, as
 :meth:`DockingEngine.dock` runs it) on the reference ADADELTA dock
 config, once per reduction back-end, and breaks the wall time into stages
-using the :mod:`repro.obs` metrics and tracer spans:
+from one traced pass's :mod:`repro.obs` spans (summed per name):
 
-* ``score``   — GA-phase population scoring (``lga.stage.score_s``),
-* ``ga``      — selection / crossover / mutation (``lga.stage.ga_s``),
-* ``ls``      — ADADELTA local search (``lga.stage.ls_s``),
+* ``score``   — GA-phase population scoring (``lga.score``),
+* ``ga``      — selection / crossover / mutation (``lga.ga_generation``),
+* ``ls``      — ADADELTA local search (``lga.ls``),
 * ``reduce4`` — the seven per-iteration reductions inside ``ls``
-  (``reduction.<backend>.reduce4_s``).
+  (``reduction.reduce4``, one span per gradient call).
 
 A full run also records the multi-ligand cohort sweeps and a ``screen``
 section — the single-ligand throughput at the screening configuration
@@ -132,45 +132,30 @@ def _build(config: dict):
     return case.scoring(), LGAConfig(**config["lga"])
 
 
-def _stage_breakdown(records: list[dict], metrics_delta: dict,
-                     backend: str) -> dict:
-    """Fold tracer spans + metric deltas into per-stage seconds."""
-    hist = metrics_delta.get("histograms", {})
-
-    def hist_total(name: str) -> float | None:
-        h = hist.get(name)
-        return float(h["total"]) if h else None
-
+def _stage_breakdown(records: list[dict]) -> dict:
+    """Sum a traced pass's stage spans into per-stage seconds."""
     spans: dict[str, float] = {}
     for rec in records:
         if rec.get("type") == "span":
             spans[rec["name"]] = spans.get(rec["name"], 0.0) + rec["dur_s"]
-
-    # stage histograms are emitted by the lock-step engine; older
-    # checkouts only have the spans, so fall back
-    return {
-        "score_s": hist_total("lga.stage.score_s"),
-        "ga_s": hist_total("lga.stage.ga_s")
-        if "lga.stage.ga_s" in hist else spans.get("lga.ga_generation"),
-        "ls_s": hist_total("lga.stage.ls_s")
-        if "lga.stage.ls_s" in hist else spans.get("adadelta.minimize"),
-        "reduce4_s": hist_total(f"reduction.{backend}.reduce4_s"),
-    }
+    return {"score_s": spans.get("lga.score"),
+            "ga_s": spans.get("lga.ga_generation"),
+            "ls_s": spans.get("lga.ls"),
+            "reduce4_s": spans.get("reduction.reduce4")}
 
 
 def measure(config: dict, backend: str, repeats: int) -> dict:
     """Best-of-``repeats`` throughput plus one traced stage breakdown."""
-    from repro.obs import configure, disable, get_metrics, reset_metrics
+    from repro.obs import configure, disable
     from repro.search.cohort import CohortLGA
 
     scoring, lga = _build(config)
     n_runs, seed = config["n_runs"], config["seed"]
 
-    # untraced timing passes (the tracer's per-span bookkeeping and the
-    # adadelta snapshot/delta hook must not pollute the evals/s number)
+    # untraced timing passes (the tracer's per-span bookkeeping must not
+    # pollute the evals/s number)
     best = None
     for _ in range(repeats):
-        reset_metrics()
         t0 = time.perf_counter()
         [results] = CohortLGA([scoring], backend, lga, seeds=seed).run(
             n_runs)
@@ -185,15 +170,10 @@ def measure(config: dict, backend: str, repeats: int) -> dict:
             }
 
     # one traced pass for the stage breakdown (overhead excluded above)
-    reset_metrics()
     tracer = configure(None, source="bench-hot-path")
-    before = get_metrics().snapshot()
     CohortLGA([scoring], backend, lga, seeds=seed).run(n_runs)
-    from repro.obs import MetricsRegistry
-    delta = MetricsRegistry.delta(before, get_metrics().snapshot())
-    best["stages"] = _stage_breakdown(tracer.records(), delta, backend)
+    best["stages"] = _stage_breakdown(tracer.records())
     disable()
-    reset_metrics()
     return best
 
 
@@ -204,7 +184,6 @@ def measure_cohort(case_names: list[str], config: dict, backend: str,
     Construction (ligand packing) is inside the timed region, as in
     :func:`measure`.
     """
-    from repro.obs import reset_metrics
     from repro.search.cohort import CohortLGA
     from repro.search.lga import LGAConfig
     from repro.testcases import get_test_case
@@ -215,7 +194,6 @@ def measure_cohort(case_names: list[str], config: dict, backend: str,
              for i in range(len(cases))]
     best = None
     for _ in range(repeats):
-        reset_metrics()
         t0 = time.perf_counter()
         runner = CohortLGA([c.scoring() for c in cases], backend, lga,
                            seeds=seeds)
@@ -231,7 +209,6 @@ def measure_cohort(case_names: list[str], config: dict, backend: str,
                 "evals_per_s": round(total / wall, 1),
                 "pad_ratio": round(float(runner.cohort.pack.pad_ratio), 4),
             }
-    reset_metrics()
     return best
 
 

@@ -6,8 +6,9 @@ Two questions, both about `repro.obs`:
    null object), so the hot-path price must be a method call, not I/O;
    with JSONL tracing on, the price is one serialised line per span.
 2. Do the traced reduction timings line up with the simt cost model?
-   `CohortGradientCalculator` times each `reduce4` pair into a per-backend
-   histogram; the cost model prices the same region in device cycles.
+   `CohortGradientCalculator` brackets each `reduce4` pair in one
+   `reduction.reduce4` span; the cost model prices the same region in
+   device cycles.
    The *Python* ratios invert the model's (software-emulated Tensor
    Cores are slower than `np.sum`, while modelled TC hardware is
    cheaper than the SIMT tree) — the cross-check table in EXPERIMENTS.md
@@ -19,8 +20,7 @@ import numpy as np
 import pytest
 
 from repro.docking.cohort import CohortGradientCalculator, CohortScoring
-from repro.obs import Tracer, disable, get_tracer
-from repro.obs.metrics import get_metrics, reset_metrics
+from repro.obs import Tracer, configure, disable, get_tracer
 from repro.search.adadelta import AdadeltaConfig, AdadeltaLocalSearch
 from repro.simt.costmodel import REDUCTION_BACKENDS, KernelCostModel
 from repro.testcases import get_test_case
@@ -70,19 +70,6 @@ def test_jsonl_span_overhead(benchmark, tmp_path):
     tracer.close()
 
 
-@pytest.mark.benchmark(group="obs-metrics")
-def test_counter_and_histogram_overhead(benchmark):
-    """The always-on registry's hot-path cost (one timed reduce4)."""
-    reset_metrics()
-    m = get_metrics()
-
-    def record():
-        m.histogram("reduction.baseline.reduce4_s").observe(1e-4)
-        m.counter("gradient.evals").inc(64)
-
-    benchmark(record)
-
-
 def test_traced_dock_overhead_is_bounded(tmp_path):
     """End to end: a fully traced dock must cost < 30% over untraced.
 
@@ -106,7 +93,6 @@ def test_traced_dock_overhead_is_bounded(tmp_path):
     engine.dock(n_runs=2, seed=0)
     untraced = time.perf_counter() - t0
 
-    from repro.obs import configure
     configure(tmp_path / "dock.jsonl", source="main")
     t0 = time.perf_counter()
     engine.dock(n_runs=2, seed=0)
@@ -120,7 +106,8 @@ def test_traced_dock_overhead_is_bounded(tmp_path):
 
 def test_span_times_vs_cost_model_cycles():
     """The EXPERIMENTS.md cross-check: per-backend reduce4 wall time
-    (traced histograms) against the cost model's reduction cycles.
+    (traced ``reduction.reduce4`` spans) against the cost model's
+    reduction cycles.
 
     Asserted shape: the model prices both TC back-ends *below* the SIMT
     baseline (that is the paper's claim), while emulated Python wall
@@ -134,7 +121,7 @@ def test_span_times_vs_cost_model_cycles():
 
     rows = {}
     for backend in REDUCTION_BACKENDS:
-        reset_metrics()
+        tracer = configure(None)
         ls = AdadeltaLocalSearch(
             CohortGradientCalculator(CohortScoring([sf]), backend),
             AdadeltaConfig(max_iters=30))
@@ -142,11 +129,12 @@ def test_span_times_vs_cost_model_cycles():
         genes = rng.normal(0, 0.5, size=(64, 6 + case.ligand.n_rot))
         genes[:, 0:3] += (case.maps.box_lo + case.maps.box_hi) / 2
         ls.minimize(genes)
-        h = get_metrics().snapshot()[
-            "histograms"][f"reduction.{backend}.reduce4_s"]
+        red = [r["dur_s"] for r in tracer.records()
+               if r["name"] == "reduction.reduce4"]
+        assert len(red) == 30                  # one per iteration
         model = KernelCostModel("A100", 64, backend)
         rows[backend] = {
-            "mean_us": h["total"] / h["count"] * 1e6,
+            "mean_us": sum(red) / len(red) * 1e6,
             "model_cycles": model.iteration_cost(wl).clock.cycles(
                 "reduction"),
             "f": model.tensor_fraction(wl),

@@ -9,8 +9,8 @@ errors are retried with exponential backoff, and a per-cell watchdog
 converts runaway cells into structured :class:`CellFailure` records instead
 of killing the sweep.
 
-Used by the benchmark harness (Figures 1/3) and available as public API
-for custom studies::
+Public API for custom studies (the Figure 1/3 benchmarks run their E50
+cells through ``benchmarks/conftest.run_e50_experiment`` instead)::
 
     from repro.analysis.campaign import E50Campaign
 

@@ -28,7 +28,7 @@ from repro.analysis.success import RunOutcome, evaluate_run
 from repro.core.config import DockingConfig
 from repro.docking.pose import calc_coords
 from repro.docking.rmsd import rmsd
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_tracer
 from repro.reduction.api import ReductionBackend, get_reduction_backend
 from repro.robustness import FaultLedger, GuardedReduction
 from repro.robustness.inject import FaultInjector, InjectingReduction
@@ -83,7 +83,7 @@ def _assemble_result(case: TestCase, cfg: DockingConfig,
                      runs: list[LGAResult],
                      ledger: FaultLedger | None = None) -> DockingResult:
     """Turn finished LGA runs into a :class:`DockingResult` (outcome
-    evaluation, final-pose RMSDs, runtime pricing, metrics)."""
+    evaluation, final-pose RMSDs, runtime pricing)."""
     tracer = get_tracer()
     with tracer.span("engine.finalize", case=case.name):
         outcomes = [evaluate_run(r, case, cfg.criteria) for r in runs]
@@ -99,10 +99,6 @@ def _assemble_result(case: TestCase, cfg: DockingConfig,
     model = _runtime_model(case, cfg, len(runs))
     runtime = model.runtime_seconds(*_eval_mix(cfg, total_evals),
                                     generations)
-    m = get_metrics()
-    m.counter("engine.docks").inc()
-    m.histogram("engine.evals_per_dock").observe(total_evals)
-
     return DockingResult(
         case_name=case.name,
         config=cfg,
@@ -172,9 +168,6 @@ def dock_cohort(cases: list[TestCase],
                              n_runs=n_runs)
     with span:
         results = _dock(cases, cfg, n_runs, seeds, on_generation)
-        m = get_metrics()
-        m.counter("engine.cohorts").inc()
-        m.histogram("cohort.size").observe(C)
         span.set(total_evals=sum(r.total_evals for r in results),
                  quarantined=sum(r.quarantine is not None
                                  for r in results))

@@ -49,8 +49,6 @@ same ligand packed alone, and its scores to the scalar reference
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.docking.energy import (
@@ -67,7 +65,7 @@ from repro.docking.grids import _corner_flat, _grid_terms
 from repro.docking.pose import RotationList
 from repro.docking.quaternion import cross3, so3_left_jacobian, xyz_sum
 from repro.docking.scoring import ScoringFunction
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_tracer
 from repro.robustness.faults import NumericalFaultError
 from repro.reduction.api import ReductionBackend, get_reduction_backend
 from repro.reduction.simt_backend import _tree_reduce_inplace, tree_width
@@ -372,15 +370,14 @@ class LigandPack:
         """Emit per-lane observability for non-finite grid coordinates.
 
         Called only on the slow path (a non-finite value was seen), so the
-        corruption is on record — trace event plus metrics counter naming
-        the offending lanes — even when the run's fault policy clamps and
-        continues (``ignore``).  ``u`` is ``(3, C, B, N)`` planes.
+        corruption is on record — a trace event naming the offending
+        lanes — even when the run's fault policy clamps and continues
+        (``ignore``).  ``u`` is ``(3, C, B, N)`` planes.
         """
         bad = ~np.isfinite(u).reshape(3, self.C, -1).all(axis=(0, 2))
         lanes = [int(g) for g in self.global_indices[bad]]
         names = [getattr(self.ligands[int(a)], "name", "")
                  for a in np.nonzero(bad)[0]]
-        get_metrics().counter("cohort.nonfinite_lanes").inc(len(lanes))
         get_tracer().event("cohort.nonfinite", site="grid-interp",
                            lanes=lanes, ligands=names,
                            n_values=int(np.count_nonzero(~np.isfinite(u))))
@@ -411,8 +408,6 @@ class LigandPack:
             c, inj = self.grid_injector.corrupt_values(c)
             if inj.any():
                 per_lane = inj.sum(axis=(0, 1, 3, 4))
-                get_metrics().counter("cohort.grid_injected").inc(
-                    int(inj.sum()))
                 get_tracer().event(
                     "cohort.grid_inject",
                     lanes=[int(g) for g in
@@ -757,8 +752,6 @@ class CohortGradientCalculator:
         ledger = getattr(self.backend, "ledger", None)
         if ledger is not None:
             ledger.record_lane_faults(lane_counts)
-        get_metrics().counter("cohort.lane_faults").inc(
-            int(np.count_nonzero(mask)))
         get_tracer().event("cohort.lane_faults", site="reduce4",
                            lanes={str(k): v for k, v in lane_counts.items()})
         return lane_counts
@@ -786,25 +779,23 @@ class CohortGradientCalculator:
         vecs[0, ..., 3] = e_atoms
         vecs[1, ..., 0:3] = torque_like
         vecs[1, ..., 3] = 0.0
-        t_red = time.perf_counter()
+        # the paper's instrumented reduction region (clock64-bracketed on
+        # the device): one span per gradient call
         try:
-            red = self.backend.reduce4(vecs.reshape(2, batch, pack.N, 4))
+            with get_tracer().span("reduction.reduce4",
+                                   backend=self.backend.name, rows=batch):
+                red = self.backend.reduce4(
+                    vecs.reshape(2, batch, pack.N, 4))
         except NumericalFaultError as exc:
             # raise policy: name the lanes before the exception unwinds so
             # the lock-step driver can quarantine them (and only them)
             exc.lanes = tuple(sorted(self._attribute_lane_faults(B)))
             raise
-        t_red = time.perf_counter() - t_red
         self._attribute_lane_faults(B)
         g_trans = red[0, :, 0:3].astype(np.float64)
         energy = (red[0, :, 3].astype(np.float64).reshape(A, B)
                   + pack.tors_pen).reshape(batch)
         tau = red[1, :, 0:3].astype(np.float64)
-
-        m = get_metrics()
-        m.histogram(f"reduction.{self.backend.name}.reduce4_s").observe(t_red)
-        m.counter(f"reduction.{self.backend.name}.calls").inc(2)
-        m.counter("gradient.evals").inc(batch)
 
         jl = so3_left_jacobian(x[:, 3:6])
         g_orient = np.einsum("pij,pi->pj", jl, tau)

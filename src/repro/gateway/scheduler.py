@@ -43,7 +43,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_tracer
 from repro.serve.queue import DockingJob, shard_for
 
 __all__ = ["AdmissionError", "ScheduledJob", "SLOScheduler"]
@@ -241,8 +241,8 @@ class SLOScheduler:
         read to price it (a missing or malformed file, an unknown spec
         kind); or with reason ``"unpredictable"`` when the predictor
         returns a non-finite estimate — NaN would pass every limit
-        comparison and poison the shard's backlog.  The
-        ``gateway.unpredictable`` counter ticks for each such job.
+        comparison and poison the shard's backlog.  :attr:`unpredictable`
+        counts each such job.
         """
         unreadable = None
         try:
@@ -258,9 +258,7 @@ class SLOScheduler:
                 reason = "unreadable" if unreadable else "unpredictable"
                 if not unreadable:
                     self.unpredictable += 1
-                    get_metrics().counter("gateway.unpredictable").inc()
                 self.rejected += 1
-                get_metrics().counter("gateway.rejected").inc()
                 limit = (self.slo_seconds if deadline_s is None
                          else deadline_s if self.slo_seconds is None
                          else min(self.slo_seconds, deadline_s))
@@ -279,7 +277,6 @@ class SLOScheduler:
                 if limit is not None and total > limit:
                     self.rejected += 1
                     retry_after = max(0.0, total - limit)
-                    get_metrics().counter("gateway.rejected").inc()
                     get_tracer().event(
                         "gateway.reject", job_id=job_id, shard=shard,
                         tenant=tenant, reason=reason,
@@ -293,11 +290,6 @@ class SLOScheduler:
                                        predicted_s=predicted,
                                        admitted_at=self._clock()))
             self.admitted += 1
-            m = get_metrics()
-            m.counter("gateway.admitted").inc()
-            m.gauge(f"gateway.shard.depth.{shard}").set(state.queued)
-            m.gauge(f"gateway.shard.predicted_backlog.{shard}").set(
-                state.backlog_s)
             get_tracer().event("gateway.admit", job_id=job_id,
                                shard=shard, tenant=tenant,
                                predicted_s=predicted, backlog_s=wait)
@@ -346,8 +338,6 @@ class SLOScheduler:
                     state.deficits[tenant] = 0.0   # idle tenants reset
                 if max_jobs is not None and len(out) >= max_jobs:
                     break
-            get_metrics().gauge(f"gateway.shard.depth.{shard}").set(
-                state.queued)
         return out
 
     def job_done(self, shard: int, predicted_s: float) -> None:
@@ -356,9 +346,6 @@ class SLOScheduler:
             state = self._shards[shard]
             state.backlog_s = max(0.0, state.backlog_s - predicted_s)
             self.completed += 1
-            get_metrics().gauge(
-                f"gateway.shard.predicted_backlog.{shard}").set(
-                state.backlog_s)
 
     # ------------------------------------------------------------------
     # autoscaling
@@ -377,7 +364,6 @@ class SLOScheduler:
             have = self.workers[shard]
             if want != have:
                 self.workers[shard] = want
-                get_metrics().counter("gateway.autoscale_events").inc()
                 get_tracer().event("gateway.autoscale", shard=shard,
                                    workers_from=have, workers_to=want)
         return want

@@ -49,7 +49,7 @@ from repro.gateway.protocol import (HttpRequest, ProtocolError,
                                     job_from_request, json_response,
                                     ndjson_line, read_request)
 from repro.gateway.scheduler import AdmissionError, SLOScheduler
-from repro.obs import get_metrics, get_tracer
+from repro.obs import configure, disable, get_tracer
 from repro.serve.manifest import ShardedManifest, rank_records
 from repro.serve.pool import (DEFAULT_HEARTBEAT_SECONDS, JobResult,
                               WorkerPool, run_batch)
@@ -92,6 +92,8 @@ class GatewayConfig:
     #: shared disk cache tier root (:class:`repro.serve.store.BlobStore`)
     #: fronted by every shard's worker caches
     store: str | None = None
+    #: JSONL trace log: the gateway installs the process tracer when it
+    #: is built and tears it down in :meth:`Gateway.stop`
     trace: str | None = None
     bench_path: str | None = None       # None = committed default
     poll_s: float = 0.05
@@ -124,9 +126,10 @@ class Gateway:
             min_workers=self.config.min_workers,
             max_workers=self.config.max_workers,
             drain_target_s=self.config.drain_target_s)
+        #: the tracer this gateway installed (``None``: the caller's)
+        self._tracer = None
         if self.config.trace:
-            from repro.obs import configure
-            configure(self.config.trace, source="gateway")
+            self._tracer = configure(self.config.trace, source="gateway")
         self._lock = threading.Lock()
         self._manifest = (ShardedManifest(self.config.manifest,
                                           n_shards=self.config.manifest_shards)
@@ -271,7 +274,6 @@ class Gateway:
                 500, {"error": f"{type(exc).__name__}: {exc}"}))
         finally:
             self.requests += 1
-            get_metrics().counter("gateway.requests").inc()
             if req is not None:
                 get_tracer().event("gateway.request", method=req.method,
                                    path=req.path, status=status)
@@ -448,7 +450,10 @@ class Gateway:
                 stats={"scheduler": self.scheduler.snapshot()})
             self._manifest.compact()
             self._manifest.close()
-        get_tracer().flush()
+        # a tracer this gateway installed must not outlive it: a later
+        # untraced run in the process would append to this log
+        if self._tracer is not None and get_tracer() is self._tracer:
+            disable()
 
     def run(self) -> int:
         """Blocking serve (the CLI path): start, wait for shutdown."""

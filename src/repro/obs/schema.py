@@ -16,7 +16,9 @@ field    type    meaning
 ``span`` events additionally carry ``span_id`` (int), ``parent_id``
 (int or null — null marks a root span) and ``dur_s`` (float seconds);
 ``event`` events carry only ``attrs``.  ``attrs`` is a free-form
-JSON object on both types (optional; defaults to empty).
+JSON object on both types (optional; defaults to empty), and ``name``
+is free-form too: README's Observability section lists every span and
+point event the package emits.
 
 The checker used by the CI trace-smoke job (``tools/check_trace.py``)
 and :func:`validate_log` enforce this contract so the ``repro stats``
@@ -29,29 +31,12 @@ import json
 from pathlib import Path
 from typing import Iterable
 
-__all__ = ["SCHEMA_VERSION", "EVENT_TYPES", "WELL_KNOWN_EVENTS",
-           "validate_event", "validate_log", "read_log", "SchemaError"]
+__all__ = ["SCHEMA_VERSION", "EVENT_TYPES", "validate_event",
+           "validate_log", "read_log", "SchemaError"]
 
 SCHEMA_VERSION = 1
 
 EVENT_TYPES = ("span", "event")
-
-#: Documented point-event names, grouped by emitting layer.  The schema
-#: is deliberately open (``name`` is free-form so layers can grow), but
-#: consumers — the ``stats`` renderer, dashboards, the CI trace checker's
-#: ``--expect`` flags — key off these names, so additions belong here.
-WELL_KNOWN_EVENTS = {
-    "worker": ("worker.start", "worker.stop", "worker.heartbeat",
-               "worker.respawn"),
-    "job": ("job.dispatch", "job.complete", "job.failed", "job.retry",
-            "job.dead", "job.corrupt_result"),
-    "queue": ("queue.stats", "pool.depth"),
-    "cohort": ("cohort.split", "cohort.quarantine_redispatch"),
-    # serving gateway (repro.gateway): request lifecycle + scheduler
-    "gateway": ("gateway.request", "gateway.admit", "gateway.reject",
-                "gateway.stream", "gateway.dispatch", "gateway.done",
-                "gateway.autoscale", "gateway.shard.depth"),
-}
 
 _COMMON_FIELDS = {"v": int, "type": str, "name": str,
                   "ts": (int, float), "pid": int, "src": str}

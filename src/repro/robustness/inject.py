@@ -244,7 +244,6 @@ def run_injection_study(case_name: str, *, base: str = "tc-fp16",
     the end-to-end evidence that detection + per-block fallback recovers
     reference accuracy (EXPERIMENTS.md, fault-injection study).
     """
-    from repro.analysis.campaign import E50Campaign  # noqa: F401  (API kin)
     from repro.robustness.faults import FaultLedger
     from repro.search.cohort import CohortLGA
     from repro.search.lga import LGAConfig

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.docking.cohort import CohortGradientCalculator
-from repro.obs import MetricsRegistry, get_metrics, get_tracer
+from repro.obs import get_tracer
 
 __all__ = ["AdadeltaConfig", "AdadeltaLocalSearch"]
 
@@ -93,20 +93,12 @@ class AdadeltaLocalSearch:
         backend_name = getattr(getattr(self.gradient, "backend", None),
                                "name", "none")
         tracer = get_tracer()
-        before = get_metrics().snapshot() if tracer.enabled else None
         span = tracer.span("adadelta.minimize", batch=batch, iters=iters,
                            backend=backend_name)
         with span:
             best_x, best_e, evals = self._iterate(
                 x, eg2, edx2, best_x, best_e, iters, batch, ledger)
-            if before is not None:
-                d = MetricsRegistry.delta(before, get_metrics().snapshot())
-                red = d["histograms"].get(
-                    f"reduction.{backend_name}.reduce4_s", {})
-                span.set(evals=evals,
-                         reduce4_s=red.get("total", 0.0),
-                         reduce4_calls=red.get("count", 0))
-        get_metrics().histogram("adadelta.evals_per_call").observe(evals)
+            span.set(evals=evals)
         return best_x, best_e, evals
 
     def _iterate(self, x, eg2, edx2, best_x, best_e, iters, batch, ledger):

@@ -46,14 +46,12 @@ by ``tests/test_cohort_golden.py`` and ``tests/test_hot_path_golden.py``):
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.docking.cohort import CohortGradientCalculator, CohortScoring
 from repro.docking.genotype import random_genotypes
 from repro.docking.scoring import ScoringFunction
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_tracer
 from repro.reduction.api import ReductionBackend
 from repro.robustness.faults import LaneQuarantine, NumericalFaultError
 from repro.search.adadelta import AdadeltaConfig, AdadeltaLocalSearch
@@ -233,7 +231,6 @@ class CohortLGA:
         q = LaneQuarantine(lane=lane, name=name, generation=generation,
                            reason=reason, detail=detail)
         self.quarantines[lane] = q
-        get_metrics().counter("cohort.quarantines").inc()
         # "name" would collide with the event's own name parameter
         attrs = {**q.to_dict(), "ligand": q.name}
         attrs.pop("name")
@@ -321,21 +318,17 @@ class CohortLGA:
                      genes[c, r, idx[r], :gl].copy()))
 
         n_ls = int(round(cfg.ls_rate * pop))
-        metrics = get_metrics()
         tracer = get_tracer()
-        metrics.histogram("cohort.pad_ratio").observe(pack.pad_ratio)
         span = tracer.span("lga.run", cohort=C, n_runs=R, pop_size=pop,
                            ls_method=cfg.ls_method,
                            pad_ratio=pack.pad_ratio)
         with span:
             while (state < _DONE).any():
                 live = np.nonzero(state < _DONE)[0]
-                t0 = time.perf_counter()
-                sc = self.cohort.score(
-                    genes[live].reshape(len(live), R * pop, G),
-                    live).reshape(len(live), R, pop)
-                metrics.histogram("lga.stage.score_s").observe(
-                    time.perf_counter() - t0)
+                with tracer.span("lga.score", cohort=len(live)):
+                    sc = self.cohort.score(
+                        genes[live].reshape(len(live), R * pop, G),
+                        live).reshape(len(live), R, pop)
                 scores[live] = sc
                 # a stopped run's lanes are never tracked: only live runs
                 # can poison their ligand
@@ -370,7 +363,6 @@ class CohortLGA:
                 work = np.array(work, dtype=np.int64)
                 W = len(work)
 
-                t0 = time.perf_counter()
                 with tracer.span("lga.ga_generation",
                                  generation=int(gens.max()), cohort=W):
                     gas_flat = [gas[c][r] for c in work for r in range(R)]
@@ -379,65 +371,60 @@ class CohortLGA:
                         scores[work].reshape(W * R, pop),
                         glens=np.repeat(pack.glens[work], R),
                     ).reshape(W, R, pop, G)
-                metrics.histogram("lga.stage.ga_s").observe(
-                    time.perf_counter() - t0)
 
                 if n_ls > 0:
-                    t0 = time.perf_counter()
-                    subsets = np.empty((W, R, n_ls), dtype=np.int64)
-                    for w, c in enumerate(work):
-                        for r in range(R):    # per-run draws: seed contract
-                            subsets[w, r] = rngs[c][r].choice(
-                                pop, size=n_ls, replace=False)
-                    selected = np.take_along_axis(
-                        gw, subsets[..., None], axis=2)   # (W, R, n_ls, G)
-                    if cfg.ls_method == "ad":
-                        refined = None
-                        while W > 0:
-                            self.gradient.bind(work)
-                            try:
-                                refined, _, total_ls = \
-                                    self.local_search.minimize(
-                                        selected.reshape(W * R * n_ls, G))
-                            except NumericalFaultError as exc:
-                                # quarantine the attributed lanes and
-                                # replay this generation's LS for the
-                                # survivors: ADADELTA is deterministic, so
-                                # their replay is bit-identical to a
-                                # cohort that never held the bad member
-                                work, gw, subsets, selected = \
-                                    self._freeze_faulty(
-                                        exc, work, gw, subsets, selected,
-                                        gens, state)
-                                W = len(work)
-                                continue
-                            # ADADELTA evals are deterministic
-                            # (iters x batch), so each ligand's share is
-                            # exactly iters x R x n_ls
-                            ls_evals = np.full(W, total_ls // W,
-                                               dtype=np.int64)
-                            refined = refined.reshape(W, R, n_ls, G)
-                            break
-                    else:
-                        refined, _, ls_evals = \
-                            self.local_search.minimize_cohort(
-                                selected.reshape(W, R * n_ls, G), work)
-                        refined = refined.reshape(W, R, n_ls, G)
-                    if refined is not None:
-                        np.put_along_axis(gw, subsets[..., None], refined,
-                                          axis=2)
+                    with tracer.span("lga.ls", cohort=W):
+                        subsets = np.empty((W, R, n_ls), dtype=np.int64)
                         for w, c in enumerate(work):
-                            base, rem = divmod(int(ls_evals[w]), R)
-                            bill = np.full(R, base, dtype=np.int64)
-                            bill[:rem] += 1
-                            evals_run[c] += bill * live_runs[c]
-                    metrics.histogram("lga.stage.ls_s").observe(
-                        time.perf_counter() - t0)
+                            for r in range(R):  # per-run draws: seed contract
+                                subsets[w, r] = rngs[c][r].choice(
+                                    pop, size=n_ls, replace=False)
+                        selected = np.take_along_axis(
+                            gw, subsets[..., None], axis=2)   # (W, R, n_ls, G)
+                        if cfg.ls_method == "ad":
+                            refined = None
+                            while W > 0:
+                                self.gradient.bind(work)
+                                try:
+                                    refined, _, total_ls = \
+                                        self.local_search.minimize(
+                                            selected.reshape(W * R * n_ls, G))
+                                except NumericalFaultError as exc:
+                                    # quarantine the attributed lanes and
+                                    # replay this generation's LS for the
+                                    # survivors: ADADELTA is deterministic, so
+                                    # their replay is bit-identical to a
+                                    # cohort that never held the bad member
+                                    work, gw, subsets, selected = \
+                                        self._freeze_faulty(
+                                            exc, work, gw, subsets, selected,
+                                            gens, state)
+                                    W = len(work)
+                                    continue
+                                # ADADELTA evals are deterministic
+                                # (iters x batch), so each ligand's share is
+                                # exactly iters x R x n_ls
+                                ls_evals = np.full(W, total_ls // W,
+                                                   dtype=np.int64)
+                                refined = refined.reshape(W, R, n_ls, G)
+                                break
+                        else:
+                            refined, _, ls_evals = \
+                                self.local_search.minimize_cohort(
+                                    selected.reshape(W, R * n_ls, G), work)
+                            refined = refined.reshape(W, R, n_ls, G)
+                        if refined is not None:
+                            np.put_along_axis(gw, subsets[..., None], refined,
+                                              axis=2)
+                            for w, c in enumerate(work):
+                                base, rem = divmod(int(ls_evals[w]), R)
+                                bill = np.full(R, base, dtype=np.int64)
+                                bill[:rem] += 1
+                                evals_run[c] += bill * live_runs[c]
                 genes[work] = gw
 
                 for c in work:
                     gens[c] += live_runs[c]
-                    metrics.counter("lga.generations").inc()
                     if (int(evals_run[c].max()) >= cfg.max_evals
                             or int(gens[c].max()) >= cfg.max_gens):
                         state[c] = _FINAL

@@ -47,7 +47,7 @@ import time
 import traceback
 import weakref
 
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_tracer
 from repro.serve.cache import DEFAULT_CAPACITY, ContentCache, load_case
 from repro.serve.ledger import (Dispatch, JobLedger, JobResult, Note,
                                 validate_result_payload)
@@ -59,13 +59,6 @@ __all__ = ["DEFAULT_HEARTBEAT_SECONDS", "JobResult", "WorkerPool",
 
 #: exit code a worker uses for the injected-crash test hook
 _CRASH_EXIT = 17
-
-#: pool metrics counter bumped by each ledger note of that name
-_COUNTERS = {"job.retry": "pool.retries",
-             "job.corrupt_result": "pool.corrupt_results",
-             "job.dead": "pool.dead_letters",
-             "cohort.split": "pool.cohort_splits",
-             "cohort.quarantine_redispatch": "pool.quarantines"}
 
 
 def _apply_poison(case, spec: dict):
@@ -118,9 +111,6 @@ def execute_job(job: DockingJob, cache: ContentCache | None = None,
             payload["cache"] = ContentCache.delta(before, cache.stats())
         span.set(wall_seconds=payload["wall_seconds"],
                  total_evals=result.total_evals)
-    m = get_metrics()
-    m.histogram("job.wall_seconds").observe(payload["wall_seconds"])
-    m.histogram("job.evals").observe(result.total_evals)
     return payload
 
 
@@ -179,10 +169,6 @@ def execute_cohort(job: CohortJob, cache: ContentCache | None = None,
             payload["cache"] = ContentCache.delta(before, cache.stats())
         span.set(wall_seconds=wall, quarantined=len(quarantined),
                  total_evals=sum(r.total_evals for r in results))
-    m = get_metrics()
-    m.histogram("job.wall_seconds").observe(wall)
-    for r in results:
-        m.histogram("job.evals").observe(r.total_evals)
     return payload
 
 
@@ -261,7 +247,7 @@ DEFAULT_HEARTBEAT_SECONDS = 5.0
 def _heartbeat(worker_id: int, jobs_done: int, jobs_failed: int,
                cache: ContentCache,
                interval_s: float = DEFAULT_HEARTBEAT_SECONDS) -> dict:
-    """One worker heartbeat: liveness + a metrics snapshot.
+    """One worker heartbeat: liveness, job counts and cache stats.
 
     Emitted to the trace log and sent to the parent, which surfaces the
     last one per worker in :class:`~repro.serve.screen.VirtualScreen`'s
@@ -276,7 +262,6 @@ def _heartbeat(worker_id: int, jobs_done: int, jobs_failed: int,
         "jobs_failed": jobs_failed,
         "interval_s": interval_s,
         "cache": cache.stats(),
-        "metrics": get_metrics().snapshot(),
     }
 
 
@@ -367,7 +352,6 @@ def _worker_main(task_q, result_q, worker_id: int, cache_bytes: int,
             result_q.put(("done", job.job_id, worker_id, payload))
         except Exception as exc:
             jobs_failed += 1
-            get_metrics().counter("worker.job_errors").inc()
             result_q.put(("failed", job.job_id, worker_id, _error_of(exc)))
         hb = _heartbeat(worker_id, jobs_done, jobs_failed, cache,
                         interval_s=heartbeat_seconds)
@@ -536,9 +520,9 @@ class WorkerPool:
         self._cache = None
 
     def _apply(self, actions: list, queue):
-        """Carry out ledger actions: record notes in the trace log and
-        the pool counters, hand dispatches to ``queue``, yield results."""
-        tracer, metrics = get_tracer(), get_metrics()
+        """Carry out ledger actions: record notes in the trace log,
+        hand dispatches to ``queue``, yield results."""
+        tracer = get_tracer()
         for act in actions:
             if isinstance(act, Dispatch):
                 tracer.event("job.dispatch", job_id=act.job.job_id,
@@ -546,8 +530,6 @@ class WorkerPool:
                 queue(act)
             elif isinstance(act, Note):
                 tracer.event(act.name, **act.attrs)
-                if act.name in _COUNTERS:
-                    metrics.counter(_COUNTERS[act.name]).inc()
                 if act.name == "cohort.quarantine_redispatch":
                     self.quarantines += 1
             else:
@@ -682,7 +664,6 @@ class WorkerPool:
                 replacement = self._spawn_worker()
                 respawns += 1
                 self.workers_replaced += 1
-                get_metrics().counter("pool.crashes").inc()
                 tracer.event("worker.respawn", died=wid,
                              replacement=replacement,
                              exitcode=proc.exitcode)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.config import DockingConfig
-from repro.obs import get_tracer
+from repro.obs import configure, disable, get_tracer
 from repro.serve.cache import DEFAULT_CAPACITY, file_sha256, maps_digest
 from repro.serve.manifest import (ShardedManifest, load_manifest_jobs,
                                   rank_records)
@@ -271,91 +271,94 @@ class VirtualScreen:
         t0 = time.monotonic()
 
         if trace is not None:
-            from repro.obs import configure
             tracer = configure(trace, source="main")
         else:
             tracer = get_tracer()
+        try:
+            results: dict[str, JobResult] = {}
+            if resume and manifest is not None and Path(manifest).exists():
+                for job_id, rd in load_manifest_jobs(manifest).items():
+                    prior = JobResult.from_dict(rd)
+                    if prior.status in ("ok", "cached"):
+                        prior.status = "cached"
+                        results[prior.job_id] = prior
+                    elif prior.status in ("dead", "failed") and not retry_dead:
+                        # dead letters are terminal: resuming must not retry
+                        # a job that already exhausted its budget unless the
+                        # operator explicitly re-admits it
+                        results[prior.job_id] = prior
+            log = (ShardedManifest(manifest, n_shards=manifest_shards)
+                   if manifest is not None else None)
 
-        results: dict[str, JobResult] = {}
-        if resume and manifest is not None and Path(manifest).exists():
-            for job_id, rd in load_manifest_jobs(manifest).items():
-                prior = JobResult.from_dict(rd)
-                if prior.status in ("ok", "cached"):
-                    prior.status = "cached"
-                    results[prior.job_id] = prior
-                elif prior.status in ("dead", "failed") and not retry_dead:
-                    # dead letters are terminal: resuming must not retry
-                    # a job that already exhausted its budget unless the
-                    # operator explicitly re-admits it
-                    results[prior.job_id] = prior
-        log = (ShardedManifest(manifest, n_shards=manifest_shards)
-               if manifest is not None else None)
+            span = tracer.span("screen.run", workers=workers, resume=resume)
+            pool = None
+            new_results: list[JobResult] = []
+            # the log's handles close even when a consumer raises mid-screen
+            with span, (nullcontext() if log is None else log):
+                with tracer.span("screen.build_queue"):
+                    jobs = self.jobs()
+                    unique: dict[str, DockingJob] = {}
+                    for job in jobs:                 # same content, one job
+                        unique.setdefault(job.job_id, job)
+                    # lower priority first; sorted() keeps library order
+                    to_run = sorted((job for job_id, job in unique.items()
+                                     if job_id not in results),   # resumed
+                                    key=lambda job: job.priority)
+                    queue = {"submitted": len(unique),
+                             "deduped": len(jobs) - len(unique),
+                             "skipped": len(unique) - len(to_run)}
+                    if cohort_size > 1:
+                        # pack after dedup/skip so cached work never rides
+                        # along in a cohort
+                        to_run = pack_cohorts(to_run, cohort_size)
+                tracer.event("queue.stats", **queue)
 
-        span = tracer.span("screen.run", workers=workers, resume=resume)
-        pool = None
-        new_results: list[JobResult] = []
-        # the log's handles close even when a consumer raises mid-screen
-        with span, (nullcontext() if log is None else log):
-            with tracer.span("screen.build_queue"):
-                jobs = self.jobs()
-                unique: dict[str, DockingJob] = {}
-                for job in jobs:                 # same content, one job
-                    unique.setdefault(job.job_id, job)
-                # lower priority first; sorted() keeps library order
-                to_run = sorted((job for job_id, job in unique.items()
-                                 if job_id not in results),   # resumed
-                                key=lambda job: job.priority)
-                queue = {"submitted": len(unique),
-                         "deduped": len(jobs) - len(unique),
-                         "skipped": len(unique) - len(to_run)}
-                if cohort_size > 1:
-                    # pack after dedup/skip so cached work never rides
-                    # along in a cohort
-                    to_run = pack_cohorts(to_run, cohort_size)
-            tracer.event("queue.stats", **queue)
+                def publish(result: JobResult, _rec: dict) -> None:
+                    results[result.job_id] = result
+                    new_results.append(result)
+                    if log is not None and len(new_results) % 100 == 0:
+                        log.write_meta(self._screen_header(), self._stats(
+                            results, new_results, queue, t0, workers, pool))
+                    if stream is not None:
+                        stream(result)
 
-            def publish(result: JobResult, _rec: dict) -> None:
-                results[result.job_id] = result
-                new_results.append(result)
-                if log is not None and len(new_results) % 100 == 0:
-                    log.write_meta(self._screen_header(), self._stats(
-                        results, new_results, queue, t0, workers, pool))
-                if stream is not None:
-                    stream(result)
+                if to_run:
+                    pool_kwargs = dict(
+                        workers=workers, retries=retries, backoff=backoff,
+                        job_wall_seconds=job_wall_seconds,
+                        lease_seconds=lease_seconds, cache_bytes=cache_bytes,
+                        start_method=start_method,
+                        include_history=include_history,
+                        store_root=(str(store) if store is not None else None),
+                        trace_path=(str(trace) if trace is not None
+                                    else None))
+                    if heartbeat_seconds is not None:
+                        pool_kwargs["heartbeat_seconds"] = heartbeat_seconds
+                    pool = WorkerPool(**pool_kwargs)
+                    try:
+                        run_batch(pool, to_run, publish, log=log)
+                    finally:
+                        pool.close()
+                span.set(jobs_total=len(results),
+                         jobs_new=len(new_results),
+                         jobs_dead=sum(1 for r in new_results
+                                       if r.status == "dead"))
 
-            if to_run:
-                pool_kwargs = dict(
-                    workers=workers, retries=retries, backoff=backoff,
-                    job_wall_seconds=job_wall_seconds,
-                    lease_seconds=lease_seconds, cache_bytes=cache_bytes,
-                    start_method=start_method,
-                    include_history=include_history,
-                    store_root=(str(store) if store is not None else None),
-                    trace_path=(str(trace) if trace is not None
-                                else None))
-                if heartbeat_seconds is not None:
-                    pool_kwargs["heartbeat_seconds"] = heartbeat_seconds
-                pool = WorkerPool(**pool_kwargs)
-                try:
-                    run_batch(pool, to_run, publish, log=log)
-                finally:
-                    pool.close()
-            span.set(jobs_total=len(results),
-                     jobs_new=len(new_results),
-                     jobs_dead=sum(1 for r in new_results
-                                   if r.status == "dead"))
-
-        report = ScreenReport(
-            results=results,
-            ranking=rank_records(r.to_dict() for r in results.values()),
-            stats=self._stats(results, new_results, queue, t0, workers,
-                              pool),
-            manifest_path=str(manifest) if manifest is not None else None)
-        if log is not None:
-            log.write_meta(self._screen_header(), report.stats)
-            log.compact()
-        tracer.flush()
-        return report
+            report = ScreenReport(
+                results=results,
+                ranking=rank_records(r.to_dict() for r in results.values()),
+                stats=self._stats(results, new_results, queue, t0, workers,
+                                  pool),
+                manifest_path=str(manifest) if manifest is not None else None)
+            if log is not None:
+                log.write_meta(self._screen_header(), report.stats)
+                log.compact()
+            return report
+        finally:
+            # a tracer this screen installed must not outlive it: a later
+            # untraced run in the process would append to this log
+            if trace is not None and get_tracer() is tracer:
+                disable()
 
     # ------------------------------------------------------------------
 
@@ -394,8 +397,8 @@ class VirtualScreen:
                      {"quarantines": pool.quarantines,
                       "dead_letters": len(pool.dead_letters),
                       "workers_replaced": pool.workers_replaced}),
-            # last heartbeat per worker: liveness + per-worker metrics
-            # snapshot (cache hit rates, job counts) for the manifest
+            # last heartbeat per worker: liveness, job counts and cache
+            # stats for the manifest
             "heartbeats": ({} if pool is None else
                            {str(k): v for k, v in pool.heartbeats.items()}),
         }

@@ -288,6 +288,34 @@ class TestShardPools:
         assert [p.workers for p in built] == [1, 2]
 
 
+class TestTracing:
+    def test_stop_tears_down_the_gateways_tracer(self, tmp_path):
+        """The tracer a traced gateway installs ends with ``stop()``:
+        later work in the process must not append to its log.  A tracer
+        the caller configured is left alone."""
+        from repro.obs import NullTracer, configure, get_tracer
+
+        trace = tmp_path / "gw.jsonl"
+        gw = Gateway(GatewayConfig(port=0, n_shards=1, workers=0,
+                                   poll_s=0.01, trace=str(trace))).start()
+        try:
+            client = GatewayClient(f"http://127.0.0.1:{gw.port}")
+            client.submit(_doc(evals=100))
+            assert len(list(client.stream(timeout=120))) == 1
+        finally:
+            gw.stop()
+        lines = trace.read_text().splitlines()
+        assert any('"gateway.done"' in line for line in lines)
+        assert isinstance(get_tracer(), NullTracer)
+        get_tracer().event("after.stop")
+        assert trace.read_text().splitlines() == lines
+
+        mine = configure(None)
+        Gateway(GatewayConfig(port=0, n_shards=1, workers=0,
+                              poll_s=0.01)).start().stop()
+        assert get_tracer() is mine
+
+
 class TestSloAdmission:
     def test_slo_rejects_before_deadline_checks(self, tmp_path):
         cfg = GatewayConfig(port=0, n_shards=2, workers=0, poll_s=0.01,

@@ -1,24 +1,17 @@
-"""Tests for repro.obs: tracer spans, metrics registry, schema, report."""
+"""Tests for repro.obs: tracer spans, schema, report, stage spans."""
 
-import json
 import threading
 
 import pytest
 
 from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
     NullTracer,
     SchemaError,
     Tracer,
     configure,
     disable,
-    get_metrics,
     get_tracer,
     render_summary,
-    reset_metrics,
     summarize_log,
     validate_event,
     validate_log,
@@ -149,75 +142,6 @@ class TestGlobalTracer:
         assert validate_log(path)["spans"] == 1
 
 
-class TestInstruments:
-    def test_counter_monotonic(self):
-        c = Counter()
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
-    def test_gauge_last_write_wins(self):
-        g = Gauge()
-        g.set(7)
-        g.inc(2)
-        g.dec(3)
-        assert g.value == 6.0
-
-    def test_histogram_summary(self):
-        h = Histogram()
-        assert h.summary() == {"count": 0, "total": 0.0, "mean": 0.0,
-                               "min": None, "max": None}
-        for v in (1.0, 3.0, 2.0):
-            h.observe(v)
-        s = h.summary()
-        assert s["count"] == 3 and s["total"] == 6.0
-        assert s["mean"] == pytest.approx(2.0)
-        assert (s["min"], s["max"]) == (1.0, 3.0)
-
-
-class TestRegistry:
-    def test_lazy_instruments_are_stable(self):
-        r = MetricsRegistry()
-        assert r.counter("a") is r.counter("a")
-        assert r.gauge("g") is r.gauge("g")
-        assert r.histogram("h") is r.histogram("h")
-
-    def test_snapshot_delta_semantics(self):
-        """Counters and histogram count/total subtract; gauges take the
-        after value — the ContentCache.delta idiom generalised."""
-        r = MetricsRegistry()
-        r.counter("jobs").inc(2)
-        r.gauge("depth").set(5)
-        r.histogram("wall").observe(1.0)
-        before = r.snapshot()
-        r.counter("jobs").inc(3)
-        r.counter("new").inc()        # born between snapshots
-        r.gauge("depth").set(1)
-        r.histogram("wall").observe(3.0)
-        d = MetricsRegistry.delta(before, r.snapshot())
-        assert d["counters"] == {"jobs": 3, "new": 1}
-        assert d["gauges"]["depth"] == 1.0
-        assert d["histograms"]["wall"] == {"count": 1, "total": 3.0,
-                                           "mean": 3.0}
-
-    def test_snapshot_is_json_able(self):
-        r = MetricsRegistry()
-        r.histogram("h")              # zero-observation histogram
-        r.counter("c").inc()
-        text = json.dumps(r.snapshot())    # must not hit Infinity
-        assert "Infinity" not in text
-
-    def test_global_registry_reset(self):
-        reset_metrics()
-        get_metrics().counter("x").inc()
-        assert get_metrics().snapshot()["counters"]["x"] == 1
-        fresh = reset_metrics()
-        assert fresh.snapshot()["counters"] == {}
-        assert get_metrics() is fresh
-
-
 class TestSchema:
     def _span(self, **over):
         rec = {"v": 1, "type": "span", "name": "s", "ts": 1.5,
@@ -248,6 +172,25 @@ class TestSchema:
         with pytest.raises(SchemaError, match="line 3.*'src'"):
             validate_event({"v": 1, "type": "event", "name": "e",
                             "ts": 0.0, "pid": 1}, line_no=3)
+
+    def test_readme_names_every_emitted_span_and_event(self):
+        """Names are free-form on the wire, so README's Observability
+        section is the one list of them: every span, point event and
+        ledger note ``src/`` emits must appear there."""
+        import re
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        emitted = set()
+        for path in (root / "src").rglob("*.py"):
+            text = path.read_text()
+            emitted.update(re.findall(
+                r'\.(?:span|event)\(\s*"([\w.]+)"|Note\("([\w.]+)"', text))
+        emitted = {a or b for a, b in emitted}
+        readme = (root / "README.md").read_text()
+        section = readme.split("## Observability")[1].split("\n## ")[0]
+        assert {"reduction.reduce4", "job.dead"} <= emitted
+        assert sorted(n for n in emitted if f"`{n}`" not in section) == []
 
     def test_invalid_json_line_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -327,22 +270,80 @@ class TestStatsCli:
 
 
 class TestReductionMetrics:
-    def test_gradient_call_records_backend_histogram(self, case_small):
-        """The cross-check hook: reduce4 wall time lands in a per-backend
-        histogram so traced Python times can be compared against the simt
+    def test_gradient_call_records_backend_histogram(self, case_small,
+                                                     tmp_path):
+        """The cross-check hook: each gradient call's reduce4 is one
+        ``reduction.reduce4`` span naming its backend and row count, and
+        ``repro stats`` folds those spans into one count/total/min/max
+        row, so traced Python times can be compared against the simt
         cost model's cycle ratios."""
         import numpy as np
         from repro.docking.cohort import (CohortGradientCalculator,
                                           CohortScoring)
         from repro.docking.scoring import ScoringFunction
 
-        reset_metrics()
+        path = tmp_path / "t.jsonl"
+        tracer = configure(path)
         sf = ScoringFunction(case_small.ligand, case_small.maps)
         grad = CohortGradientCalculator(CohortScoring([sf]), "baseline")
         genes = np.zeros((4, 6 + case_small.ligand.n_rot))
         grad(genes)
-        snap = get_metrics().snapshot()
-        h = snap["histograms"]["reduction.baseline.reduce4_s"]
-        assert h["count"] == 1 and h["total"] > 0
-        assert snap["counters"]["reduction.baseline.calls"] == 2
-        assert snap["counters"]["gradient.evals"] == 4
+        disable()
+        [span] = [r for r in tracer.records() if r["type"] == "span"]
+        assert span["name"] == "reduction.reduce4"
+        assert span["attrs"] == {"backend": "baseline", "rows": 4}
+        assert span["dur_s"] > 0
+        row = summarize_log(path)["spans"]["reduction.reduce4"]
+        assert row["count"] == 1 and row["total_s"] == span["dur_s"]
+
+
+class TestStageSpans:
+    """The lock-step engine's stages and reductions are spans, so one
+    traced dock is enough to split its wall time."""
+
+    def test_traced_dock_records_stage_and_reduce4_spans(self, tmp_path):
+        from repro.core import DockingConfig, DockingEngine
+        from repro.search.lga import LGAConfig
+        from repro.testcases import get_test_case
+
+        cfg = DockingConfig(backend="baseline",
+                            lga=LGAConfig(pop_size=8, max_evals=100_000,
+                                          max_gens=4, ls_iters=5,
+                                          ls_rate=0.25))
+        engine = DockingEngine(get_test_case("1u4d"), cfg)
+        path = tmp_path / "dock.jsonl"
+        tracer = configure(path)
+        result = engine.dock(n_runs=2, seed=3)
+        disable()
+        gens = result.generations
+        assert gens == 4
+        spans = [r for r in tracer.records() if r["type"] == "span"]
+        by_name: dict[str, list[dict]] = {}
+        for rec in spans:
+            by_name.setdefault(rec["name"], []).append(rec)
+        # one GA and one LS stage per generation; scoring also runs the
+        # final pass after the last generation
+        assert len(by_name["lga.ga_generation"]) == gens
+        assert len(by_name["lga.ls"]) == gens
+        assert len(by_name["lga.score"]) == gens + 1
+        [run] = by_name["lga.run"]
+        for stage in ("lga.score", "lga.ga_generation", "lga.ls"):
+            assert all(r["parent_id"] == run["span_id"]
+                       for r in by_name[stage]), stage
+        # every gradient call is one reduce4 span, nested in its LS batch
+        ls_ids = {r["span_id"] for r in by_name["lga.ls"]}
+        minimize = by_name["adadelta.minimize"]
+        assert len(minimize) == gens
+        assert all(r["parent_id"] in ls_ids for r in minimize)
+        for m in minimize:
+            kids = [r for r in by_name["reduction.reduce4"]
+                    if r["parent_id"] == m["span_id"]]
+            assert len(kids) == m["attrs"]["iters"] == 5
+            assert all(k["attrs"] == {"backend": "baseline",
+                                      "rows": m["attrs"]["batch"]}
+                       for k in kids)
+        assert len(by_name["reduction.reduce4"]) == 5 * gens
+        # and repro stats shows them as ordinary span rows
+        summary = summarize_log(path)
+        assert summary["spans"]["reduction.reduce4"]["count"] == 5 * gens
+        assert "reduction.reduce4" in render_summary(summary)

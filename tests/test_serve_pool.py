@@ -437,14 +437,15 @@ class TestExecutorParity:
 
     @pytest.mark.parametrize("workers", [0, 1])
     def test_corrupt_results_are_counted(self, workers):
-        from repro.obs import get_metrics
-        counter = get_metrics().counter("pool.corrupt_results")
-        before = counter.value
+        from repro.obs import configure
+        tracer = configure(None)       # ring only: the parent's events
         pool = WorkerPool(workers=workers, retries=1, backoff=0.0,
                           poll_seconds=0.05)
         [dead] = list(pool.map(self._poisoned_then_clean()[:1]))
         assert dead.status == "dead" and dead.attempts == 2
-        assert counter.value - before == 2      # one per attempt
+        corrupt = [r for r in tracer.records()
+                   if r["name"] == "job.corrupt_result"]
+        assert len(corrupt) == 2                # one per attempt
 
     @pytest.fixture(scope="class")
     def cohort_outcomes(self):

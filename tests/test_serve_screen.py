@@ -161,7 +161,7 @@ class TestTracedScreen:
             self, ligand_library, tmp_path):
         """Acceptance: a traced screen writes a schema-valid JSONL log
         covering every pipeline stage, and the manifest stats carry the
-        workers' last heartbeats (liveness + metrics snapshots)."""
+        workers' last heartbeats (liveness, job counts, cache stats)."""
         from repro.obs import summarize_log, validate_log
 
         fld, ligs = ligand_library
@@ -186,8 +186,7 @@ class TestTracedScreen:
 
         # heartbeats surfaced in report stats AND the persisted manifest
         hb = report.stats["heartbeats"]
-        assert hb and all("cache" in v and "metrics" in v
-                          for v in hb.values())
+        assert hb and all("cache" in v for v in hb.values())
         persisted = json.loads((manifest / "meta.json").read_text())
         assert persisted["stats"]["heartbeats"].keys() == hb.keys()
 
@@ -218,6 +217,25 @@ class TestTracedScreen:
         screen = VirtualScreen(cases=["1u4d"], config=TINY, n_runs=1)
         screen.run(workers=0)
         assert not trace.exists()
+
+    def test_traced_run_does_not_leak_its_tracer(self, tmp_path):
+        """The tracer a traced screen installs ends with the screen: a
+        later untraced screen in the same process must not append to its
+        log.  A tracer the caller configured is left alone."""
+        from repro.obs import NullTracer, configure, get_tracer
+
+        trace = tmp_path / "trace.jsonl"
+        screen = VirtualScreen(cases=["1u4d"], config=TINY, n_runs=1)
+        screen.run(workers=0, trace=trace)
+        lines = trace.read_text().splitlines()
+        assert isinstance(get_tracer(), NullTracer)
+        screen.run(workers=0)
+        assert trace.read_text().splitlines() == lines
+
+        mine = configure(tmp_path / "caller.jsonl")
+        screen.run(workers=0)
+        assert get_tracer() is mine
+        assert any(r["name"] == "screen.run" for r in mine.records())
 
 
 class TestScreenCli:
