@@ -2,10 +2,10 @@
 
 Wall-clock timing (pytest-benchmark's bread and butter) for the simulated
 numerical kernels: the three reduction back-ends, the MMA unit, pose
-calculation (one ligand, and a mixed 16-ligand pack) and the fused
-gradient kernel.  These guard against performance regressions of the
-*simulator itself* — the paper-shape results live in the other bench
-files.
+calculation (one ligand, and a mixed 16-ligand pack), the fused
+gradient kernel and the AutoGrid-style map build.  These guard against
+performance regressions of the *simulator itself* — the paper-shape
+results live in the other bench files.
 """
 
 import numpy as np
@@ -79,6 +79,19 @@ def test_pose_calculation_mixed_cohort(benchmark):
     coords = benchmark(cohort.coords, genes)
     assert coords.shape == (16, 72, pack.N, 3)
     assert pack.rotation_list.n_steps == pack.R == 10
+
+
+@pytest.mark.benchmark(group="kernel-docking")
+def test_make_maps(benchmark):
+    """The receptor's grid maps on 7cpa's inputs: 7 probe types over a
+    47^3 grid and 46 receptor atoms, the largest layer of a cold case
+    build."""
+    case = get_test_case("7cpa")
+    maps = case.maps
+    built = benchmark(case.receptor.make_maps, maps.type_names, maps.origin,
+                      maps.affinity.shape[1:], maps.spacing)
+    assert built.affinity.shape == (7, 47, 47, 47)
+    assert built.elec.tobytes() == maps.elec.tobytes()
 
 
 @pytest.mark.benchmark(group="kernel-docking")

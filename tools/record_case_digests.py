@@ -1,0 +1,104 @@
+"""Record or check ``tests/data/case_digests.json``.
+
+For every named library case the file stores the sha256 of the fused
+map buffer (``maps.flat_maps``), of the receptor (coords, then charges),
+and of the native pose (genotype, then coords), plus the reference
+``global_min_score`` as float hex.  A case build is deterministic, so any
+change to grid construction, pocket generation or the native refinement
+that moves a single bit shows up as a digest mismatch.
+
+Usage (from the repository root)::
+
+    PYTHONPATH=src python tools/record_case_digests.py [--out PATH]
+    PYTHONPATH=src python tools/record_case_digests.py --check [CASE ...]
+
+Recording always rebuilds all 42 cases.  ``--check`` rebuilds the named
+cases (all 42 by default), prints every field that differs and exits 1
+if any does.  The committed file was recorded at commit 7001096, before
+``Receptor.make_maps`` was tiled.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+OUT = ROOT / "tests" / "data" / "case_digests.json"
+
+
+def _sha256(*arrays: np.ndarray) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def case_digest(case) -> dict:
+    """The digest entry of one built :class:`TestCase`."""
+    return {
+        "maps": _sha256(case.maps.flat_maps),
+        "receptor": _sha256(case.receptor.coords, case.receptor.charges),
+        "native": _sha256(case.native_genotype, case.native_coords),
+        "global_min": float(case.global_min_score).hex(),
+    }
+
+
+def build_digest(name: str) -> dict:
+    """Build one case from scratch (bypassing the library's per-process
+    cache) and digest it."""
+    from repro.testcases.library import build_test_case
+    return case_digest(build_test_case(name))
+
+
+def mismatches(recorded: dict, name: str, fresh: dict) -> list[str]:
+    """One line per field of ``fresh`` that differs from ``recorded``."""
+    want = recorded["cases"].get(name)
+    if want is None:
+        return [f"{name}: not in the recorded file"]
+    return [f"{name}: {field} {fresh[field]} != recorded {want[field]}"
+            for field in sorted(want) if fresh.get(field) != want[field]]
+
+
+def main(argv=None) -> int:
+    from repro.testcases import SET_OF_42
+
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("cases", nargs="*",
+                    help="case names to check (default: all 42)")
+    ap.add_argument("--out", type=Path, default=OUT,
+                    help="file to write, or to check against")
+    ap.add_argument("--check", action="store_true",
+                    help="compare against --out instead of writing it")
+    args = ap.parse_args(argv)
+    if args.cases and not args.check:
+        ap.error("case names need --check: recording writes all 42")
+    names = args.cases or [n for n, _ in SET_OF_42]
+
+    recorded = json.loads(args.out.read_text()) if args.check else None
+    cases, failed = {}, []
+    for name in names:
+        cases[name] = build_digest(name)
+        if recorded is not None:
+            bad = mismatches(recorded, name, cases[name])
+            failed += bad
+            print(f"{name}: {'MISMATCH' if bad else 'ok'}", file=sys.stderr)
+    if recorded is not None:
+        for line in failed:
+            print(line)
+        print(f"checked {len(names)} case(s): {len(failed)} mismatch(es)",
+              file=sys.stderr)
+        return 1 if failed else 0
+    args.out.write_text(json.dumps({"cases": cases}, indent=1,
+                                   sort_keys=True) + "\n")
+    print(f"recorded {len(cases)} case(s) to {args.out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
