@@ -128,23 +128,22 @@ class LigandPack:
         for sf in scorings:
             m = sf.maps
             if id(m) not in base:
-                if m._flat_maps is None:
-                    m._build_flat()
                 base[id(m)] = total
-                total += m._flat_maps.shape[0]
-                chunks.append(m._flat_maps)
+                total += m.flat_maps.shape[0]
+                chunks.append(m.flat_maps)
         self.flat_maps = chunks[0] if len(chunks) == 1 \
             else np.concatenate(chunks)
 
         C, N, P = self.C, self.N, self.P
         offs = np.zeros((4, C, 1, N), dtype=np.int64)
+        pad_type = np.zeros(1, dtype=np.int64)
         for a, sf in enumerate(scorings):
             m = sf.maps
             b0 = base[id(m)]
             n_a = int(self.n_atoms[a])
-            offs[0, a, 0, :n_a] = b0 + sf.type_idx * m._n_voxels
-            offs[0, a, 0, n_a:] = b0            # pad atoms: any in-bounds
-            offs[1:, a, 0, :] = b0 + m._chan_base[:, None]
+            offs[:, a, 0, :n_a] = b0 + m.block_offsets(sf.type_idx)
+            # pad atoms read type 0's blocks: any in-bounds voxel will do
+            offs[:, a, 0, n_a:] = b0 + m.block_offsets(pad_type)
         self.offs = offs
         # per-ligand box geometry as (3, C, 1, 1) planes against the
         # (3, C, B, N) component planes of inter_energy

@@ -12,6 +12,9 @@ Algorithm 4).  This module reproduces that machinery:
   combined with the atom's own parameters at lookup),
 * a quadratic out-of-box penalty that pushes strays back inside, as the
   CUDA kernels do.
+
+All of a map set's channels live in one fused buffer, as in AutoDock-GPU,
+so a lookup gathers every channel's corners in one ``take``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ __all__ = ["GridMaps", "OUT_OF_BOX_PENALTY"]
 
 #: quadratic penalty slope for atoms outside the box [kcal/mol/Å^2]
 OUT_OF_BOX_PENALTY = 50.0
+
+#: the four channel fields of a map set, in buffer order
+_CHANNELS = ("affinity", "elec", "desolv_v", "desolv_s")
 
 
 def _planes(v, ndim: int) -> np.ndarray:
@@ -128,7 +134,7 @@ def _grid_terms(c: np.ndarray, f: np.ndarray, d_out: np.ndarray, spacing,
 
 @dataclass
 class GridMaps:
-    """A set of docking grid maps.
+    """A set of docking grid maps, stored in one fused lookup buffer.
 
     Attributes
     ----------
@@ -146,6 +152,18 @@ class GridMaps:
     desolv_v / desolv_s:
         ``(nx, ny, nz)`` receptor desolvation sums (volume-weighted and
         solvation-weighted); combined at lookup with per-atom parameters.
+
+    Storage: :attr:`flat_maps` is the only storage of a map set, one
+    ``(n_types + 3) * nx * ny * nz`` float64 buffer holding the affinity
+    stack (one voxel block per type) and then the elec / desolv_v /
+    desolv_s blocks, the layout AutoDock-GPU's InterScore / InterGradient
+    gathers index by atom-type offset.  After construction the four
+    channel fields are reshaped views of that buffer, so a write through
+    them (``maps.affinity[k] -= well``) is seen by the next lookup.
+    Rebinding a field does not touch the buffer; derive a map set with
+    new arrays with :func:`dataclasses.replace`.  The constructor (and so
+    ``replace``) copies the given arrays into a fresh buffer once;
+    :meth:`from_flat` adopts its buffer without a copy.
     """
 
     origin: np.ndarray
@@ -157,111 +175,91 @@ class GridMaps:
     desolv_s: np.ndarray
 
     def __post_init__(self) -> None:
-        self.origin = np.asarray(self.origin, dtype=np.float64)
-        self.affinity = np.asarray(self.affinity, dtype=np.float64)
-        if self.affinity.ndim != 4 or self.affinity.shape[0] != len(self.type_names):
+        channels = [np.asarray(getattr(self, name)) for name in _CHANNELS]
+        affinity = channels[0]
+        if affinity.ndim != 4 or affinity.shape[0] != len(self.type_names):
             raise ValueError("affinity must be (n_types, nx, ny, nz)")
-        shape = self.affinity.shape[1:]
-        for name in ("elec", "desolv_v", "desolv_s"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+        shape = affinity.shape[1:]
+        for name, arr in zip(_CHANNELS[1:], channels[1:]):
             if arr.shape != shape:
                 raise ValueError(f"{name} map shape {arr.shape} != {shape}")
-            setattr(self, name, arr)
+        # copy the channels into one fresh buffer, once
+        flat = np.concatenate([arr.reshape(-1) for arr in channels],
+                              dtype=np.float64)
+        self._adopt(flat, shape)
+
+    def _adopt(self, flat: np.ndarray, shape) -> None:
+        """Make the contiguous float64 ``flat`` this map set's storage:
+        the channel fields become views of its voxel blocks."""
+        self.origin = np.asarray(self.origin, dtype=np.float64)
         if self.spacing <= 0:
             raise ValueError("spacing must be positive")
+        n_types = len(self.type_names)
+        nx, ny, nz = (int(d) for d in shape)
+        blocks = flat.reshape(n_types + 3, nx, ny, nz)
+        self.affinity = blocks[:n_types]
+        self.elec, self.desolv_v, self.desolv_s = blocks[n_types:]
+        self._flat_maps = flat
         # type -> affinity-map index LUT, built once (type_index sits on the
         # dock-setup path of every screening job)
         self._type_lut = {t: k for k, t in enumerate(self.type_names)}
-        self._n_voxels = int(np.prod(shape))
-        # fused lookup buffer, built lazily on first interpolation: builders
-        # (e.g. the synthetic-case generator) may still write into the map
-        # arrays after construction, so the snapshot is deferred until the
-        # maps are actually used.  Maps must not change afterwards; use
-        # dataclasses.replace (re-runs this hook) to derive modified maps.
-        self._flat_maps = None
-        self._chan_base = None
-        self._offs_cache = None
-
-    def _build_flat(self) -> None:
-        """Flatten all maps into one contiguous buffer so the trilinear
-        corner lookups become single ``take`` calls: affinity stack first
-        (one voxel block per type), then elec / desolv_v / desolv_s."""
-        n_types = len(self.type_names)
-        self._flat_maps = np.concatenate([
-            self.affinity.reshape(-1), self.elec.reshape(-1),
-            self.desolv_v.reshape(-1), self.desolv_s.reshape(-1)])
+        self._n_voxels = nx * ny * nz
         #: voxel-block offsets of the 3 shared channels behind the stack
         self._chan_base = self._n_voxels * np.arange(
             n_types, n_types + 3, dtype=np.int64)
+        self._offs_cache = None
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, *, origin, spacing: float,
                   type_names: list[str],
                   shape: tuple[int, int, int]) -> "GridMaps":
-        """Rebuild a map set from its fused flat buffer (zero-copy).
+        """Adopt a fused buffer as a map set's storage (zero-copy).
 
-        ``flat`` is the layout :meth:`_build_flat` produces — the affinity
-        stack followed by the elec / desolv_v / desolv_s blocks — e.g. a
-        read-only ``np.load(..., mmap_mode="r")`` view of a stored blob.
-        The four map attributes become *views into that buffer*, and the
-        fused lookup buffer is installed directly, so neither text parsing
-        nor the concatenation in :meth:`_build_flat` runs.
+        ``flat`` has the :attr:`flat_maps` layout: a buffer that
+        ``Receptor.make_maps`` or ``io.read_maps`` filled, or a read-only
+        ``np.load(..., mmap_mode="r")`` view of a stored blob.  A
+        contiguous float64 buffer is not copied.
         """
-        flat = np.asarray(flat)
-        if flat.dtype != np.float64:
-            flat = flat.astype(np.float64)
+        flat = np.ascontiguousarray(flat, dtype=np.float64)
         n_types = len(type_names)
-        nx, ny, nz = (int(d) for d in shape)
-        nvox = nx * ny * nz
-        expected = (n_types + 3) * nvox
+        expected = (n_types + 3) * int(np.prod(shape))
         if flat.shape != (expected,):
             raise ValueError(
                 f"flat buffer has shape {flat.shape}, expected ({expected},) "
-                f"for {n_types} types and grid {shape}")
-        blocks = [flat[k * nvox:(k + 1) * nvox]
-                  for k in range(n_types, n_types + 3)]
-        maps = cls(origin=origin, spacing=float(spacing),
-                   type_names=list(type_names),
-                   affinity=flat[:n_types * nvox].reshape(n_types, nx, ny, nz),
-                   elec=blocks[0].reshape(nx, ny, nz),
-                   desolv_v=blocks[1].reshape(nx, ny, nz),
-                   desolv_s=blocks[2].reshape(nx, ny, nz))
-        maps._flat_maps = flat
-        maps._chan_base = nvox * np.arange(n_types, n_types + 3,
-                                           dtype=np.int64)
+                f"for {n_types} types and grid {tuple(shape)}")
+        maps = cls.__new__(cls)
+        maps.origin = origin
+        maps.spacing = float(spacing)
+        maps.type_names = list(type_names)
+        maps._adopt(flat, shape)
         return maps
+
+    def __getstate__(self) -> dict:
+        # copy, deepcopy and pickle carry the one buffer, not five arrays
+        return {"origin": self.origin, "spacing": self.spacing,
+                "type_names": self.type_names, "flat": self._flat_maps,
+                "shape": self.shape}
+
+    def __setstate__(self, state: dict) -> None:
+        self.origin = state["origin"]
+        self.spacing = state["spacing"]
+        self.type_names = state["type_names"]
+        self._adopt(state["flat"], state["shape"])
 
     @property
     def flat_maps(self) -> np.ndarray:
-        """The fused lookup buffer, building it on first access.
+        """The fused lookup buffer, the map set's one storage.
 
         This is what the disk cache tier stores: one contiguous array
-        whose layout :meth:`from_flat` inverts.
+        whose layout :meth:`from_flat` adopts.
         """
-        if self._flat_maps is None:
-            self._build_flat()
         return self._flat_maps
 
     @property
     def nbytes(self) -> int:
-        """Resident-byte cost including the lazily-built fused buffer.
-
-        The fused buffer duplicates all four map stacks, so a map set is
-        charged for it *up front* — whether or not :meth:`_build_flat` has
-        run yet — keeping cache accounting an upper bound on what the
-        entry can ever grow to.  Instances built by :meth:`from_flat` hold
-        views into one buffer and are charged for that buffer once.
-        """
-        component = (self.affinity.nbytes + self.elec.nbytes
-                     + self.desolv_v.nbytes + self.desolv_s.nbytes)
-        flat = self._flat_maps
-        if flat is not None and np.shares_memory(flat, self.affinity):
-            total = flat.nbytes          # from_flat: maps are views
-        else:
-            total = 2 * component        # built, or will be built lazily
-        # _build_flat always creates the 3-element channel-base table;
-        # charge it up front so the lazy build never grows the entry
-        total += 3 * np.dtype(np.int64).itemsize
+        """Resident bytes: the one buffer plus its index tables (the
+        channel-base table and the cached lookup offsets)."""
+        total = self._flat_maps.nbytes + self._chan_base.nbytes
         cached = self._offs_cache
         if cached is not None:
             total += cached[2].nbytes
@@ -288,6 +286,15 @@ class GridMaps:
                               dtype=np.int64)
         except KeyError as exc:
             raise ValueError(f"no grid map for atom type {exc.args[0]!r}") from None
+
+    def block_offsets(self, type_idx: np.ndarray) -> np.ndarray:
+        """``(4, n)`` offsets into :attr:`flat_maps` of each atom's four
+        voxel blocks: row 0 its type's affinity map, rows 1-3 the shared
+        elec / desolv_v / desolv_s maps."""
+        offs = np.empty((4, type_idx.shape[0]), dtype=np.int64)
+        np.multiply(type_idx, self._n_voxels, out=offs[0])
+        offs[1:] = self._chan_base[:, None]
+        return offs
 
     # ------------------------------------------------------------------
     # interpolation core
@@ -319,30 +326,23 @@ class GridMaps:
 
         Returns ``(8, 4, ..., n_atoms)``, corner-major: channel 0 is the
         per-atom-type affinity map, channels 1-3 the shared elec /
-        desolv_v / desolv_s maps.  Per-atom type offsets plus the flat
-        corner indices address the stacked buffer built in
-        ``__post_init__``.
+        desolv_v / desolv_s maps.  Per-atom block offsets plus the flat
+        corner indices address :attr:`flat_maps`.
         """
-        if self._flat_maps is None:
-            self._build_flat()
         _, ny, nz = self.shape
         flat = _corner_flat(i0, i1, ny, nz)            # (8, ..., n)
-        n = type_idx.shape[0]
-        # channel 0: per-atom voxel-block offset; channels 1-3: fixed
-        # blocks.  The offset tensor depends only on the caller's type_idx
-        # array (one per bound scoring function) and the batch rank, so it
-        # is cached across lookups (the cache holds the type_idx reference,
+        # The offset tensor depends only on the caller's type_idx array
+        # (one per bound scoring function) and the batch rank, so it is
+        # cached across lookups (the cache holds the type_idx reference,
         # making the identity check safe against id reuse).
         cached = self._offs_cache
         if (cached is not None and cached[0] is type_idx
                 and cached[1] == flat.ndim):
             offs = cached[2]
         else:
-            offs = np.empty((4, n), dtype=np.int64)
-            np.multiply(type_idx, self._n_voxels, out=offs[0])
-            offs[1:] = self._chan_base[:, None]
             # right-align the per-atom axis against flat's (8, ..., n)
-            offs = offs.reshape((4,) + (1,) * (flat.ndim - 2) + (n,))
+            offs = self.block_offsets(type_idx).reshape(
+                (4,) + (1,) * (flat.ndim - 2) + (type_idx.shape[0],))
             self._offs_cache = (type_idx, flat.ndim, offs)
         return self._flat_maps.take(flat[:, None] + offs)
 

@@ -145,11 +145,13 @@ class Receptor:
                 pm[t_idx, a_idx] = m
         all_6 = (pm == 6).all(axis=1)
 
+        # every map is a block of the one buffer the returned GridMaps
+        # adopts: the affinity stack, then elec / desolv_v / desolv_s
         n_points = nx * ny * nz
-        aff = np.empty((n_probes, n_points))
-        elec = np.empty(n_points)
-        desolv_v = np.empty(n_points)
-        desolv_s = np.empty(n_points)
+        flat = np.empty((n_probes + 3) * n_points)
+        blocks = flat.reshape(n_probes + 3, n_points)
+        aff = blocks[:n_probes]
+        elec, desolv_v, desolv_s = blocks[n_probes:]
 
         # a tile is a run of whole (x, y) rows of nz grid points each
         n_rows = nx * ny
@@ -179,12 +181,5 @@ class Receptor:
         np.clip(aff, -ECLAMP, ECLAMP, out=aff)
         np.clip(elec, -ECLAMP, ECLAMP, out=elec)
 
-        return GridMaps(
-            origin=origin,
-            spacing=spacing,
-            type_names=list(probe_types),
-            affinity=aff.reshape((n_probes,) + tuple(shape)),
-            elec=elec.reshape(shape),
-            desolv_v=desolv_v.reshape(shape),
-            desolv_s=desolv_s.reshape(shape),
-        )
+        return GridMaps.from_flat(flat, origin=origin, spacing=spacing,
+                                  type_names=list(probe_types), shape=shape)

@@ -26,6 +26,7 @@ with the suffixes ``.d1.map`` and ``.d2.map``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -56,8 +57,27 @@ def _write_one_map(path: Path, stem: str, values: np.ndarray,
     path.write_text("\n".join(header) + "\n" + body + "\n")
 
 
-def _read_one_map(path: Path) -> tuple[np.ndarray, np.ndarray, float]:
-    lines = path.read_text().splitlines()
+@dataclass(frozen=True)
+class _Grid:
+    """The grid header of one ``.map`` file, as written: every map of a
+    set must carry the same one."""
+
+    spacing: float
+    nelements: tuple[int, int, int]        # grid points per axis, minus one
+    centre: tuple[float, float, float]
+    path: Path = field(compare=False)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return tuple(n + 1 for n in self.nelements)
+
+    @property
+    def origin(self) -> np.ndarray:
+        return (np.array(self.centre)
+                - self.spacing * (np.array(self.shape) - 1) / 2.0)
+
+
+def _read_header(path: Path, lines: list[str]) -> _Grid:
     spacing = None
     nelements = None
     centre = None
@@ -67,12 +87,12 @@ def _read_one_map(path: Path) -> tuple[np.ndarray, np.ndarray, float]:
             if key == "SPACING":
                 spacing = float(rest[0])
             elif key == "NELEMENTS":
-                nelements = tuple(int(v) + 1 for v in rest)
+                nelements = tuple(int(v) for v in rest)
                 if len(nelements) != 3:
                     raise ValueError("expected three dimensions")
             elif key == "CENTER":
-                centre = np.array([float(v) for v in rest])
-                if centre.shape != (3,):
+                centre = tuple(float(v) for v in rest)
+                if len(centre) != 3:
                     raise ValueError("expected three coordinates")
         except (ValueError, IndexError) as exc:
             raise ParseError(path, f"malformed {key} header: {exc}",
@@ -83,7 +103,31 @@ def _read_one_map(path: Path) -> tuple[np.ndarray, np.ndarray, float]:
                                   ("CENTER", centre)) if v is None]
         raise ParseError(path, "incomplete AutoGrid header: missing "
                                + ", ".join(missing))
-    nx, ny, nz = nelements
+    return _Grid(spacing, nelements, centre, path)
+
+
+def _read_one_map(path: Path, out: np.ndarray | None = None,
+                  grid: _Grid | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Parse one ``.map`` file; returns ``(values, origin, spacing)``.
+
+    ``values`` is the ``(nx, ny, nz)`` grid.  Given ``out``, a flat block
+    of a map set's buffer, the values are parsed into it and ``values``
+    is a view of it.  Given ``grid``, the header of the set's first map,
+    a header that differs from it raises a :class:`ParseError`.
+    """
+    lines = path.read_text().splitlines()
+    head = _read_header(path, lines)
+    if grid is not None and head != grid:
+        diff = "; ".join(
+            f"{key} {getattr(head, attr)} vs {getattr(grid, attr)}"
+            for key, attr in (("SPACING", "spacing"),
+                              ("NELEMENTS", "nelements"),
+                              ("CENTER", "centre"))
+            if getattr(head, attr) != getattr(grid, attr))
+        raise ParseError(path, f"grid header differs from "
+                               f"{grid.path.name}'s: {diff}")
+    nx, ny, nz = head.shape
     expected = nx * ny * nz
     body = [(lineno, line)
             for lineno, line in enumerate(lines[_HEADER_LINES:],
@@ -106,9 +150,9 @@ def _read_one_map(path: Path) -> tuple[np.ndarray, np.ndarray, float]:
                 raise ParseError(path, f"bad grid value: {exc}",
                                  line=lineno, text=line) from exc
         raise  # pragma: no cover - unreachable: some line must fail
-    values = data.reshape(nz, ny, nx).transpose(2, 1, 0)
-    origin = centre - spacing * (np.array([nx, ny, nz]) - 1) / 2.0
-    return values, origin, spacing
+    values = (np.empty(expected) if out is None else out).reshape(nx, ny, nz)
+    values[...] = data.reshape(nz, ny, nx).transpose(2, 1, 0)
+    return values, head.origin, head.spacing
 
 
 def write_maps(maps: GridMaps, directory: str | Path,
@@ -155,7 +199,13 @@ def write_maps(maps: GridMaps, directory: str | Path,
 
 
 def read_maps(fld_path: str | Path) -> GridMaps:
-    """Load grid maps from a ``.maps.fld`` index written by :func:`write_maps`."""
+    """Load grid maps from a ``.maps.fld`` index written by :func:`write_maps`.
+
+    Every ``.map`` file is parsed straight into its block of the map set's
+    one buffer.  All of them must carry the first file's grid header
+    (SPACING, NELEMENTS, CENTER), or a :class:`ParseError` names the file
+    that differs.
+    """
     fld_path = Path(fld_path)
     directory = fld_path.parent
     type_names: list[str] = []
@@ -180,15 +230,16 @@ def read_maps(fld_path: str | Path) -> GridMaps:
                              f"referenced map file {name!r} not found "
                              f"next to the index")
 
-    affinity = []
-    origin = spacing = None
-    for name in files[: len(type_names)]:
-        values, origin, spacing = _read_one_map(directory / name)
-        affinity.append(values)
-    elec, _, _ = _read_one_map(directory / files[-3])
-    desolv_v, _, _ = _read_one_map(directory / files[-2])
-    desolv_s, _, _ = _read_one_map(directory / files[-1])
-
-    return GridMaps(origin=origin, spacing=spacing, type_names=type_names,
-                    affinity=np.stack(affinity), elec=elec,
-                    desolv_v=desolv_v, desolv_s=desolv_s)
+    # the first map's header sizes the one buffer that every map file is
+    # parsed into, in index order: the affinity stack, then e, d1 and d2
+    first = directory / files[0]
+    with open(first) as fh:
+        head = [fh.readline().rstrip("\n") for _ in range(_HEADER_LINES)]
+    grid = _read_header(first, head)
+    n_voxels = int(np.prod(grid.shape))
+    flat = np.empty(len(files) * n_voxels)
+    for k, name in enumerate(files):
+        _read_one_map(directory / name,
+                      out=flat[k * n_voxels:(k + 1) * n_voxels], grid=grid)
+    return GridMaps.from_flat(flat, origin=grid.origin, spacing=grid.spacing,
+                              type_names=type_names, shape=grid.shape)

@@ -243,10 +243,8 @@ def sizeof(value) -> int:
     """Byte-cost estimate for the objects the service layer caches.
 
     :class:`~repro.docking.grids.GridMaps` values (bare or nested inside
-    a test case) are charged via :attr:`GridMaps.nbytes`, which includes
-    the lazily-built fused flat buffer *up front* — the estimate is an
-    upper bound on what the entry can grow to, so ``bytes_used`` stays
-    within ``capacity_bytes`` even after post-insert flat-map builds.
+    a test case) are charged via :attr:`GridMaps.nbytes`: their one fused
+    buffer plus its small index tables.
     """
     from repro.docking.grids import GridMaps
     total = 1024

@@ -2,8 +2,8 @@
 
 :class:`ContentCache` bounds one process's memory, but at fleet scale the
 expensive artefacts (fused flat grid buffers, assembled test cases) are
-*shared*: every worker on a host re-parses the same ``.map`` text and
-re-concatenates the same flat buffer.  The :class:`BlobStore` persists
+*shared*: every worker on a host re-parses the same ``.map`` text into
+the same flat buffer.  The :class:`BlobStore` persists
 those artefacts once, keyed by the same content digests the memory tier
 uses, as mmap-able ``.npy`` blobs under a configurable root:
 
@@ -192,8 +192,8 @@ class BlobStore:
 
 class GridMapsCodec:
     """Spill a :class:`~repro.docking.grids.GridMaps` as its fused flat
-    buffer — exactly what the hot-path gathers read, so a store hit hands
-    workers a ready-to-use grid with zero parsing or concatenation."""
+    buffer — its one storage and exactly what the hot-path gathers read,
+    so a store hit hands workers a ready-to-use grid with zero parsing."""
 
     name = "gridmaps/v1"
 

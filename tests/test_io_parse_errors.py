@@ -187,3 +187,54 @@ class TestMalformedAutogrid:
         (directory / "p.d1.map").unlink()
         with pytest.raises(ParseError, match="not found"):
             read_maps(fld)
+
+
+class TestMapHeadersAgree:
+    """Regression: ``read_maps`` took SPACING and CENTER from the last
+    affinity file and ignored the other headers, so a map set whose files
+    disagree loaded silently, or failed in ``GridMaps`` with a bare
+    ``ValueError``.  Every header must now match the first file's."""
+
+    def test_a_spacing_that_differs_is_refused(self, maps_dir):
+        directory, fld = maps_dir
+
+        def respace(lines):
+            lines[3] = "SPACING 0.800"
+            return lines
+
+        edit_map(directory, "p.C.map", respace)
+        with pytest.raises(ParseError) as exc:
+            read_maps(fld)
+        # the first file sets the grid; the next one disagrees with it
+        assert exc.value.path.name == "p.e.map"
+        assert "p.C.map" in exc.value.reason
+        assert "SPACING 0.5 vs 0.8" in exc.value.reason
+
+    def test_a_moved_centre_is_refused(self, maps_dir):
+        directory, fld = maps_dir
+
+        def move(lines):
+            lines[5] = "CENTER 0.500 0.500 2.000"
+            return lines
+
+        edit_map(directory, "p.e.map", move)
+        with pytest.raises(ParseError) as exc:
+            read_maps(fld)
+        assert exc.value.path.name == "p.e.map"
+        assert "CENTER" in exc.value.reason
+
+    def test_a_map_of_another_size_is_refused(self, maps_dir, tmp_path):
+        directory, fld = maps_dir
+        rng = np.random.default_rng(1)
+        smaller = GridMaps(origin=np.zeros(3), spacing=0.5, type_names=["C"],
+                           affinity=rng.standard_normal((1, 2, 3, 3)),
+                           elec=rng.standard_normal((2, 3, 3)),
+                           desolv_v=rng.standard_normal((2, 3, 3)),
+                           desolv_s=rng.standard_normal((2, 3, 3)))
+        other = write_maps(smaller, tmp_path / "other", stem="p").parent
+        (directory / "p.d1.map").write_text(
+            (other / "p.d1.map").read_text())
+        with pytest.raises(ParseError) as exc:
+            read_maps(fld)
+        assert exc.value.path.name == "p.d1.map"
+        assert "NELEMENTS (1, 2, 2) vs (2, 2, 2)" in exc.value.reason

@@ -159,7 +159,7 @@ class TestFlatMapAccounting:
         component = sum(np.asarray(getattr(maps, a)).nbytes
                         for a in ("affinity", "elec",
                                   "desolv_v", "desolv_s"))
-        assert charged >= 2 * component          # flat build pre-charged
+        assert component <= charged < 2 * component  # one buffer, once
 
         maps.flat_maps                           # materialise lazily
         assert cache.bytes_used == charged       # no unaccounted growth

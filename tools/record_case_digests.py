@@ -13,9 +13,12 @@ Usage (from the repository root)::
     PYTHONPATH=src python tools/record_case_digests.py --check [CASE ...]
 
 Recording always rebuilds all 42 cases.  ``--check`` rebuilds the named
-cases (all 42 by default), prints every field that differs and exits 1
-if any does.  The committed file was recorded at commit 7001096, before
-``Receptor.make_maps`` was tiled.
+cases (all 42 by default) and also puts each one through a
+``BlobStore`` under a temporary root, spilled with the codec the cache
+uses for ``case/<name>`` keys, and reads it back; the built and the
+store-loaded case must both carry the recorded digests.  It prints every
+field that differs and exits 1 if any does.  The committed file was
+recorded at commit 7001096, before ``Receptor.make_maps`` was tiled.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import argparse
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +60,17 @@ def build_digest(name: str) -> dict:
     return case_digest(build_test_case(name))
 
 
+def store_round_trip(case, root: str | Path):
+    """``case`` as a store hit returns it: spilled to a ``BlobStore`` at
+    ``root`` and decoded from its memory-mapped blob."""
+    from repro.serve.store import BlobStore, codec_for_key
+    key = f"case/{case.name}"
+    codec = codec_for_key(key)
+    store = BlobStore(root)
+    store.put(key, *codec.encode(case))
+    return codec.decode(*store.get(key))
+
+
 def mismatches(recorded: dict, name: str, fresh: dict) -> list[str]:
     """One line per field of ``fresh`` that differs from ``recorded``."""
     want = recorded["cases"].get(name)
@@ -80,12 +95,19 @@ def main(argv=None) -> int:
         ap.error("case names need --check: recording writes all 42")
     names = args.cases or [n for n, _ in SET_OF_42]
 
+    from repro.testcases.library import build_test_case
+
     recorded = json.loads(args.out.read_text()) if args.check else None
     cases, failed = {}, []
     for name in names:
-        cases[name] = build_digest(name)
+        case = build_test_case(name)
+        cases[name] = case_digest(case)
         if recorded is not None:
             bad = mismatches(recorded, name, cases[name])
+            with tempfile.TemporaryDirectory() as root:
+                stored = case_digest(store_round_trip(case, root))
+            bad += [f"{line} (store round trip)"
+                    for line in mismatches(recorded, name, stored)]
             failed += bad
             print(f"{name}: {'MISMATCH' if bad else 'ok'}", file=sys.stderr)
     if recorded is not None:
