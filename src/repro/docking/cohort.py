@@ -34,6 +34,13 @@ same ligand packed alone, and its scores to the scalar reference
   onto ``(3, C, B, N)`` coordinate planes; and :func:`grotbond` runs on
   ``(3, C*N, B)`` planes whose FP32 tree halves a leading atom axis,
   adding the same pairs as the tree over a trailing one;
+* the working set is bounded the same way, never by a different
+  operation: pair endpoints are taken as whole coordinate rows straight
+  into one batch-major ``(C, B, P, 3)`` buffer, the pair tail runs in
+  place over a fixed handful of planes, ``inv_rv2 ** 5`` is taken only on
+  the 12-10 columns, and corners are gathered a corner block at a time
+  with no ``(8, 4, C, B, N)`` index (``LigandPack.intra`` /
+  ``inter_energy``);
 * the two operations whose summation order is layout-dependent — the
   pair->atom scatter ``einsum`` and the energy incidence matmul — stay
   per-ligand, on contiguous copies with exactly the single-path shapes.
@@ -187,8 +194,6 @@ class LigandPack:
             self.pqq[a, 0, :p_a] = t.qq
             self.pdsolv[a, 0, :p_a] = t.dsolv
 
-        self._init_pair_index()
-
         # ---- pair->atom incidence matrices: per-ligand, shared across
         # slots holding the same ligand (their BLAS contractions are the
         # layout-sensitive ops; see module docstring)
@@ -213,6 +218,7 @@ class LigandPack:
             [sf.smooth for sf in scorings], dtype=bool)[:, None, None]
         self.any_smooth = bool(self.smooth_col.any())
         self._init_groups()
+        self._init_pair_index()
         self.rotation_list = RotationList(self.ligands)
         self._subsets: dict[tuple[int, ...], "LigandPack"] = {}
 
@@ -285,15 +291,24 @@ class LigandPack:
         self.moved_dst = np.concatenate(dst + none)
 
     def _init_pair_index(self) -> None:
-        """Fancy-index form of the pair endpoint gather (bit-equivalent
-        to ``take_along_axis`` — gathers copy, they never compute — but
-        roughly twice as fast on the hot shapes), plus pose-independent
-        pair-table derivations hoisted out of the per-call ``intra``."""
-        self._gather_c = np.arange(self.C, dtype=np.int64)[:, None]
-        self._pif = self.pi[:, 0, :, 0]
-        self._pjf = self.pj[:, 0, :, 0]
-        self._pm6 = self.pm == 6
-        self._pm_all6 = bool(self._pm6.all())
+        """Pose-independent pair-table derivations hoisted out of the
+        per-call ``intra``.
+
+        ``intra`` works on ``(rows, batch, P)`` pair planes: one row per
+        slot, or a single row holding every slot's batch when the pack is
+        uniform (slot 0's tables then stand for all of them).
+        ``_pif`` / ``_pjf`` are each row's endpoint atom columns, for
+        ``np.take`` along the atom axis (a per-row copy of whole
+        coordinate rows, ~5x faster than a ``(C, P)`` fancy index, which
+        also lands pair-major), and
+        ``_m10_rows`` / ``_m10_cols`` the pair columns whose well is 12-10
+        (``m != 6``), the only ones that take ``inv_rv2 ** 5``.
+        """
+        self._rows = 1 if self.uniform else self.C
+        self._pif = self.pi[:self._rows, 0, :, 0]
+        self._pjf = self.pj[:self._rows, 0, :, 0]
+        self._m10_rows, self._m10_cols = np.nonzero(
+            self.pm[:self._rows, 0] != 6)
         # smoothing pivot of the 12-m well; static per pair, same
         # expression (and therefore the same bits) as the inline form
         self.r_opt = (12.0 * self.pc / (self.pm * self.pd)) \
@@ -349,7 +364,6 @@ class LigandPack:
         sub.pm = np.ascontiguousarray(self.pm[idx][:, :, :P])
         sub.pqq = np.ascontiguousarray(self.pqq[idx][:, :, :P])
         sub.pdsolv = np.ascontiguousarray(self.pdsolv[idx][:, :, :P])
-        sub._init_pair_index()
         sub.scat_g = [self.scat_g[i] for i in idx]
         sub.scat_e = [self.scat_e[i] for i in idx]
         sub._init_torsion_rows()
@@ -357,6 +371,7 @@ class LigandPack:
         sub.smooth_col = self.smooth_col[idx]
         sub.any_smooth = bool(sub.smooth_col.any())
         sub._init_groups()
+        sub._init_pair_index()
         sub.rotation_list = RotationList(sub.ligands)
         sub._subsets = {}
         return sub
@@ -395,12 +410,9 @@ class LigandPack:
             self._record_nonfinite(u)
             u = np.nan_to_num(u, nan=1e4, posinf=1e4, neginf=-1e4)
         uc = np.clip(u, 0.0, self.dims_lim)
-        out = u - uc
-        i0 = np.floor(uc).astype(np.int64)
-        i1 = np.minimum(i0 + 1, self.shape_m1)
-        f = uc - i0
-        flat = _corner_flat(i0, i1, self.ny, self.nz)    # (8, C, B, N)
-        c = self.flat_maps.take(flat[:, None] + self.offs)  # (8, 4, C, B, N)
+        d_out = np.subtract(u, uc, out=u)        # out-of-box, grid units
+        np.multiply(d_out, self.spacing, out=d_out)   # -> Å
+        c, f = self._corners(uc)
         if self.grid_injector is not None:
             # grid-gather stride site: corrupt the fetched corner values
             # (modelling corrupt device memory under the trilinear blend)
@@ -412,123 +424,174 @@ class LigandPack:
                     lanes=[int(g) for g in
                            self.global_indices[per_lane > 0]],
                     n_values=int(inj.sum()))
-        return _grid_terms(c, f, out * self.spacing, self.spacing,
-                           self.charges, self.solpar, self.vol,
-                           with_gradient)
+        return _grid_terms(c, f, d_out, self.spacing, self.charges,
+                           self.solpar, self.vol, with_gradient)
+
+    def _corners(self, uc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The corner-major ``(8, 4, C, B, N)`` gather of all four map
+        channels at the clipped grid coordinates ``uc`` ``(3, C, B, N)``,
+        and the fraction planes (written into ``uc``'s buffer).
+
+        One corner at a time: a corner's four channels are one contiguous
+        block of the buffer, so the index is a corner's worth, never
+        ``(8, 4, C, B, N)``, and ``take`` writes in place.  Every index is
+        in range by construction (clipped coordinates, the pack's own
+        block offsets), so ``mode="clip"`` never clips; raise mode would
+        route ``out`` through a temporary copy.  The index planes go when
+        this returns, before the blends allocate theirs.
+        """
+        i0 = np.floor(uc).astype(np.int64)
+        i1 = np.minimum(i0 + 1, self.shape_m1)
+        f = np.subtract(uc, i0, out=uc)
+        flat = _corner_flat(i0, i1, self.ny, self.nz)    # (8, C, B, N)
+        c = np.empty((8, 4) + flat.shape[1:])
+        idx = np.empty(c.shape[1:], dtype=np.int64)
+        for k in range(8):
+            np.add(flat[k], self.offs, out=idx)
+            self.flat_maps.take(idx, out=c[k], mode="clip")
+        return c, f
 
     def intra(self, coords: np.ndarray, with_geometry: bool = False):
         """AD4 pairwise terms over ``(C, B, N, 3)`` coordinates; padded
         pairs evaluate at the neutral coefficients and are dropped by the
         contiguous contribution packing downstream.
 
-        A uniform pack folds the cohort axis into the batch: reshape
-        views plus one representative ``(P,)`` coefficient row compute
-        exactly the same per-element arithmetic as the broadcast
-        ``(C, 1, P)`` tables, without the per-slot gather/copy overhead.
+        The pair planes are ``(rows, batch, P)`` (see
+        :meth:`_init_pair_index`): a uniform pack folds its cohort axis
+        into the batch as one row against slot 0's ``(1, 1, P)`` tables,
+        which compute exactly the per-element arithmetic of the broadcast
+        ``(C, 1, P)`` ones.  The working set is the batch-major
+        ``(rows, batch, P, 3)`` delta buffer, filled one row at a time,
+        then a fixed handful of ``(rows, batch, P)`` planes: each term
+        group runs in place in its own helper, whose scratch planes go
+        when it returns.  Without ``with_geometry`` (the score path) the
+        delta buffer goes, and ``r`` takes ``r_raw``'s buffer, before the
+        tail starts.
         """
-        if self.uniform:
-            C, B = coords.shape[:2]
-            flat = coords.reshape(C * B, self.N, 3)
-            delta = flat[:, self._pif[0]] - flat[:, self._pjf[0]]
-            pc, pd, pm = self.pc[0, 0], self.pd[0, 0], self.pm[0, 0]
-            pqq, pdsolv = self.pqq[0, 0], self.pdsolv[0, 0]
-            pm6, r_opt = self._pm6[0, 0], self.r_opt[0, 0]
-            smooth = self.smooth_col[0, 0, 0]
-            lead = (C, B)
+        C, B = coords.shape[:2]
+        n = self._rows
+        rows = coords.reshape(n, C * B // n, self.N, 3)
+        delta = np.empty(rows.shape[:2] + (self.P, 3))
+        for a in range(n):
+            # the endpoint columns are in range by construction, so
+            # mode="clip" never clips: it lets take write straight into
+            # the buffer, where raise mode copies through a temporary
+            np.take(rows[a], self._pif[a], axis=1, out=delta[a], mode="clip")
+            np.subtract(delta[a], rows[a].take(self._pjf[a], axis=1),
+                        out=delta[a])
+        r_raw = xyz_sum(delta[..., 0], delta[..., 1], delta[..., 2],
+                        squares=True)
+        np.sqrt(r_raw, out=r_raw)
+        if with_geometry:
+            r = np.maximum(r_raw, RMIN)
         else:
-            # fancy indexing lands pair-major (C, P, B, 3); one
-            # contiguous transpose back keeps every downstream
-            # elementwise op on dense batch-major memory
-            ci = coords[self._gather_c, :, self._pif]      # (C, P, B, 3)
-            cj = coords[self._gather_c, :, self._pjf]
-            delta = np.ascontiguousarray(np.moveaxis(ci - cj, 1, 2))
-            pc, pd, pm = self.pc, self.pd, self.pm
-            pqq, pdsolv = self.pqq, self.pdsolv
-            pm6, r_opt = self._pm6, self.r_opt
-            smooth = self.smooth_col
-            lead = None
-        r_raw = np.sqrt(xyz_sum(delta[..., 0], delta[..., 1], delta[..., 2],
-                                squares=True))
-        r = np.maximum(r_raw, RMIN)
+            r = np.maximum(r_raw, RMIN, out=r_raw)
+            del delta
+        tab = slice(0, n)
+        inv_r = 1.0 / r
+        energy, de_dr = self._lj_terms(r, inv_r, tab)
+        _add_elec_terms(energy, de_dr, r, inv_r, self.pqq[tab])
+        del inv_r
+        _add_solv_terms(energy, de_dr, r, self.pdsolv[tab])
+        np.clip(energy, -ECLAMP, ECLAMP, out=energy)
+        np.clip(de_dr, -GRADCLAMP, GRADCLAMP, out=de_dr)
+        energy = energy.reshape(C, B, self.P)
+        de_dr = de_dr.reshape(C, B, self.P)
+        if with_geometry:
+            return (energy, de_dr, delta.reshape(C, B, self.P, 3),
+                    r_raw.reshape(C, B, self.P))
+        return energy, de_dr
+
+    def _lj_terms(self, r: np.ndarray, inv_r: np.ndarray, tab: slice
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """The 12-6 / 12-10 energy and radial derivative of the pair
+        planes, smoothing included; ``tab`` selects the rows' tables.
+
+        Every step keeps the single path's operand grouping
+        (left-associative products, ``(-12 c) * inv_r12``), so each
+        element carries the single-path bits.  ``inv_rv2 ** 5`` is taken
+        on the 12-10 columns alone and written into a copy of
+        ``inv_r6``: the values ``np.where(m == 6, inv_r6, inv_rv2 ** 5)``
+        selects.
+        """
+        pc, pd, pm = self.pc[tab], self.pd[tab], self.pm[tab]
         in_well = None
+        inv_rv = inv_r
         if self.any_smooth:
             hw = SMOOTH_HALF_WIDTH
+            r_opt, smooth = self.r_opt[tab], self.smooth_col[tab]
             in_well = (np.abs(r - r_opt) <= hw) & smooth
             r_vdw = np.where(smooth,
                              np.where(r < r_opt - hw, r + hw,
                                       np.where(r > r_opt + hw, r - hw,
                                                r_opt)),
                              r)
-        else:
-            r_vdw = r
-
-        # the tail runs in place over a handful of full-size buffers: each
-        # step keeps the single path's operand grouping (left-assoc
-        # products, ``(a + b) + c`` sums, ``(-a) * b`` sign placement), so
-        # every element carries exactly the single-path bits while the
-        # temporary count drops from ~18 allocations to 6
-        inv_r = 1.0 / r
-        # no smoothing means r_vdw aliases r, so one divide serves both
-        inv_rv = inv_r if r_vdw is r else 1.0 / r_vdw
+            inv_rv = np.divide(1.0, r_vdw, out=r_vdw)
         inv_rv2 = inv_rv * inv_rv
         inv_r6 = inv_rv2 ** 3
-        # all-6 packs alias the 12-6 column; bitwise equal to the where()
-        inv_rm = inv_r6 if self._pm_all6 \
-            else np.where(pm6, inv_r6, inv_rv2 ** 5)
-        inv_r12 = inv_r6 ** 2
-
-        e_vdw = pc * inv_r12
+        if self._m10_rows.size:
+            m10 = inv_rv2[self._m10_rows, :, self._m10_cols] ** 5
+            np.copyto(inv_rv2, inv_r6)
+            inv_rv2[self._m10_rows, :, self._m10_cols] = m10
+            inv_rm = inv_rv2
+        else:
+            inv_rm = inv_r6
+        del inv_rv2
         t = pd * inv_rm
+        # (m d) inv_rm lands in inv_rm's buffer, unless that is inv_r6,
+        # which inv_r12 takes next
+        t2 = np.multiply(pm * pd, inv_rm,
+                         out=None if inv_rm is inv_r6 else inv_rm)
+        inv_r12 = np.square(inv_r6, out=inv_r6)
+        e_vdw = pc * inv_r12
         np.subtract(e_vdw, t, out=e_vdw)
-        de_vdw = -12.0 * pc * inv_r12
-        np.multiply(pm * pd, inv_rm, out=t)
-        np.add(de_vdw, t, out=de_vdw)
+        de_vdw = np.multiply(-12.0 * pc, inv_r12, out=inv_r12)
+        np.add(de_vdw, t2, out=de_vdw)
         np.multiply(de_vdw, inv_rv, out=de_vdw)
         if in_well is not None:
-            de_vdw = np.where(in_well, 0.0, de_vdw)
+            np.copyto(de_vdw, 0.0, where=in_well)   # flat well bottom
+        return e_vdw, de_vdw
 
-        # Mehler-Solmajer dielectric and its derivative share the same
-        # ``exp`` term; evaluating it once is the single biggest saving
-        # (dielectric() / dielectric_derivative() recompute it, with
-        # identical expressions, so the bits match)
-        u = _MS_RK * np.exp(-_MS_LAM * _MS_B * r)
-        one_u = 1.0 + u
-        eps = _MS_A + _MS_B / one_u
-        e_elec = pqq * inv_r
-        np.divide(e_elec, eps, out=e_elec)
-        np.multiply(u, _MS_LAM * _MS_B * _MS_B, out=u)
-        np.multiply(one_u, one_u, out=one_u)      # (1 + u) ** 2
-        np.divide(u, one_u, out=u)
-        np.divide(u, eps, out=u)
-        np.add(u, inv_r, out=u)
-        np.multiply(u, e_elec, out=u)
-        de_elec = np.negative(u, out=u)
 
-        g = r / 3.6
-        np.multiply(g, g, out=g)                  # (r / 3.6) ** 2
-        np.multiply(g, -0.5, out=g)
-        np.exp(g, out=g)                          # gauss
-        e_solv = pdsolv * g
-        np.divide(r, -(3.6 ** 2), out=g)          # -r / 3.6 ** 2
-        de_solv = np.multiply(g, e_solv, out=g)
+def _add_elec_terms(energy: np.ndarray, de_dr: np.ndarray, r: np.ndarray,
+                    inv_r: np.ndarray, pqq: np.ndarray) -> None:
+    """Add the Mehler-Solmajer electrostatics to ``energy`` / ``de_dr``.
 
-        energy = e_vdw
-        np.add(energy, e_elec, out=energy)
-        np.add(energy, e_solv, out=energy)
-        de_dr = de_vdw
-        np.add(de_dr, de_elec, out=de_dr)
-        np.add(de_dr, de_solv, out=de_dr)
-        np.clip(energy, -ECLAMP, ECLAMP, out=energy)
-        np.clip(de_dr, -GRADCLAMP, GRADCLAMP, out=de_dr)
-        if lead is not None:
-            energy = energy.reshape(lead + (-1,))
-            de_dr = de_dr.reshape(lead + (-1,))
-            if with_geometry:
-                r_raw = r_raw.reshape(lead + (-1,))
-                delta = delta.reshape(lead + (-1, 3))
-        if with_geometry:
-            return energy, de_dr, delta, r_raw
-        return energy, de_dr
+    The dielectric and its derivative share one ``exp`` term
+    (``dielectric()`` / ``dielectric_derivative()`` recompute it with
+    identical expressions, so the bits match); three scratch planes.
+    """
+    u = np.multiply(-_MS_LAM * _MS_B, r)
+    np.exp(u, out=u)
+    np.multiply(_MS_RK, u, out=u)
+    one_u = 1.0 + u
+    eps = np.divide(_MS_B, one_u)
+    np.add(_MS_A, eps, out=eps)
+    np.multiply(u, _MS_LAM * _MS_B * _MS_B, out=u)
+    np.multiply(one_u, one_u, out=one_u)      # (1 + u) ** 2
+    np.divide(u, one_u, out=u)
+    e_elec = np.multiply(pqq, inv_r, out=one_u)
+    np.divide(e_elec, eps, out=e_elec)
+    np.divide(u, eps, out=u)
+    np.add(u, inv_r, out=u)
+    np.multiply(u, e_elec, out=u)
+    np.add(energy, e_elec, out=energy)
+    np.add(de_dr, np.negative(u, out=u), out=de_dr)
+
+
+def _add_solv_terms(energy: np.ndarray, de_dr: np.ndarray, r: np.ndarray,
+                    pdsolv: np.ndarray) -> None:
+    """Add the gaussian desolvation terms to ``energy`` / ``de_dr``;
+    consumes ``r`` (its buffer ends as the derivative)."""
+    g = r / 3.6
+    np.multiply(g, g, out=g)                  # (r / 3.6) ** 2
+    np.multiply(g, -0.5, out=g)
+    np.exp(g, out=g)                          # gauss
+    e_solv = np.multiply(pdsolv, g, out=g)
+    de_solv = np.divide(r, -(3.6 ** 2), out=r)   # -r / 3.6 ** 2
+    np.multiply(de_solv, e_solv, out=de_solv)
+    np.add(energy, e_solv, out=energy)
+    np.add(de_dr, de_solv, out=de_dr)
 
 
 def grotbond(coords: np.ndarray, g_atoms: np.ndarray,

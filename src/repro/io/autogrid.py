@@ -26,6 +26,7 @@ with the suffixes ``.d1.map`` and ``.d2.map``.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -115,9 +116,18 @@ def _read_one_map(path: Path, out: np.ndarray | None = None,
     of a map set's buffer, the values are parsed into it and ``values``
     is a view of it.  Given ``grid``, the header of the set's first map,
     a header that differs from it raises a :class:`ParseError`.
+
+    The body is parsed by one ``np.loadtxt`` over its bytes, with no
+    per-line Python object; it applies the rule of the line parse (one
+    value per non-blank line) in C, and its result is taken when it is
+    exactly the expected ``(values, 1)`` column.  Anything else (a bad
+    value, two values on a line, a truncated body) goes to
+    :func:`_parse_lines`, which splits lines to name the failing one.
     """
-    lines = path.read_text().splitlines()
-    head = _read_header(path, lines)
+    with path.open("rb") as fh:
+        head_bytes = b"".join(fh.readline() for _ in range(_HEADER_LINES))
+        body = fh.read()
+    head = _read_header(path, head_bytes.decode().splitlines())
     if grid is not None and head != grid:
         diff = "; ".join(
             f"{key} {getattr(head, attr)} vs {getattr(grid, attr)}"
@@ -129,30 +139,41 @@ def _read_one_map(path: Path, out: np.ndarray | None = None,
                                f"{grid.path.name}'s: {diff}")
     nx, ny, nz = head.shape
     expected = nx * ny * nz
+    data = None
+    if body and not body.isspace():     # loadtxt warns on an empty body
+        try:
+            data = np.loadtxt(io.BytesIO(body), comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if data is None or data.shape != (expected, 1):
+        data = _parse_lines(path, (head_bytes + body).decode(), head.shape)
+    values = (np.empty(expected) if out is None else out).reshape(nx, ny, nz)
+    values[...] = data.reshape(nz, ny, nx).transpose(2, 1, 0)
+    return values, head.origin, head.spacing
+
+
+def _parse_lines(path: Path, text: str, shape: tuple[int, int, int]
+                 ) -> np.ndarray:
+    """The body of a ``.map`` file, one value per non-blank line, parsed
+    line by line: the diagnostic path, whose errors name the line."""
+    nx, ny, nz = shape
+    expected = nx * ny * nz
     body = [(lineno, line)
-            for lineno, line in enumerate(lines[_HEADER_LINES:],
+            for lineno, line in enumerate(text.splitlines()[_HEADER_LINES:],
                                           start=_HEADER_LINES + 1)
             if line.strip()]
     if len(body) != expected:
         raise ParseError(path, f"expected {expected} grid values "
                                f"({nx}x{ny}x{nz}), found {len(body)} — "
                                f"file truncated?")
-    try:
-        # fast path: one vectorised conversion of the whole body
-        data = np.fromiter((float(line) for _, line in body),
-                           dtype=np.float64, count=expected)
-    except ValueError:
-        # slow diagnostic pass: locate the offending line
-        for lineno, line in body:
-            try:
-                float(line)
-            except ValueError as exc:
-                raise ParseError(path, f"bad grid value: {exc}",
-                                 line=lineno, text=line) from exc
-        raise  # pragma: no cover - unreachable: some line must fail
-    values = (np.empty(expected) if out is None else out).reshape(nx, ny, nz)
-    values[...] = data.reshape(nz, ny, nx).transpose(2, 1, 0)
-    return values, head.origin, head.spacing
+    data = np.empty(expected)
+    for k, (lineno, line) in enumerate(body):
+        try:
+            data[k] = float(line)
+        except ValueError as exc:
+            raise ParseError(path, f"bad grid value: {exc}",
+                             line=lineno, text=line) from exc
+    return data
 
 
 def write_maps(maps: GridMaps, directory: str | Path,

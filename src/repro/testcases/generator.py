@@ -265,6 +265,28 @@ def _build_pocket(rng: np.random.Generator, name: str, ligand: Ligand,
 # full case assembly
 
 
+def _sculpt_wells(maps, ligand: Ligand, native_coords: np.ndarray,
+                  origin: np.ndarray, n_side: int) -> None:
+    """Stamp the two-scale gaussian well of every native atom into its
+    type's affinity map (see :func:`make_test_case`).
+
+    Each well's squared distances come from per-axis tables added as
+    ``(dx2 + dy2) + dz2``: the values, in the order, of the sum over a
+    3-D meshgrid, without the meshgrid.  Nothing grid-sized outlives the
+    call.
+    """
+    well_depth = max(0.45, 12.0 / ligand.n_atoms)   # kcal/mol per atom
+    well_scales = ((4.5, 0.4), (2.5, 0.6))          # (sigma Å, depth share)
+    axes = [origin[k] + _GRID_SPACING * np.arange(n_side) for k in range(3)]
+    type_idx = maps.type_index(ligand.atom_types)
+    for i, pos in enumerate(native_coords):
+        dx2, dy2, dz2 = ((axes[k] - pos[k]) ** 2 for k in range(3))
+        d2 = (dx2[:, None, None] + dy2[None, :, None]) + dz2[None, None, :]
+        for sigma, share in well_scales:
+            maps.affinity[type_idx[i]] -= (well_depth * share
+                                           * np.exp(-d2 / (2.0 * sigma ** 2)))
+
+
 def make_test_case(name: str, n_rot: int, seed: int,
                    refine_iters: int = 150) -> TestCase:
     """Build one synthetic docking test case.
@@ -331,16 +353,7 @@ def make_test_case(name: str, n_rot: int, seed: int,
     # search from several Å away plus a tighter well that rewards native
     # contacts (real pockets have the same structure: long-range
     # electrostatics/desolvation over short-range shape fit).
-    well_depth = max(0.45, 12.0 / ligand.n_atoms)   # kcal/mol per atom
-    well_scales = ((4.5, 0.4), (2.5, 0.6))          # (sigma Å, depth share)
-    axes = [origin[k] + _GRID_SPACING * np.arange(n_side) for k in range(3)]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    type_idx = maps.type_index(ligand.atom_types)
-    for i, pos in enumerate(native_coords):
-        d2 = ((gx - pos[0]) ** 2 + (gy - pos[1]) ** 2 + (gz - pos[2]) ** 2)
-        for sigma, share in well_scales:
-            maps.affinity[type_idx[i]] -= (well_depth * share
-                                           * np.exp(-d2 / (2.0 * sigma ** 2)))
+    _sculpt_wells(maps, ligand, native_coords, origin, n_side)
 
     # reference global minimum: exact-arithmetic refinement from the native
     scoring = ScoringFunction(ligand, maps)

@@ -141,6 +141,85 @@ class TestEnvelope:
         assert _gate(tmp_path, _doc(m), _doc(m, bench="other")) == 1
 
 
+def _write(tmp_path, tag, docs):
+    paths = []
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"{tag}-{i}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    return paths
+
+
+def _rate(value, bound=0.30, better="higher"):
+    return _doc(metric("rate", "1/ref", better, value, bound, smoke=True))
+
+
+class TestRuns:
+    """Several fresh runs gate by their medians; runs of the base commit
+    replace the committed values, under the committed declarations."""
+
+    @pytest.mark.parametrize("values, passes", [
+        ((50.0, 71.0, 200.0), True),      # median 71 against edge 70
+        ((69.0, 71.0, 69.5), False),      # median 69.5
+    ])
+    def test_fresh_runs_gate_by_their_median(self, tmp_path, values,
+                                             passes):
+        base = _write(tmp_path, "committed", [_rate(100.0)])
+        fresh = _write(tmp_path, "head", [_rate(v) for v in values])
+        assert main(base + ["--fresh", *fresh]) == (0 if passes else 1)
+
+    @pytest.mark.parametrize("head, passes", [(36.0, True), (34.0, False)])
+    def test_base_runs_replace_the_committed_value(self, tmp_path, head,
+                                                   passes):
+        # a slow machine phase: both sides read half the committed rate,
+        # so the head passes against the base medians (edge 0.7 * 50)
+        committed = _write(tmp_path, "committed", [_rate(100.0)])
+        base = _write(tmp_path, "base", [_rate(v) for v in (49, 50, 60)])
+        fresh = _write(tmp_path, "head", [_rate(head)] * 3)
+        assert main(committed + ["--fresh", *fresh]) == 1
+        assert main(committed + ["--fresh", *fresh, "--base", *base]) \
+            == (0 if passes else 1)
+
+    @pytest.mark.parametrize("key, values", [
+        ("max", (0.0, 1.0, 0.0)),         # a count that must stay 0
+        ("min", (1.0, 0.0, 1.0)),         # a flag that must stay true
+    ])
+    def test_a_limit_broken_in_one_run_fails(self, tmp_path, key, values):
+        """Limits hold per run: the median of the three runs keeps the
+        limit, the middle run does not."""
+        def doc(v):
+            return _doc(metric("rate", "1/ref", "higher", 100.0, 0.3,
+                               smoke=True),
+                        metric("flag", "bool", "higher", v,
+                               **{key: 0.0 if key == "max" else 1.0}))
+        committed = _write(tmp_path, "committed", [doc(values[0])])
+        fresh = _write(tmp_path, "head", [doc(v) for v in values])
+        assert main(committed + ["--fresh", fresh[0], fresh[2]]) == 0
+        assert main(committed + ["--fresh", *fresh]) == 1
+
+    def test_base_runs_cannot_loosen_the_bound(self, tmp_path):
+        committed = _write(tmp_path, "committed", [_rate(100.0)])
+        base = _write(tmp_path, "base", [_rate(100.0, bound=0.9)] * 3)
+        fresh = _write(tmp_path, "head", [_rate(60.0)] * 3)
+        assert main(committed + ["--fresh", *fresh, "--base", *base]) == 1
+
+    def test_runs_must_agree(self, tmp_path):
+        committed = _write(tmp_path, "committed", [_rate(100.0)])
+        other = _doc(metric("rate", "1/ref", "higher", 100.0, 0.3,
+                            smoke=True),
+                     metric("x", "s", "lower", 1.0))
+        fresh = _write(tmp_path, "head", [_rate(100.0), other])
+        assert main(committed + ["--fresh", *fresh]) == 1
+        fresh = _write(tmp_path, "head", [_rate(100.0),
+                                          dict(_rate(100.0), bench="b")])
+        assert main(committed + ["--fresh", *fresh]) == 1
+
+    def test_base_needs_fresh(self, tmp_path):
+        committed = _write(tmp_path, "committed", [_rate(100.0)])
+        with pytest.raises(SystemExit):
+            main(committed + ["--base", *committed])
+
+
 @pytest.mark.parametrize("name", sorted(COMMITTED))
 class TestCommittedFiles:
     def test_passes_alone_and_against_itself(self, name):

@@ -1,5 +1,7 @@
 """Tests for the AutoGrid .map / .maps.fld file format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,37 @@ class TestRoundTrip:
         bad.write_text("JUNK\n" * 6 + "1.0\n")
         with pytest.raises(ValueError, match="malformed"):
             _read_one_map(bad)
+
+
+class TestReadMemory:
+    def test_read_maps_holds_the_text_once(self, case_7cpa, tmp_path):
+        """Regression: each .map file's text was held twice (its
+        ``splitlines()`` list and a list of ``(lineno, line)`` tuples),
+        so reading 7cpa's 8.31 MB of maps peaked at ~3x the buffer."""
+        fld = write_maps(case_7cpa.maps, tmp_path)
+        read_maps(fld)                   # imports stay out of the trace
+        tracemalloc.start()
+        try:
+            back = read_maps(fld)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.flat_maps.tobytes() == read_maps(fld).flat_maps.tobytes()
+        assert peak <= 2.0 * back.flat_maps.nbytes, \
+            (peak, back.flat_maps.nbytes)
+
+    def test_blank_lines_and_odd_spacing_still_parse(self, case_small,
+                                                     tmp_path):
+        """Blank lines and values with surrounding whitespace load as the
+        line-by-line parse loaded them."""
+        fld = write_maps(case_small.maps, tmp_path)
+        want = read_maps(fld).flat_maps.copy()
+        path = tmp_path / "protein.e.map"
+        lines = path.read_text().splitlines()
+        lines[7] = "  " + lines[7] + "\t"
+        lines.insert(9, "")
+        path.write_text("\n".join(lines) + "\n\n")
+        assert read_maps(fld).flat_maps.tobytes() == want.tobytes()
 
 
 class TestCliFfile:

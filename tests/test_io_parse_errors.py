@@ -166,6 +166,40 @@ class TestMalformedAutogrid:
         assert exc.value.text == "oops"
         assert "bad grid value" in exc.value.reason
 
+    @pytest.mark.parametrize("blank", ["", "  \t"],
+                             ids=["empty", "whitespace"])
+    def test_two_values_on_a_line_are_not_two_lines(self, maps_dir, blank):
+        """Regression: a line holding two values plus a blank line
+        elsewhere kept both the line count and the value count, and the
+        one-call body parse loaded the file; every non-blank line must
+        hold one value, so one of 27 values is missing."""
+        directory, fld = maps_dir
+
+        def corrupt(lines):
+            lines[10] = lines[10] + " " + lines.pop(11)
+            lines.insert(20, blank)
+            return lines
+
+        edit_map(directory, "p.C.map", corrupt)
+        with pytest.raises(ParseError, match="expected 27 grid values "
+                                             r"\(3x3x3\), found 26"):
+            read_maps(fld)
+
+    def test_bad_value_on_the_last_line_pinpointed(self, maps_dir):
+        directory, fld = maps_dir
+        n_lines = []
+
+        def corrupt(lines):
+            lines[-1] += "x"
+            n_lines.append(len(lines))
+            return lines
+
+        edit_map(directory, "p.e.map", corrupt)
+        with pytest.raises(ParseError) as exc:
+            read_maps(fld)
+        assert exc.value.line == n_lines[0]
+        assert "bad grid value" in exc.value.reason
+
     def test_index_without_types(self, maps_dir):
         directory, fld = maps_dir
         lines = [line for line in fld.read_text().splitlines()

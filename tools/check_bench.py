@@ -27,6 +27,19 @@ bounded metric must be shared, and each shared bounded metric must hold
 ``fresh >= base * (1 - bound)`` when higher is better, or
 ``fresh <= base * (1 + bound)`` when lower is.
 
+``--fresh`` takes several runs of the bench: each run must keep every
+limit, and the bounded comparison gates their per-metric medians.
+``--base`` takes runs of the base commit's code, measured alternately
+with the fresh ones on the same machine; their medians replace the
+committed values as what the fresh medians are compared against, while
+the committed file's declarations, bounds and limits still govern.  A
+VM-phase drift then moves both sides instead of reading as a
+regression::
+
+    python tools/check_bench.py BENCH_hot_path.json \
+        --fresh head-1.json head-2.json head-3.json \
+        --base base-1.json base-2.json base-3.json
+
 Pure stdlib, so it runs before any project dependency is importable.
 """
 
@@ -35,6 +48,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import statistics
 import sys
 from pathlib import Path
 
@@ -124,6 +138,28 @@ def load(path: str) -> tuple[str, dict[str, dict]]:
     return doc["bench"], metrics
 
 
+def load_runs(paths: list[str], bench: str) -> list[dict[str, dict]]:
+    """Each run's metrics; every run must be of ``bench`` and carry the
+    same metrics."""
+    runs = []
+    for path in paths:
+        run_bench, metrics = load(path)
+        if run_bench != bench:
+            raise BenchError(f"{path}: bench {run_bench!r} != baseline "
+                             f"bench {bench!r}")
+        if runs and metrics.keys() != runs[0].keys():
+            raise BenchError(f"{path}: metrics differ from {paths[0]}'s")
+        runs.append(metrics)
+    return runs
+
+
+def medians(runs: list[dict[str, dict]]) -> dict[str, dict]:
+    """The runs as one file's metrics with per-metric median values."""
+    return {name: {**m, "value": statistics.median(
+                run[name]["value"] for run in runs)}
+            for name, m in runs[0].items()}
+
+
 def check_limits(path: str, metrics: dict[str, dict]) -> list[str]:
     """Every ``min`` / ``max`` of one file."""
     problems = []
@@ -182,19 +218,22 @@ def compare(base: dict[str, dict], fresh: dict[str, dict]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("baseline", help="committed BENCH_*.json")
-    p.add_argument("--fresh", default=None,
-                   help="freshly measured file of the same bench; "
-                        "omitted = check the baseline alone")
+    p.add_argument("--fresh", nargs="+", default=None,
+                   help="freshly measured file(s) of the same bench, gated "
+                        "by their per-metric medians; omitted = check the "
+                        "baseline alone")
+    p.add_argument("--base", nargs="+", default=None,
+                   help="runs of the base commit measured alongside the "
+                        "fresh ones: their medians replace the baseline's "
+                        "values (its declarations still govern)")
     args = p.parse_args(argv)
+    if args.base and not args.fresh:
+        p.error("--base needs --fresh")
 
     try:
         bench, base = load(args.baseline)
-        fresh = None
-        if args.fresh:
-            fresh_bench, fresh = load(args.fresh)
-            if fresh_bench != bench:
-                raise BenchError(f"{args.fresh}: bench {fresh_bench!r} != "
-                                 f"baseline bench {bench!r}")
+        fresh_runs = load_runs(args.fresh, bench) if args.fresh else None
+        base_runs = load_runs(args.base, bench) if args.base else None
     except BenchError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
@@ -202,16 +241,23 @@ def main(argv: list[str] | None = None) -> int:
     print(f"OK: {args.baseline}: {bench} envelope valid "
           f"({len(base)} metrics)")
     problems = check_limits(args.baseline, base)
-    if fresh is not None:
-        print(f"OK: {args.fresh}: {bench} envelope valid "
-              f"({len(fresh)} metrics)")
-        problems += check_limits(args.fresh, fresh)
-        problems += compare(base, fresh)
+    if fresh_runs is not None:
+        # limits hold in every run; the bounded comparison takes medians
+        for path, run in zip(args.fresh, fresh_runs):
+            print(f"OK: {path}: {bench} envelope valid ({len(run)} metrics)")
+            problems += check_limits(path, run)
+        if base_runs is not None:
+            print(f"comparing against the medians of {len(base_runs)} "
+                  f"base run(s)")
+            against = medians(base_runs)
+            base = {name: {**m, "value": against[name]["value"]}
+                    if name in against else m for name, m in base.items()}
+        problems += compare(base, medians(fresh_runs))
     if problems:
         for msg in problems:
             print(f"FAIL: {msg}", file=sys.stderr)
         return 1
-    if fresh is not None:
+    if fresh_runs is not None:
         print("OK: every shared metric within its bound")
     return 0
 
