@@ -113,28 +113,28 @@ def main(argv: list[str] | None = None) -> int:
               "<ligand.pdbqt>", file=sys.stderr)
         return 2
 
-    # bracket case construction: generating a synthetic case refines its
-    # native pose (an ADADELTA descent of its own), which would otherwise
-    # show up in traces as orphan spans outside engine.dock
-    from repro.obs import get_tracer
     if args.ffile is not None:
         if args.lfile is None:
             print("error: -ffile requires -lfile", file=sys.stderr)
             return 2
-        with get_tracer().span("case.build", fld=args.ffile):
-            case = case_from_files(args.ffile, args.lfile)
-        print(f"Docking {case.ligand.name} into maps from {args.ffile}")
+        spec = {"kind": "files", "fld": args.ffile, "ligand": args.lfile}
+    elif args.lfile:
+        spec = {"kind": "case-ligand", "case": args.case,
+                "ligand": args.lfile}
     else:
-        from repro.testcases import get_test_case
-        with get_tracer().span("case.build", case=args.case):
-            case = get_test_case(args.case)
-            if args.lfile:
-                from repro.io import read_pdbqt
-                ligand = read_pdbqt(args.lfile)
-                case = replace_case_ligand(case, ligand)
-        if args.lfile:
-            print(f"Docking external ligand {case.ligand.name} into "
-                  f"{args.case}'s maps")
+        spec = {"kind": "case", "case": args.case}
+    # bracket case construction: generating a synthetic case refines its
+    # native pose (an ADADELTA descent of its own), which would otherwise
+    # show up in traces as orphan spans outside engine.dock
+    from repro.obs import get_tracer
+    from repro.serve.cache import load_case
+    with get_tracer().span("case.build", **spec):
+        case = load_case(spec)
+    if args.ffile is not None:
+        print(f"Docking {case.ligand.name} into maps from {args.ffile}")
+    elif args.lfile:
+        print(f"Docking external ligand {case.ligand.name} into "
+              f"{args.case}'s maps")
 
     max_evals = args.evals
     if args.heur:
@@ -196,35 +196,6 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def case_from_files(fld_path: str, pdbqt_path: str):
-    """Assemble a dockable case from AutoGrid maps + a PDBQT ligand.
-
-    File-based cases have no ground truth (no native pose, no known global
-    minimum): success-criterion fields default to the zero genotype and the
-    engine's E50/outcome analysis is not meaningful for them.
-    """
-    import numpy as np
-    from repro.docking.pose import calc_coords
-    from repro.docking.receptor import Receptor
-    from repro.io import read_maps, read_pdbqt
-    from repro.testcases.generator import TestCase
-
-    maps = read_maps(fld_path)
-    ligand = read_pdbqt(pdbqt_path)
-    missing = set(ligand.atom_types) - set(maps.type_names)
-    if missing:
-        raise ValueError(f"maps lack atom types {sorted(missing)}")
-    native = np.zeros(6 + ligand.n_rot)
-    native[0:3] = (maps.box_lo + maps.box_hi) / 2.0
-    placeholder = Receptor(name="from-maps", atom_types=["C"],
-                           coords=np.array([[1e6, 1e6, 1e6]]),
-                           charges=np.zeros(1))
-    return TestCase(name=ligand.name, ligand=ligand, receptor=placeholder,
-                    maps=maps, native_genotype=native,
-                    native_coords=calc_coords(ligand, native),
-                    global_min_score=float("-inf"))
-
-
 def build_inject_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="autodock-py inject",
@@ -255,9 +226,7 @@ def inject_main(argv: list[str] | None = None) -> int:
     from repro.robustness.inject import run_injection_study
 
     args = build_inject_parser().parse_args(argv)
-    lga = LGAConfig(pop_size=args.pop, max_evals=args.evals,
-                    max_gens=max(1, args.evals // args.pop),
-                    ls_iters=args.lsit, ls_rate=0.25)
+    lga = LGAConfig.screening(args.pop, args.evals, args.lsit)
     print(f"Injecting {args.mode} faults into {args.base} at rate "
           f"{args.rate:g} ({args.case}, {args.nrun} runs) ...")
     study = run_injection_study(args.case, base=args.base, rate=args.rate,
@@ -399,9 +368,7 @@ def screen_main(argv: list[str] | None = None) -> int:
 
     cfg = DockingConfig(
         backend=args.tensor, device=args.device, block_size=args.nwi,
-        lga=LGAConfig(pop_size=args.pop, max_evals=args.evals,
-                      max_gens=max(1, args.evals // args.pop),
-                      ls_iters=args.lsit, ls_rate=0.25))
+        lga=LGAConfig.screening(args.pop, args.evals, args.lsit))
     screen = VirtualScreen(
         cases=args.cases, ligands=args.ligands, rlig=args.library,
         fld=args.ffile, case=args.case, config=cfg, n_runs=args.nrun,
@@ -700,24 +667,6 @@ def gateway_main(argv: list[str] | None = None) -> int:
             print(_json.dumps(rec))
         return 0
     return 2
-
-
-def replace_case_ligand(case, ligand):
-    """Rebind a test case to an external ligand (same receptor/maps).
-
-    Ground-truth fields (native pose, global minimum) are not meaningful
-    for an external ligand; they are reset to the refined best the maps
-    admit from a zero genotype.
-    """
-    from dataclasses import replace
-    import numpy as np
-    from repro.docking.pose import calc_coords
-    for t in set(ligand.atom_types) - set(case.maps.type_names):
-        raise ValueError(f"maps of {case.name} lack atom type {t!r}")
-    glen = 6 + ligand.n_rot
-    native = np.zeros(glen)
-    return replace(case, ligand=ligand, native_genotype=native,
-                   native_coords=calc_coords(ligand, native))
 
 
 if __name__ == "__main__":

@@ -112,40 +112,21 @@ def _assemble_result(case: TestCase, cfg: DockingConfig,
     )
 
 
-def _dock(cases: list[TestCase], cfg: DockingConfig, n_runs: int, seeds,
-          on_generation) -> list[DockingResult]:
-    """The one docking path: ``cases`` through one lock-step
-    :class:`CohortLGA`, inside the caller's span."""
-    tracer = get_tracer()
-    backend, ledger = build_backend(cfg)
-    with tracer.span("engine.search", method=cfg.lga.ls_method,
-                     autostop=cfg.lga.autostop, cohort=len(cases)):
-        runner = CohortLGA([case.scoring() for case in cases], backend,
-                           cfg.lga, seeds=seeds)
-        if cfg.inject_rate > 0 and cfg.inject_site == "grid":
-            runner.cohort.pack.grid_injector = FaultInjector(
-                cfg.inject_rate, mode=cfg.inject_mode, seed=cfg.inject_seed)
-        all_runs = runner.run(n_runs, on_generation=on_generation)
-    results = [_assemble_result(case, cfg, runs, ledger)
-               for case, runs in zip(cases, all_runs)]
-    for lane, q in runner.quarantines.items():
-        results[lane].quarantine = q.to_dict()
-    return results
-
-
 def dock_cohort(cases: list[TestCase],
                 config: DockingConfig | None = None,
                 n_runs: int = 20,
                 seeds=0,
                 on_generation=None) -> list[DockingResult]:
-    """Dock a cohort of ligands through one lock-step packed LGA.
+    """Dock a cohort of ligands through one lock-step packed LGA: the
+    one docking path.
 
     Each ligand's result is bit-identical to
     ``DockingEngine(case, config).dock(n_runs, seed=seeds[i])`` — a solo
     dock is a cohort of one, and the cohort only widens the batch the
     scoring/gradient/reduce4 kernels see (see :mod:`repro.docking.cohort`
     for the packing contract).  ``seeds`` is one seed (broadcast to every
-    member) or a per-ligand sequence.
+    member) or a per-ligand sequence.  Every call opens one
+    ``engine.dock`` span whose ``cohort`` attribute is ``len(cases)``.
 
     Fault handling runs *in* the packed path: the cohort shares one
     :class:`FaultLedger` (each member's ``fault_stats`` reports the
@@ -163,11 +144,24 @@ def dock_cohort(cases: list[TestCase],
     C = len(cases)
     if C == 0:
         return []
-    span = get_tracer().span("engine.dock_cohort", cohort=C,
-                             backend=cfg.backend, device=cfg.device,
-                             n_runs=n_runs)
+    tracer = get_tracer()
+    span = tracer.span("engine.dock", cohort=C, backend=cfg.backend,
+                       device=cfg.device, n_runs=n_runs)
     with span:
-        results = _dock(cases, cfg, n_runs, seeds, on_generation)
+        backend, ledger = build_backend(cfg)
+        with tracer.span("engine.search", method=cfg.lga.ls_method,
+                         autostop=cfg.lga.autostop, cohort=C):
+            runner = CohortLGA([case.scoring() for case in cases], backend,
+                               cfg.lga, seeds=seeds)
+            if cfg.inject_rate > 0 and cfg.inject_site == "grid":
+                runner.cohort.pack.grid_injector = FaultInjector(
+                    cfg.inject_rate, mode=cfg.inject_mode,
+                    seed=cfg.inject_seed)
+            all_runs = runner.run(n_runs, on_generation=on_generation)
+        results = [_assemble_result(case, cfg, runs, ledger)
+                   for case, runs in zip(cases, all_runs)]
+        for lane, q in runner.quarantines.items():
+            results[lane].quarantine = q.to_dict()
         span.set(total_evals=sum(r.total_evals for r in results),
                  quarantined=sum(r.quarantine is not None
                                  for r in results))
@@ -302,16 +296,8 @@ class DockingEngine:
         trips under ``fault_policy="raise"``, returns its best-so-far
         runs with a ``quarantine`` record instead of raising.
         """
-        cfg = self.config
-        span = get_tracer().span("engine.dock", case=self.case.name,
-                                 backend=cfg.backend, device=cfg.device,
-                                 n_runs=n_runs)
-        with span:
-            [result] = _dock([self.case], cfg, n_runs, seed, on_generation)
-            span.set(total_evals=result.total_evals,
-                     generations=result.generations,
-                     simulated_seconds=result.runtime_seconds)
-        return result
+        return dock_cohort([self.case], self.config, n_runs, seed,
+                           on_generation)[0]
 
     def runtime_statistics(self, result: DockingResult, n_samples: int = 100,
                            seed: int = 0) -> dict:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import http.client
 import json
-import time
-from typing import Callable, Iterator
+from typing import Iterator
 from urllib.parse import urlsplit
 
 __all__ = ["GatewayClient", "GatewayError", "GatewayRejected"]
@@ -119,23 +118,3 @@ class GatewayClient:
                     yield json.loads(line.decode())
         finally:
             conn.close()
-
-    def wait_all(self, timeout: float = 120.0,
-                 on_result: Callable[[dict], None] | None = None
-                 ) -> list[dict]:
-        """Stream until every known job is terminal; returns the records.
-
-        ``timeout`` bounds the whole wait (transport-level); a stalled
-        gateway raises instead of hanging the caller forever.
-        """
-        deadline = time.monotonic() + timeout
-        records = []
-        for rec in self.stream(timeout=timeout):
-            records.append(rec)
-            if on_result is not None:
-                on_result(rec)
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"gateway stream exceeded {timeout}s "
-                    f"({len(records)} records so far)")
-        return records

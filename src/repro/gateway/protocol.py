@@ -141,10 +141,8 @@ def _config_from_doc(doc: dict) -> DockingConfig:
             backend=doc.get("backend", "tcec-tf32"),
             device=doc.get("device", "A100"),
             block_size=int(doc.get("block_size", 64)),
-            lga=LGAConfig(pop_size=pop, max_evals=evals,
-                          max_gens=max(1, evals // pop),
-                          ls_iters=int(doc.get("ls_iters", 20)),
-                          ls_rate=0.25))
+            lga=LGAConfig.screening(pop, evals,
+                                    int(doc.get("ls_iters", 20))))
     except ValueError as exc:
         raise ProtocolError(400, f"bad config: {exc}") from None
 

@@ -57,6 +57,16 @@ class LGAConfig:
         if not 0.0 <= self.ls_rate <= 1.0:
             raise ValueError("ls_rate must be in [0, 1]")
 
+    @classmethod
+    def screening(cls, pop_size: int, max_evals: int,
+                  ls_iters: int) -> "LGAConfig":
+        """The screening budget rule (CLI ``screen`` / ``inject``, gateway
+        shorthand): generations capped at ``max_evals // pop_size``, a
+        quarter of the population refined per generation."""
+        return cls(pop_size=pop_size, max_evals=max_evals,
+                   max_gens=max(1, max_evals // pop_size),
+                   ls_iters=ls_iters, ls_rate=0.25)
+
 
 @dataclass
 class LGAResult:

@@ -13,11 +13,12 @@ throughput argument is about (screening large ligand libraries):
 * :mod:`repro.serve.ledger` — the I/O-free :class:`JobLedger`, the one
   completion state machine (retries, cohort splits, quarantine
   re-dispatch, dead letters) behind both pool executors;
-* :mod:`repro.serve.pool` — the long-lived, spawn-safe multiprocessing
-  :class:`WorkerPool` with crash recovery, watchdog timeouts and
-  retry-with-backoff, and :func:`run_batch`, the one dispatch loop
-  (jobs → pool → manifest log → publish) that screens and gateway
-  shards share;
+* :mod:`repro.serve.pool` — :func:`execute_job`, the one executor of
+  every work unit (a job is a cohort of one), the long-lived,
+  spawn-safe multiprocessing :class:`WorkerPool` with crash recovery,
+  watchdog timeouts and retry-with-backoff, and :func:`run_batch`, the
+  one dispatch loop (jobs → pool → manifest log → publish) that
+  screens and gateway shards share;
 * :mod:`repro.serve.manifest` — the append-only NDJSON manifest log
   (:class:`ShardedManifest`) and the one ranking, :func:`rank_records`;
 * :mod:`repro.serve.screen` — the high-level :class:`VirtualScreen` API:
@@ -30,8 +31,8 @@ from repro.serve.ledger import JobLedger
 from repro.serve.manifest import (ShardedManifest, atomic_write_json,
                                   load_manifest_jobs, rank_records)
 from repro.serve.pool import (DEFAULT_HEARTBEAT_SECONDS, JobResult,
-                              WorkerPool, execute_cohort, execute_job,
-                              run_batch, validate_result_payload)
+                              WorkerPool, execute_job, run_batch,
+                              validate_result_payload)
 from repro.serve.store import BlobStore
 from repro.serve.queue import (
     CohortJob,
@@ -58,7 +59,6 @@ __all__ = [
     "VirtualScreen",
     "WorkerPool",
     "atomic_write_json",
-    "execute_cohort",
     "execute_job",
     "file_sha256",
     "load_manifest_jobs",

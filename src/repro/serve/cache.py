@@ -386,7 +386,8 @@ def load_case(spec: dict, cache: ContentCache | None = None):
       AutoGrid maps (or a library case's maps via ``"case"``).
 
     ``*_sha256`` entries (stamped by the screen layer at submit time) are
-    reused as cache keys so workers skip re-hashing.
+    reused as cache keys so workers skip re-hashing.  This is the one
+    path from a spec to a case: the CLI's dock builds a spec too.
     """
     kind = spec.get("kind")
     if kind == "case":
@@ -401,15 +402,11 @@ def load_case(spec: dict, cache: ContentCache | None = None):
             return build()
         return cache.get_or_build(f"case/{spec['case']}", build)
     if kind == "case-ligand":
-        from repro.cli import replace_case_ligand
         base = load_case({"kind": "case", "case": spec["case"]}, cache)
         ligand = load_ligand(spec["ligand"], cache,
                              spec.get("ligand_sha256"))
         return replace_case_ligand(base, ligand)
     if kind == "files":
-        from repro.cli import case_from_files
-        if cache is None:
-            return case_from_files(spec["fld"], spec["ligand"])
         maps = load_maps(spec["fld"], cache, spec.get("fld_sha256"))
         ligand = load_ligand(spec["ligand"], cache,
                              spec.get("ligand_sha256"))
@@ -420,10 +417,25 @@ def load_case(spec: dict, cache: ContentCache | None = None):
         if "fld" in spec:
             maps = load_maps(spec["fld"], cache, spec.get("fld_sha256"))
             return _assemble_file_case(maps, ligand)
-        from repro.cli import replace_case_ligand
         base = load_case({"kind": "case", "case": spec["case"]}, cache)
         return replace_case_ligand(base, ligand)
     raise ValueError(f"unknown job spec kind {kind!r}")
+
+
+def replace_case_ligand(case, ligand):
+    """Rebind a test case to an external ligand (same receptor/maps).
+
+    Ground-truth fields (native pose, global minimum) are not meaningful
+    for an external ligand; they are reset to the refined best the maps
+    admit from a zero genotype.
+    """
+    from dataclasses import replace
+    from repro.docking.pose import calc_coords
+    for t in set(ligand.atom_types) - set(case.maps.type_names):
+        raise ValueError(f"maps of {case.name} lack atom type {t!r}")
+    native = np.zeros(6 + ligand.n_rot)
+    return replace(case, ligand=ligand, native_genotype=native,
+                   native_coords=calc_coords(ligand, native))
 
 
 class LigandShape(NamedTuple):
@@ -472,10 +484,12 @@ def ligand_shape(spec: dict) -> LigandShape:
 
 
 def _assemble_file_case(maps, ligand):
-    """File-based case assembly against already-parsed maps/ligand.
+    """A dockable case from parsed AutoGrid maps and a PDBQT ligand.
 
-    Mirrors :func:`repro.cli.case_from_files` but takes parsed objects so
-    the cache, not the filesystem, is the source of truth.
+    File-based cases have no ground truth (no native pose, no known
+    global minimum): success-criterion fields default to the zero
+    genotype and the engine's E50/outcome analysis is not meaningful for
+    them.
     """
     from repro.docking.pose import calc_coords
     from repro.docking.receptor import Receptor

@@ -9,7 +9,9 @@ Events go in, each stamped with the caller's clock (``now``, monotonic
 seconds):
 
 * :meth:`JobLedger.started` — a worker took a job (one attempt);
-* :meth:`JobLedger.done` — it returned a payload (validated here);
+* :meth:`JobLedger.done` — it returned a payload (validated here): the
+  one shape :func:`~repro.serve.pool.execute_job` returns for every
+  unit, ``{"members": [{"job_id", "label", "payload"}, ...], ...}``;
 * :meth:`JobLedger.failed` — it raised (an error dict);
 * :meth:`JobLedger.crashed` — it died; an expired lease is a crash too
   (the executor kills the worker and reports it).
@@ -27,10 +29,14 @@ Rules, one per case:
 * **A backoff never blocks another ready job.** A retry is a
   :class:`Dispatch` due ``backoff * 2**(attempts - 1)`` seconds later;
   the executor runs every job due earlier first.
-* **Corrupt results are always counted.** A payload that fails
-  :func:`validate_result_payload` — a solo job's or one cohort
-  member's — is a ``job.corrupt_result`` note and a failed attempt,
-  never a completion.
+* **Rules follow the unit's kind, not its size.** A plain
+  :class:`DockingJob` validates its one member's payload (finite scores
+  first, then quarantine) and retries or dead-letters within its
+  budget.  A :class:`CohortJob` of any size, one member included,
+  completes partially: quarantined and corrupt members go out alone.
+* **Corrupt results are always counted.** A member payload that fails
+  :func:`validate_result_payload` — or is missing — is a
+  ``job.corrupt_result`` note and a failed attempt, never a completion.
 * **Budgets.** A job is retried while ``attempts <= retries`` and its
   error is retryable (crashes always are; watchdog timeouts are not),
   so ``attempts <= retries + 1``.  A cohort that fails or crashes splits
@@ -90,8 +96,21 @@ class JobResult:
                    error=d.get("error"), extra=d.get("extra", {}))
 
 
+def _member_payloads(payload: dict) -> dict[str, dict]:
+    """``job_id -> payload`` of each member an executor payload holds."""
+    return {m["job_id"]: m.get("payload")
+            for m in payload.get("members") or []}
+
+
+def _quarantine_of(payload) -> dict | None:
+    """The engine's quarantine record in a member payload, if any."""
+    result = payload.get("result") if isinstance(payload, dict) else None
+    return result.get("quarantine") if isinstance(result, dict) else None
+
+
 def validate_result_payload(payload: dict) -> dict | None:
-    """Parent-side result validation; returns an error dict or ``None``.
+    """Parent-side validation of one member's payload (``{"result",
+    "wall_seconds"}``); returns an error dict or ``None``.
 
     A worker can crash, but it can also *lie* — a wedged allocator or an
     injected fault can hand back a structurally-broken or non-finite
@@ -201,11 +220,12 @@ class JobLedger:
             return []
         if isinstance(e.job, CohortJob):
             return self._cohort_done(e, payload, worker, now)
-        err = validate_result_payload(payload)
+        got = _member_payloads(payload).get(job_id)     # None if missing
+        err = validate_result_payload(got)
         if err is None:
             self._resolve(e)
             return [self._complete(e, payload, worker),
-                    self._ok(e.job, e.attempts, e.history, payload, worker,
+                    self._ok(e.job, e.attempts, e.history, got, worker,
                              payload.get("cache"), {}),
                     self._depth()]
         ended = self._ended(job_id, worker, err, now)
@@ -320,9 +340,9 @@ class JobLedger:
         results re-run individually with a fresh budget."""
         cohort = e.job
         self._resolve(e)
-        q_by_id = {q["job_id"]: q["quarantine"]
-                   for q in payload.get("quarantined") or []}
-        entries = {m["job_id"]: m for m in payload.get("members") or []}
+        got_by_id = _member_payloads(payload)
+        q_by_id = {jid: q for jid, got in got_by_id.items()
+                   if (q := _quarantine_of(got)) is not None}
         out = [self._complete(e, payload, worker, cohort=len(cohort.jobs),
                               quarantined=len(q_by_id))]
         cache = payload.get("cache")
@@ -342,7 +362,7 @@ class JobLedger:
                             "reason": q.get("reason")}),
                         Dispatch(member, now, "quarantine")]
                 continue
-            got = entries.get(jid, {}).get("payload")    # None if missing
+            got = got_by_id.get(jid)                     # None if missing
             err = validate_result_payload(got)
             if err is not None:
                 self._admit(member, [{"attempt": 0,

@@ -52,6 +52,12 @@ LEGACY_MANIFEST_VERSION = 1
 
 _META_NAME = "meta.json"
 
+#: appends per shard between automatic last-wins compactions
+COMPACT_EVERY = 4096
+
+#: appends per shard between fsyncs
+FSYNC_EVERY = 64
+
 
 def atomic_write_json(path: str | Path, payload: dict,
                       indent: int | None = 2) -> None:
@@ -93,26 +99,22 @@ class ShardedManifest:
         Shard count for a *new* manifest; an existing directory's
         ``meta.json`` wins (the partition must stay stable across
         resumes).
-    compact_every:
-        Appends per shard between automatic last-wins compactions.
-    fsync_every:
-        Appends per shard between fsyncs (each append is flushed to the
-        OS immediately; a crash loses at most what the kernel had not
-        yet written, and never more than the final, torn line).
 
+    Every :data:`COMPACT_EVERY` appends a shard is compacted (last record
+    wins); every :data:`FSYNC_EVERY` appends it is fsynced (each append is
+    flushed to the OS immediately; a crash loses at most what the kernel
+    had not yet written, and never more than the final, torn line).
     Appends, compactions and :meth:`close` hold one lock, so gateway
     shard threads can share a log: each record lands as one whole line.
     """
 
-    def __init__(self, path: str | Path, n_shards: int | None = None,
-                 compact_every: int = 4096, fsync_every: int = 64) -> None:
+    def __init__(self, path: str | Path,
+                 n_shards: int | None = None) -> None:
         self.path = Path(path)
         if self.path.is_file():
             raise ValueError(f"{self.path} is a single-file manifest, "
                              f"now read-only: write to a new path")
         self.path.mkdir(parents=True, exist_ok=True)
-        self.compact_every = int(compact_every)
-        self.fsync_every = int(fsync_every)
         meta = self._read_meta()
         if meta is not None:
             self.n_shards = int(meta["n_shards"])
@@ -174,9 +176,9 @@ class ShardedManifest:
             fh.flush()
             n = self._appends.get(shard, 0) + 1
             self._appends[shard] = n
-            if n % self.fsync_every == 0:
+            if n % FSYNC_EVERY == 0:
                 os.fsync(fh.fileno())
-            if n % self.compact_every == 0:
+            if n % COMPACT_EVERY == 0:
                 self.compact(shard)
         return shard
 

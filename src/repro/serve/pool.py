@@ -1,9 +1,13 @@
 """Sharded multiprocessing worker pool with crash recovery.
 
 Workers are spawn-started processes (spawn-safe by construction: no
-inherited RNG or cache state) that steal :class:`~repro.serve.queue.DockingJob`
-work from a shared task queue, each owning a private
-:class:`~repro.serve.cache.ContentCache`.  The parent tracks in-flight
+inherited RNG or cache state) that steal work units — a
+:class:`~repro.serve.queue.DockingJob` is a unit of one, a
+:class:`~repro.serve.queue.CohortJob` a lock-step batch — from a shared
+task queue, each owning a private
+:class:`~repro.serve.cache.ContentCache`.  Every unit runs through one
+executor, :func:`execute_job`, which returns one payload shape.  The
+parent tracks in-flight
 jobs through ``started`` acknowledgements, so a worker that is killed
 mid-job (OOM, segfault, operator) is detected by liveness polling, its
 job re-queued with exponential backoff (the
@@ -54,11 +58,18 @@ from repro.serve.ledger import (Dispatch, JobLedger, JobResult, Note,
 from repro.serve.queue import CohortJob, DockingJob, seed_from_spec
 
 __all__ = ["DEFAULT_HEARTBEAT_SECONDS", "JobResult", "WorkerPool",
-           "execute_cohort", "execute_job", "run_batch",
-           "validate_result_payload"]
+           "execute_job", "run_batch", "validate_result_payload"]
 
 #: exit code a worker uses for the injected-crash test hook
 _CRASH_EXIT = 17
+
+#: worker processes are spawn-started: the portable choice, and no RNG
+#: or cache state leaks from the parent into a worker
+_MP = mp.get_context("spawn")
+
+#: quiet seconds (nothing in flight, nothing delayed, no report) before
+#: the process pool re-queues every unfinished job (lost dispatches)
+_STALL_SECONDS = 10.0
 
 
 def _apply_poison(case, spec: dict):
@@ -80,94 +91,57 @@ def _apply_poison(case, spec: dict):
     return replace(case, maps=maps)
 
 
-def execute_job(job: DockingJob, cache: ContentCache | None = None,
+def execute_job(job: DockingJob | CohortJob,
+                cache: ContentCache | None = None,
                 wall_seconds: float | None = None,
                 include_history: bool = False) -> dict:
-    """Run one docking job; returns the ``ok`` payload dict.
+    """Run one work unit through the lock-step engine: a
+    :class:`DockingJob` is a unit of one, a :class:`CohortJob` its
+    members.
 
-    Raises whatever the engine raises — the caller (worker loop or
-    inline pool) decides on retry policy.
-    """
-    from repro.core.engine import DockingEngine
-    from repro.robustness import Watchdog
-
-    before = cache.stats() if cache is not None else None
-    t0 = time.monotonic()
-    span = get_tracer().span("job.execute", job_id=job.job_id,
-                             label=job.label)
-    with span:
-        case = _apply_poison(load_case(job.spec, cache), job.spec)
-        engine = DockingEngine(case, job.config)
-        watchdog = (Watchdog(wall_seconds=wall_seconds)
-                    if wall_seconds is not None else None)
-        result = engine.dock(
-            n_runs=job.n_runs, seed=seed_from_spec(job.seed),
-            on_generation=watchdog.check if watchdog is not None else None)
-        payload = {
-            "result": result.to_dict(include_history=include_history),
-            "wall_seconds": time.monotonic() - t0,
-        }
-        if cache is not None:
-            payload["cache"] = ContentCache.delta(before, cache.stats())
-        span.set(wall_seconds=payload["wall_seconds"],
-                 total_evals=result.total_evals)
-    return payload
-
-
-def execute_cohort(job: CohortJob, cache: ContentCache | None = None,
-                   wall_seconds: float | None = None,
-                   include_history: bool = False) -> dict:
-    """Run a cohort job through the packed lock-step engine.
-
-    Returns ``{"members": [{"job_id", "label", "payload"}, ...],
-    "quarantined": [{"job_id", "label", "quarantine"}, ...], ...}`` —
-    one ``ok``-shaped payload per *healthy* member, each bit-identical to
-    what :func:`execute_job` would have produced for that member alone.
-    Members the lock-step engine quarantined (non-finite lane or guard
-    trip, see :class:`~repro.robustness.LaneQuarantine`) carry their
-    quarantine record instead of a result; the caller re-dispatches them
-    individually.  Wall time is split evenly across members (the
+    Returns ``{"members": [{"job_id", "label", "payload": {"result",
+    "wall_seconds"}}, ...], "wall_seconds", "cohort_size", "cache"}`` —
+    one entry per member, in order, each bit-identical to that member
+    run alone.  A member the engine quarantined (non-finite lane or
+    guard trip, see :class:`~repro.robustness.LaneQuarantine`) keeps
+    its ``quarantine`` record inside its result; the ledger decides what
+    to do with it.  Wall time is split evenly across members (the
     lock-step engine advances them together, so there is no per-member
-    attribution).
+    attribution).  Raises whatever the engine raises — the caller
+    (worker loop or inline pool) decides on retry policy.
     """
     from repro.core.engine import dock_cohort
     from repro.robustness import Watchdog
 
+    members = job.jobs
     before = cache.stats() if cache is not None else None
     t0 = time.monotonic()
-    span = get_tracer().span("job.execute_cohort", job_id=job.job_id,
-                             label=job.label, cohort=len(job.jobs))
+    span = get_tracer().span("job.execute", job_id=job.job_id,
+                             label=job.label, cohort=len(members))
     with span:
         cases = [_apply_poison(load_case(m.spec, cache), m.spec)
-                 for m in job.jobs]
-        seeds = [seed_from_spec(m.seed) for m in job.jobs]
+                 for m in members]
+        seeds = [seed_from_spec(m.seed) for m in members]
         watchdog = (Watchdog(wall_seconds=wall_seconds)
                     if wall_seconds is not None else None)
         results = dock_cohort(
             cases, job.config, n_runs=job.n_runs, seeds=seeds,
             on_generation=watchdog.check if watchdog is not None else None)
         wall = time.monotonic() - t0
-        share = wall / len(job.jobs)
-        members, quarantined = [], []
-        for m, r in zip(job.jobs, results):
-            if r.quarantine is not None:
-                quarantined.append({"job_id": m.job_id, "label": m.label,
-                                    "quarantine": r.quarantine})
-            else:
-                members.append({"job_id": m.job_id, "label": m.label,
-                                "payload": {
-                                    "result": r.to_dict(
-                                        include_history=include_history),
-                                    "wall_seconds": share}})
+        share = wall / len(members)
         payload = {
-            "members": members,
-            "quarantined": quarantined,
+            "members": [{"job_id": m.job_id, "label": m.label,
+                         "payload": {"result": r.to_dict(
+                                         include_history=include_history),
+                                     "wall_seconds": share}}
+                        for m, r in zip(members, results)],
             "wall_seconds": wall,
-            "cohort_size": len(job.jobs),
+            "cohort_size": len(members),
+            "cache": (ContentCache.delta(before, cache.stats())
+                      if cache is not None else None),
         }
-        if cache is not None:
-            payload["cache"] = ContentCache.delta(before, cache.stats())
-        span.set(wall_seconds=wall, quarantined=len(quarantined),
+        span.set(wall_seconds=wall,
+                 quarantined=sum(r.quarantine is not None for r in results),
                  total_evals=sum(r.total_evals for r in results))
     return payload
 
@@ -182,11 +156,11 @@ def _fire_once(spec: dict, key: str) -> bool:
     return False
 
 
-def _maybe_inject_chaos(job: DockingJob | CohortJob) -> None:
+def _maybe_inject_chaos(unit: DockingJob | CohortJob) -> None:
     """Pre-execution chaos hooks for the recovery tests.
 
-    Job specs opt in via fired-once marker paths (so the retry proceeds
-    normally), mirroring the deterministic fault injection of
+    Member job specs opt in via fired-once marker paths (so the retry
+    proceeds normally), mirroring the deterministic fault injection of
     :mod:`repro.robustness.inject`:
 
     * ``"crash_once": <path>`` — the first worker that picks the job up
@@ -200,43 +174,34 @@ def _maybe_inject_chaos(job: DockingJob | CohortJob) -> None:
       ``spec["slow_seconds"]`` (default 1.0) before executing,
       exercising lease head-room and stall accounting without failing.
     """
-    if isinstance(job, CohortJob):
-        for member in job.jobs:
-            _maybe_inject_chaos(member)
-        return
-    if _fire_once(job.spec, "crash_once"):
-        # give the result queue's feeder thread a beat to flush the
-        # "started" ack — a crash *mid-job* (ack delivered) exercises the
-        # worker-liveness recovery path; a crash before the ack lands in
-        # the slower lost-dispatch backstop instead
-        time.sleep(0.25)
-        os._exit(_CRASH_EXIT)
-    if _fire_once(job.spec, "hang_once"):
-        while True:              # wedged: only the parent lease frees us
-            time.sleep(0.5)
-    if _fire_once(job.spec, "slow_once"):
-        time.sleep(float(job.spec.get("slow_seconds", 1.0)))
+    for job in unit.jobs:
+        if _fire_once(job.spec, "crash_once"):
+            # give the result queue's feeder thread a beat to flush the
+            # "started" ack — a crash *mid-job* (ack delivered) exercises
+            # the worker-liveness recovery path; a crash before the ack
+            # lands in the slower lost-dispatch backstop instead
+            time.sleep(0.25)
+            os._exit(_CRASH_EXIT)
+        if _fire_once(job.spec, "hang_once"):
+            while True:          # wedged: only the parent lease frees us
+                time.sleep(0.5)
+        if _fire_once(job.spec, "slow_once"):
+            time.sleep(float(job.spec.get("slow_seconds", 1.0)))
 
 
-def _maybe_corrupt_result(job: DockingJob | CohortJob, payload: dict) -> dict:
+def _maybe_corrupt_result(unit: DockingJob | CohortJob,
+                          payload: dict) -> dict:
     """Post-execution chaos hook: ``"corrupt_result_once": <path>``.
 
-    Mangles the first attempt's result (best scores → NaN) *after* a
-    clean run, so the parent-side :func:`validate_result_payload` path —
+    Mangles a member's first result (best scores → NaN) *after* a clean
+    run, so the parent-side :func:`validate_result_payload` path —
     reject, retry, eventually dead-letter — is exercised end to end.
     """
-    def poison(p: dict) -> None:
-        for run in p["result"]["runs"]:
-            run["best_score"] = float("nan")
-
-    if isinstance(job, CohortJob):
-        spec_by_id = {m.job_id: m.spec for m in job.jobs}
-        for entry in payload.get("members", []):
-            if _fire_once(spec_by_id[entry["job_id"]],
-                          "corrupt_result_once"):
-                poison(entry["payload"])
-    elif _fire_once(job.spec, "corrupt_result_once"):
-        poison(payload)
+    spec_by_id = {m.job_id: m.spec for m in unit.jobs}
+    for entry in payload["members"]:
+        if _fire_once(spec_by_id[entry["job_id"]], "corrupt_result_once"):
+            for run in entry["payload"]["result"]["runs"]:
+                run["best_score"] = float("nan")
     return payload
 
 
@@ -271,16 +236,6 @@ def _make_store(store_root: str | None):
         return None
     from repro.serve.store import BlobStore
     return BlobStore(store_root)
-
-
-def _execute(job: DockingJob | CohortJob, cache: ContentCache,
-             wall_seconds: float | None, include_history: bool) -> dict:
-    """One attempt at a job or cohort (worker loop and inline pool)."""
-    if isinstance(job, CohortJob):
-        return execute_cohort(job, cache, wall_seconds=wall_seconds,
-                              include_history=include_history)
-    return execute_job(job, cache, wall_seconds=wall_seconds,
-                       include_history=include_history)
 
 
 def _error_of(exc: Exception) -> dict:
@@ -346,7 +301,8 @@ def _worker_main(task_q, result_q, worker_id: int, cache_bytes: int,
         result_q.put(("started", job.job_id, worker_id, None))
         _maybe_inject_chaos(job)
         try:
-            payload = _execute(job, cache, wall_seconds, include_history)
+            payload = execute_job(job, cache, wall_seconds=wall_seconds,
+                                  include_history=include_history)
             payload = _maybe_corrupt_result(job, payload)
             jobs_done += 1
             result_q.put(("done", job.job_id, worker_id, payload))
@@ -421,9 +377,6 @@ class WorkerPool:
         (:class:`~repro.serve.store.BlobStore`): every worker fronts its
         in-memory cache with the same content-addressed blob directory,
         so grids are parsed once per *fleet*, not once per process.
-    start_method:
-        ``multiprocessing`` start method; ``"spawn"`` (default) is the
-        portable, state-leak-free choice.
     include_history:
         Keep per-run improvement traces in result payloads (large).
     max_respawns:
@@ -450,10 +403,8 @@ class WorkerPool:
                  job_wall_seconds: float | None = None,
                  lease_seconds: float | None = None,
                  cache_bytes: int = DEFAULT_CAPACITY,
-                 start_method: str = "spawn",
                  include_history: bool = False,
                  poll_seconds: float = 0.1,
-                 stall_seconds: float = 10.0,
                  max_respawns: int | None = None,
                  trace_path: str | None = None,
                  heartbeat_seconds: float = DEFAULT_HEARTBEAT_SECONDS,
@@ -468,10 +419,8 @@ class WorkerPool:
             lease_seconds = 4.0 * job_wall_seconds
         self.lease_seconds = lease_seconds
         self.cache_bytes = cache_bytes
-        self.start_method = start_method
         self.include_history = include_history
         self.poll_seconds = poll_seconds
-        self.stall_seconds = stall_seconds
         self.max_respawns = (max_respawns if max_respawns is not None
                              else 8 * max(workers, 1))
         self.trace_path = trace_path
@@ -566,8 +515,9 @@ class WorkerPool:
             time.sleep(max(due - time.monotonic(), 0.0))
             ledger.started(job.job_id, None, time.monotonic())
             try:
-                payload = _execute(job, cache, self.job_wall_seconds,
-                                   self.include_history)
+                payload = execute_job(
+                    job, cache, wall_seconds=self.job_wall_seconds,
+                    include_history=self.include_history)
             except Exception as exc:
                 jobs_failed += 1
                 actions = ledger.failed(job.job_id, _error_of(exc), None,
@@ -588,7 +538,7 @@ class WorkerPool:
         """Start one worker on the pool's queues; returns its id."""
         wid = self._next_wid
         self._next_wid += 1
-        proc = mp.get_context(self.start_method).Process(
+        proc = _MP.Process(
             target=_worker_main,
             args=(self._task_q, self._result_q, wid, self.cache_bytes,
                   self.job_wall_seconds, self.include_history,
@@ -602,8 +552,7 @@ class WorkerPool:
     def _start_workers(self) -> None:
         """Make the queues and the workers (the first call after
         :meth:`close`); the finalizer stops them if nobody does."""
-        ctx = mp.get_context(self.start_method)
-        self._task_q, self._result_q = ctx.Queue(), ctx.Queue()
+        self._task_q, self._result_q = _MP.Queue(), _MP.Queue()
         self._reaper = weakref.finalize(self, _shutdown, self._procs,
                                         self._task_q, self._result_q)
         for _ in range(self.workers):
@@ -685,7 +634,7 @@ class WorkerPool:
                         timeout=self.poll_seconds)
                 except _queue.Empty:
                     yield from reap()
-                    if (time.monotonic() - last_activity > self.stall_seconds
+                    if (time.monotonic() - last_activity > _STALL_SECONDS
                             and not ledger.in_flight() and not delayed):
                         # lost-dispatch backstop: re-queue whatever is
                         # still unaccounted for (completions dedup)
@@ -731,8 +680,7 @@ def run_batch(pool: WorkerPool, jobs: list, publish, log=None,
     published the same way, and then the exception propagates, as one
     raised by ``publish`` does.
     """
-    left = {m.job_id: m for job in jobs
-            for m in (job.jobs if isinstance(job, CohortJob) else (job,))}
+    left = {m.job_id: m for unit in jobs for m in unit.jobs}
 
     def deliver(result: JobResult) -> None:
         left.pop(result.job_id, None)

@@ -4,7 +4,8 @@ A :class:`DockingJob` is the unit of work of the service layer: one
 (case, config, seed, n_runs) tuple, content-addressed by the SHA-256 of
 its canonical JSON payload — two submissions of the same work share one
 job id and run once.  :func:`pack_cohorts` packs compatible jobs into
-lock-step :class:`CohortJob` batches, and :func:`shard_for` maps a job id
+lock-step :class:`CohortJob` batches; both expose their members as
+``jobs`` (a job is a unit of one), and :func:`shard_for` maps a job id
 onto its content-hash shard.  Nothing here queues: a screen hands its
 whole job list to :func:`repro.serve.pool.run_batch`, and the gateway's
 :class:`~repro.gateway.scheduler.SLOScheduler` holds its tenant queues.
@@ -154,6 +155,12 @@ class DockingJob:
     seed: int | dict = 0
     priority: int = 0
     label: str = ""
+
+    @property
+    def jobs(self) -> tuple["DockingJob"]:
+        """The unit's members: a job is a unit of one, as a
+        :class:`CohortJob` is a unit of its members."""
+        return (self,)
 
     @property
     def job_id(self) -> str:

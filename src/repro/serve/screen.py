@@ -224,7 +224,6 @@ class VirtualScreen:
             job_wall_seconds: float | None = None,
             lease_seconds: float | None = None,
             cache_bytes: int = DEFAULT_CAPACITY,
-            start_method: str = "spawn",
             include_history: bool = False,
             trace: str | Path | None = None,
             cohort_size: int = 1,
@@ -327,7 +326,6 @@ class VirtualScreen:
                         workers=workers, retries=retries, backoff=backoff,
                         job_wall_seconds=job_wall_seconds,
                         lease_seconds=lease_seconds, cache_bytes=cache_bytes,
-                        start_method=start_method,
                         include_history=include_history,
                         store_root=(str(store) if store is not None else None),
                         trace_path=(str(trace) if trace is not None

@@ -71,14 +71,10 @@ class BlobStore:
     ----------
     root:
         Store root; created on demand.
-    mmap:
-        Open stored arrays memory-mapped read-only (the default).  Set to
-        ``False`` to load private in-heap copies instead.
     """
 
-    def __init__(self, root: str | Path, mmap: bool = True) -> None:
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.mmap = bool(mmap)
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._seq = 0
@@ -144,8 +140,7 @@ class BlobStore:
     def get(self, key: str):
         """``(arrays, meta)`` for a stored blob, or ``None`` on a miss.
 
-        Arrays come back memory-mapped read-only when the store was built
-        with ``mmap=True``.
+        Arrays come back memory-mapped read-only.
         """
         blob = self._blob_dir(key)
         meta_path = blob / _META_NAME
@@ -155,10 +150,9 @@ class BlobStore:
             self.get_misses += 1
             return None
         arrays = {}
-        mode = "r" if self.mmap else None
         try:
             for path in sorted(blob.glob("*.npy")):
-                arrays[path.stem] = np.load(path, mmap_mode=mode)
+                arrays[path.stem] = np.load(path, mmap_mode="r")
         except (OSError, ValueError):
             self.get_misses += 1
             return None

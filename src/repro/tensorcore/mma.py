@@ -22,7 +22,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.fpemu.formats import FloatFormat, get_format, quantize
+from repro.fpemu.formats import FloatFormat, quantize
 from repro.fpemu.rounding import round_f64_to_f32_rn, round_f64_to_f32_rz
 
 __all__ = ["MMA_M", "MMA_N", "MMA_K", "mma", "tc_product", "fault_hook",
@@ -175,8 +175,3 @@ def tc_product(
     c = np.zeros(zero_shape, dtype=np.float32)
     return mma(a, b, c, in_format=in_format, accumulate=accumulate,
                quantize_inputs=quantize_inputs)
-
-
-def format_of(fmt: str | FloatFormat) -> FloatFormat:
-    """Convenience re-export used by the WMMA layer."""
-    return get_format(fmt)

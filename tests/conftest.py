@@ -6,6 +6,22 @@ import pytest
 from repro.docking import Ligand, Receptor, TorsionBond
 
 
+def pytest_report_header(config):
+    """NumPy's version and the SIMD extensions ``numpy.show_runtime()``
+    lists as ``found`` (shown by ``pytest -v``).  The recorded bit
+    goldens ``golden_cohort.json`` and ``case_digests.json`` hold only
+    on NumPy's AVX-512 loops; on other loops they fail (README "Tests
+    and benchmarks")."""
+    try:
+        from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                                   __cpu_features__)
+    except ImportError:                                  # NumPy 1.x
+        from numpy.core._multiarray_umath import (__cpu_dispatch__,
+                                                  __cpu_features__)
+    found = [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+    return f"numpy {np.__version__}; SIMD found: {' '.join(found) or '-'}"
+
+
 @pytest.fixture(autouse=True)
 def _obs_isolation():
     """The tracer is process-global: a test that configures it must not

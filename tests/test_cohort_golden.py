@@ -17,6 +17,13 @@ contract across:
   early exit and the ``max_gens=0`` degenerate config;
 * RNG-stream isolation: dropping a member must not perturb the others;
 * the per-ligand eval ledger, which feeds the throughput metrics.
+
+The recorded bits hold only on NumPy's AVX-512 loops (``pytest -v``
+prints the SIMD extensions NumPy found): on its AVX2 loops four cases
+here fail at every commit, which reproduces on an AVX-512 host with::
+
+    NPY_DISABLE_CPU_FEATURES=X86_V4,AVX512_ICL,AVX512_SPR \\
+        PYTHONPATH=src python -m pytest -q tests/test_cohort_golden.py
 """
 
 from __future__ import annotations

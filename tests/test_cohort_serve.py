@@ -2,7 +2,7 @@
 
 The queue packs compatible :class:`DockingJob` submissions into
 :class:`CohortJob` batches (``pack_cohorts``), the pool runs them through
-the lock-step engine (``execute_cohort``), and ``VirtualScreen.run``
+the lock-step engine (``execute_job``), and ``VirtualScreen.run``
 exposes the whole path via ``cohort_size``.  The contract throughout is
 that packing is invisible in the results: every member payload is
 bit-identical to running that member's job alone, and caches/manifests
@@ -20,7 +20,7 @@ from repro.search.lga import LGAConfig
 from repro.serve import (VirtualScreen, load_manifest_jobs, rank_records,
                          seed_from_spec, spawn_seed)
 from repro.serve.cache import ligand_shape, load_case
-from repro.serve.pool import execute_cohort, execute_job
+from repro.serve.pool import execute_job
 from repro.serve.queue import CohortJob, DockingJob, pack_cohorts
 from repro.testcases import get_test_case
 from repro.testcases.library import case_ligand
@@ -174,22 +174,37 @@ class TestExecuteCohort:
     def test_member_payloads_bit_equal_to_solo_jobs(self):
         jobs = [case_job(n, i)
                 for i, n in enumerate(("1u4d", "1xoz", "7cpa"))]
-        got = execute_cohort(CohortJob(jobs=tuple(jobs)))
+        got = execute_job(CohortJob(jobs=tuple(jobs)))
         assert got["cohort_size"] == 3
         assert [m["job_id"] for m in got["members"]] \
             == [j.job_id for j in jobs]
         for job, member in zip(jobs, got["members"]):
-            want = execute_job(job)
-            solo = dict(want["result"])
+            [want] = execute_job(job)["members"]
+            solo = dict(want["payload"]["result"])
             packed = dict(member["payload"]["result"])
             # wall time is measurement, not result
             solo.pop("runtime_seconds")
             packed.pop("runtime_seconds")
             assert packed == solo, job.label
 
+    def test_a_job_is_a_unit_of_one(self):
+        """One executor, one payload shape: a plain job returns the same
+        keys as a 3-member cohort, at every level."""
+        jobs = [case_job(n, i)
+                for i, n in enumerate(("1u4d", "1xoz", "7cpa"))]
+        assert jobs[0].jobs == (jobs[0],)
+        solo = execute_job(jobs[0])
+        packed = execute_job(CohortJob(jobs=tuple(jobs)))
+        assert solo.keys() == packed.keys() \
+            == {"members", "wall_seconds", "cohort_size", "cache"}
+        assert (solo["cohort_size"], len(solo["members"])) == (1, 1)
+        for member in solo["members"] + packed["members"]:
+            assert member.keys() == {"job_id", "label", "payload"}
+            assert member["payload"].keys() == {"result", "wall_seconds"}
+
     def test_history_flag_passes_through(self):
         jobs = (case_job("1u4d", 0), case_job("1xoz", 1))
-        got = execute_cohort(CohortJob(jobs=jobs), include_history=True)
+        got = execute_job(CohortJob(jobs=jobs), include_history=True)
         runs = got["members"][0]["payload"]["result"]["runs"]
         assert all(r.get("history") for r in runs)
 

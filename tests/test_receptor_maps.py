@@ -247,7 +247,15 @@ class TestMemory:
 
 class TestCaseDigests:
     """Cheap cases rebuilt from scratch against the digests recorded by
-    ``tools/record_case_digests.py`` (CI checks all 42)."""
+    ``tools/record_case_digests.py`` (CI checks all 42).
+
+    The digests hold only on NumPy's AVX-512 loops (``pytest -v`` prints
+    the SIMD extensions NumPy found); on its AVX2 loops all four cases
+    fail at every commit, which reproduces on an AVX-512 host with::
+
+        NPY_DISABLE_CPU_FEATURES=X86_V4,AVX512_ICL,AVX512_SPR \\
+            PYTHONPATH=src python -m pytest -q tests/test_receptor_maps.py
+    """
 
     @pytest.mark.parametrize("name", ["1u4d", "1xoz", "1yv3", "7cpa"])
     def test_rebuilt_case_matches_its_recorded_digest(self, name):

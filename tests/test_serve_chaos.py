@@ -38,8 +38,8 @@ def case_job(name, i=0, spec_extra=None, label=None):
 
 class TestResultValidation:
     def test_accepts_clean_payload(self):
-        payload = execute_job(case_job("1u4d"))
-        assert validate_result_payload(payload) is None
+        [member] = execute_job(case_job("1u4d"))["members"]
+        assert validate_result_payload(member["payload"]) is None
 
     def test_rejects_structural_and_nonfinite_damage(self):
         assert validate_result_payload({})["error_type"] == "CorruptResult"
@@ -79,7 +79,8 @@ class TestDeadLetterInline:
             got = results[member.label]
             assert got.status == "ok"
             assert got.extra["cohort"] == cohort.job_id
-            want = execute_job(member)["result"]
+            [want] = execute_job(member)["members"]
+            want = want["payload"]["result"]
             assert got.result == want
 
         # only the quarantined member fell back to individual retry, and

@@ -34,19 +34,22 @@ def _bad() -> dict:
             "wall_seconds": 0.1}
 
 
-def _cohort_payload(cohort: CohortJob, fates: dict) -> dict:
-    members, quarantined = [], []
-    for m in cohort.jobs:
+def _payload(unit, fates: dict) -> dict:
+    """The executor's one payload shape, for a job (a unit of one) or a
+    cohort; a quarantined member keeps its record in its result."""
+    members = []
+    for m in unit.jobs:
         fate = fates[m.job_id]
+        if fate == "missing":
+            continue
+        payload = _bad() if fate == "corrupt" else _good()
         if fate == "quarantined":
-            quarantined.append({"job_id": m.job_id, "label": m.label,
-                                "quarantine": {"reason": "nonfinite-score",
-                                               "detail": "lane"}})
-        elif fate != "missing":
-            members.append({"job_id": m.job_id, "label": m.label,
-                            "payload": _good() if fate == "ok" else _bad()})
-    return {"members": members, "quarantined": quarantined,
-            "wall_seconds": 0.2, "cohort_size": len(cohort.jobs)}
+            payload["result"]["quarantine"] = {"reason": "nonfinite-score",
+                                               "detail": "lane"}
+        members.append({"job_id": m.job_id, "label": m.label,
+                        "payload": payload})
+    return {"members": members, "wall_seconds": 0.2,
+            "cohort_size": len(unit.jobs), "cache": None}
 
 
 def _state(ledger: JobLedger):
@@ -103,11 +106,10 @@ class Sim:
         elif outcome == "crashed":
             self.feed(ledger.crashed(jid, wid, now))
         elif isinstance(job, CohortJob):
-            self.feed(ledger.done(jid, _cohort_payload(job, self.fates),
-                                  wid, now))
+            self.feed(ledger.done(jid, _payload(job, self.fates), wid, now))
         else:
-            self.feed(ledger.done(jid, _good() if outcome == "done"
-                                  else _bad(), wid, now))
+            self.feed(ledger.done(jid, _payload(job, {
+                jid: "ok" if outcome == "done" else "corrupt"}), wid, now))
 
 
 def _workload(draw_units, overlap: bool) -> tuple[list, dict, set, set]:
@@ -172,7 +174,9 @@ def test_random_interleavings_keep_the_ledger_contract(units, overlap,
                    if terminal and k % 3 else "f" * 64)
             before = _state(ledger)
             assert ledger.started(jid, 99, sim.now) == []
-            assert ledger.done(jid, _good(), 99, sim.now) == []
+            assert ledger.done(jid, {"members": [{"job_id": jid,
+                                                  "payload": _good()}]},
+                               99, sim.now) == []
             assert ledger.failed(jid, {"error_type": "E"}, 99, sim.now) \
                 == []
             assert ledger.crashed(jid, 99, sim.now) == []
@@ -233,7 +237,8 @@ def test_backoff_schedules_the_retry_later():
     [first] = ledger.submit([job], 10.0)
     assert first.at == 10.0 and first.reason == "new"
     ledger.started(job.job_id, None, 10.0)
-    actions = ledger.done(job.job_id, _bad(), None, 11.0)
+    actions = ledger.done(job.job_id, _payload(job, {job.job_id: "corrupt"}),
+                          None, 11.0)
     [retry] = [a for a in actions if isinstance(a, Dispatch)]
     assert retry.reason == "retry" and retry.at == pytest.approx(11.5)
     assert [a.name for a in actions if isinstance(a, Note)] \
@@ -278,7 +283,9 @@ def test_quarantined_result_dead_letters_without_retry():
     job = _job(0)
     ledger.submit([job], 0.0)
     ledger.started(job.job_id, None, 0.0)
-    actions = ledger.done(job.job_id, quarantined, None, 0.0)
+    actions = ledger.done(job.job_id, {"members": [{
+        "job_id": job.job_id, "label": job.label,
+        "payload": quarantined}]}, None, 0.0)
     [dead] = [a for a in actions if isinstance(a, JobResult)]
     assert (dead.status, dead.attempts) == ("dead", 1)
     assert dead.error["error_type"] == "LaneQuarantine"

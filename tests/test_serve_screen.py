@@ -212,6 +212,28 @@ class TestTracedScreen:
                 assert hops < 100
             assert s["name"] == "screen.run"
 
+    @pytest.mark.parametrize("cohort_size", [1, 2])
+    def test_every_unit_records_one_execute_and_one_dock_span(
+            self, tmp_path, cohort_size):
+        """A job is a cohort of one: whatever the packing, each work unit
+        opens one ``job.execute`` span and one ``engine.dock`` span, both
+        carrying the unit's member count, and no ``*_cohort`` span."""
+        from repro.obs.schema import read_log
+
+        trace = tmp_path / "trace.jsonl"
+        screen = VirtualScreen(cases=["1u4d", "1xoz"], config=TINY,
+                               n_runs=1, seed=5)
+        screen.run(workers=0, trace=trace, cohort_size=cohort_size)
+
+        spans = [r for _, r in read_log(trace) if r["type"] == "span"]
+        units = 2 // cohort_size
+        for name in ("job.execute", "engine.dock"):
+            cohorts = [s["attrs"]["cohort"] for s in spans
+                       if s["name"] == name]
+            assert cohorts == [cohort_size] * units, name
+        assert [s["name"] for s in spans
+                if s["name"].endswith("_cohort")] == []
+
     def test_untraced_run_writes_no_log(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
         screen = VirtualScreen(cases=["1u4d"], config=TINY, n_runs=1)
