@@ -464,10 +464,23 @@ class LigandPack:
         ``(rows, batch, P, 3)`` delta buffer, filled one row at a time,
         then a fixed handful of ``(rows, batch, P)`` planes: each term
         group runs in place in its own helper, whose scratch planes go
-        when it returns.  Without ``with_geometry`` (the score path) the
-        delta buffer goes, and ``r`` takes ``r_raw``'s buffer, before the
-        tail starts.
+        when it returns.  Without ``with_geometry`` the delta buffer goes,
+        and ``r`` takes ``r_raw``'s buffer, before the tail starts.
         """
+        return self._pair_terms(coords, with_geometry, True)
+
+    def intra_energy(self, coords: np.ndarray) -> np.ndarray:
+        """The score path's ``(C, B, P)`` pair energies: the energy planes
+        of :meth:`intra`, bit for bit, without the radial derivative
+        chain (``de_vdw``, the dielectric derivative, ``de_solv``) that
+        only the gradient path reads."""
+        return self._pair_terms(coords, False, False)[0]
+
+    def _pair_terms(self, coords: np.ndarray, with_geometry: bool,
+                    with_derivative: bool) -> tuple:
+        """``(energy,)``, ``(energy, de_dr)`` or, ``with_geometry``, also
+        ``delta`` and ``r_raw``: the body of :meth:`intra` and
+        :meth:`intra_energy`."""
         C, B = coords.shape[:2]
         n = self._rows
         rows = coords.reshape(n, C * B // n, self.N, 3)
@@ -489,23 +502,27 @@ class LigandPack:
             del delta
         tab = slice(0, n)
         inv_r = 1.0 / r
-        energy, de_dr = self._lj_terms(r, inv_r, tab)
+        energy, de_dr = self._lj_terms(r, inv_r, tab, with_derivative)
         _add_elec_terms(energy, de_dr, r, inv_r, self.pqq[tab])
         del inv_r
         _add_solv_terms(energy, de_dr, r, self.pdsolv[tab])
         np.clip(energy, -ECLAMP, ECLAMP, out=energy)
-        np.clip(de_dr, -GRADCLAMP, GRADCLAMP, out=de_dr)
         energy = energy.reshape(C, B, self.P)
+        if not with_derivative:
+            return (energy,)
+        np.clip(de_dr, -GRADCLAMP, GRADCLAMP, out=de_dr)
         de_dr = de_dr.reshape(C, B, self.P)
         if with_geometry:
             return (energy, de_dr, delta.reshape(C, B, self.P, 3),
                     r_raw.reshape(C, B, self.P))
         return energy, de_dr
 
-    def _lj_terms(self, r: np.ndarray, inv_r: np.ndarray, tab: slice
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        """The 12-6 / 12-10 energy and radial derivative of the pair
-        planes, smoothing included; ``tab`` selects the rows' tables.
+    def _lj_terms(self, r: np.ndarray, inv_r: np.ndarray, tab: slice,
+                  with_derivative: bool
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The 12-6 / 12-10 energy and, ``with_derivative``, radial
+        derivative (else ``None``) of the pair planes, smoothing
+        included; ``tab`` selects the rows' tables.
 
         Every step keeps the single path's operand grouping
         (left-associative products, ``(-12 c) * inv_r12``), so each
@@ -520,7 +537,8 @@ class LigandPack:
         if self.any_smooth:
             hw = SMOOTH_HALF_WIDTH
             r_opt, smooth = self.r_opt[tab], self.smooth_col[tab]
-            in_well = (np.abs(r - r_opt) <= hw) & smooth
+            if with_derivative:
+                in_well = (np.abs(r - r_opt) <= hw) & smooth
             r_vdw = np.where(smooth,
                              np.where(r < r_opt - hw, r + hw,
                                       np.where(r > r_opt + hw, r - hw,
@@ -538,13 +556,16 @@ class LigandPack:
             inv_rm = inv_r6
         del inv_rv2
         t = pd * inv_rm
-        # (m d) inv_rm lands in inv_rm's buffer, unless that is inv_r6,
-        # which inv_r12 takes next
-        t2 = np.multiply(pm * pd, inv_rm,
-                         out=None if inv_rm is inv_r6 else inv_rm)
+        if with_derivative:
+            # (m d) inv_rm lands in inv_rm's buffer, unless that is
+            # inv_r6, which inv_r12 takes next
+            t2 = np.multiply(pm * pd, inv_rm,
+                             out=None if inv_rm is inv_r6 else inv_rm)
         inv_r12 = np.square(inv_r6, out=inv_r6)
         e_vdw = pc * inv_r12
         np.subtract(e_vdw, t, out=e_vdw)
+        if not with_derivative:
+            return e_vdw, None
         de_vdw = np.multiply(-12.0 * pc, inv_r12, out=inv_r12)
         np.add(de_vdw, t2, out=de_vdw)
         np.multiply(de_vdw, inv_rv, out=de_vdw)
@@ -553,9 +574,11 @@ class LigandPack:
         return e_vdw, de_vdw
 
 
-def _add_elec_terms(energy: np.ndarray, de_dr: np.ndarray, r: np.ndarray,
-                    inv_r: np.ndarray, pqq: np.ndarray) -> None:
-    """Add the Mehler-Solmajer electrostatics to ``energy`` / ``de_dr``.
+def _add_elec_terms(energy: np.ndarray, de_dr: np.ndarray | None,
+                    r: np.ndarray, inv_r: np.ndarray,
+                    pqq: np.ndarray) -> None:
+    """Add the Mehler-Solmajer electrostatics to ``energy`` / ``de_dr``
+    (the energy alone when ``de_dr`` is ``None``).
 
     The dielectric and its derivative share one ``exp`` term
     (``dielectric()`` / ``dielectric_derivative()`` recompute it with
@@ -567,30 +590,36 @@ def _add_elec_terms(energy: np.ndarray, de_dr: np.ndarray, r: np.ndarray,
     one_u = 1.0 + u
     eps = np.divide(_MS_B, one_u)
     np.add(_MS_A, eps, out=eps)
-    np.multiply(u, _MS_LAM * _MS_B * _MS_B, out=u)
-    np.multiply(one_u, one_u, out=one_u)      # (1 + u) ** 2
-    np.divide(u, one_u, out=u)
+    if de_dr is not None:
+        np.multiply(u, _MS_LAM * _MS_B * _MS_B, out=u)
+        np.multiply(one_u, one_u, out=one_u)      # (1 + u) ** 2
+        np.divide(u, one_u, out=u)
     e_elec = np.multiply(pqq, inv_r, out=one_u)
     np.divide(e_elec, eps, out=e_elec)
+    np.add(energy, e_elec, out=energy)
+    if de_dr is None:
+        return
     np.divide(u, eps, out=u)
     np.add(u, inv_r, out=u)
     np.multiply(u, e_elec, out=u)
-    np.add(energy, e_elec, out=energy)
     np.add(de_dr, np.negative(u, out=u), out=de_dr)
 
 
-def _add_solv_terms(energy: np.ndarray, de_dr: np.ndarray, r: np.ndarray,
-                    pdsolv: np.ndarray) -> None:
-    """Add the gaussian desolvation terms to ``energy`` / ``de_dr``;
-    consumes ``r`` (its buffer ends as the derivative)."""
+def _add_solv_terms(energy: np.ndarray, de_dr: np.ndarray | None,
+                    r: np.ndarray, pdsolv: np.ndarray) -> None:
+    """Add the gaussian desolvation terms to ``energy`` / ``de_dr`` (the
+    energy alone when ``de_dr`` is ``None``); consumes ``r`` (its buffer
+    ends as the derivative)."""
     g = r / 3.6
     np.multiply(g, g, out=g)                  # (r / 3.6) ** 2
     np.multiply(g, -0.5, out=g)
     np.exp(g, out=g)                          # gauss
     e_solv = np.multiply(pdsolv, g, out=g)
+    np.add(energy, e_solv, out=energy)
+    if de_dr is None:
+        return
     de_solv = np.divide(r, -(3.6 ** 2), out=r)   # -r / 3.6 ** 2
     np.multiply(de_solv, e_solv, out=de_solv)
-    np.add(energy, e_solv, out=energy)
     np.add(de_dr, de_solv, out=de_dr)
 
 
@@ -657,7 +686,7 @@ class CohortScoring:
                      pack: LigandPack | None = None) -> np.ndarray:
         pack = pack if pack is not None else self.pack
         e_inter = pack.inter_energy(coords)
-        e_intra, _ = pack.intra(coords)
+        e_intra = pack.intra_energy(coords)
         A, B = e_inter.shape[:2]
         # contiguous per-ligand packing [inter | intra | 0-pad]: the tree
         # reduction sees only suffix zeros, which every backend ignores

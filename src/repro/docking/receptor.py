@@ -18,7 +18,10 @@ from repro.docking.energy import (
     COULOMB,
     ECLAMP,
     RMIN,
-    dielectric,
+    _MS_A,
+    _MS_B,
+    _MS_LAM,
+    _MS_RK,
     vdw_pair_coefficients,
 )
 from repro.docking.grids import GridMaps
@@ -33,10 +36,10 @@ __all__ = ["Receptor"]
 
 _SIGMA = 3.6
 _QSOLPAR = 0.01097
-#: (grid point, receptor atom) pairs per ``make_maps`` tile, 512 KiB per
-#: float64 temporary: small enough for the cache, large enough that the
-#: per-tile NumPy call overhead stays small
-_TILE_PAIRS = 1 << 16
+#: (grid point, receptor atom) pairs per ``make_maps`` tile, 128 KiB per
+#: float64 plane: the seven planes stay in cache, and since they are
+#: allocated once per build, a small tile costs no page faults per tile
+_TILE_PAIRS = 1 << 14
 
 
 @dataclass
@@ -87,11 +90,15 @@ class Receptor:
         sums with the gaussian kernel and ``w_desolv`` baked in.
 
         The grid is swept in tiles of whole z-rows, about ``_TILE_PAIRS``
-        (grid point, receptor atom) pairs each, so the working set no
-        longer grows with the grid.  Squared distances come from per-axis
-        tables ``(axis_k - X[:, k]) ** 2``, and the probe-independent
-        powers ``inv_r2 ** 3`` / ``** 5`` are taken once per tile; a probe
-        whose pairs are all 12-6 reads ``inv_r2 ** 3`` directly.
+        (grid point, receptor atom) pairs each, so the working set grows
+        with the tile, not the grid: seven tile-sized planes (``r``, the
+        powers of ``inv_r2`` and two work planes) are allocated once per
+        call and every step writes into them with ``out=``.  Squared
+        distances come from per-axis tables ``(axis_k - X[:, k]) ** 2``,
+        and the probe-independent powers ``inv_r2 ** 3`` / ``** 5`` are
+        taken once per tile; a probe whose pairs are all 12-6 reads
+        ``inv_r2 ** 3`` directly, the others select the 12-10 columns
+        with two ``np.copyto`` calls.
 
         Byte-identity contract: every map value is the float64 result of
         the point-by-point form -- ``r = max(norm(point - X, axis=-1),
@@ -99,9 +106,11 @@ class Receptor:
         then the same elementwise operations in the same order, and one
         contiguous ``.sum(axis=1)`` over all receptor atoms.  Tiling
         changes neither the operations nor the row length of that sum, so
-        the maps do not depend on the tile size.  Keep ``**`` for the
-        powers and ``.sum`` for the atom sums: repeated multiplies or a
-        BLAS product round differently.
+        the maps do not depend on the tile size.  ``np.power(inv_r2, k,
+        out=...)`` and ``np.square`` are the loops ``inv_r2 ** k`` and
+        ``** 2`` run, and ``.sum(axis=1, out=...)`` is the ``.sum`` loop;
+        keep them: repeated multiplies or a BLAS product round
+        differently.
         """
         origin = np.asarray(origin, dtype=np.float64)
         nx, ny, nz = shape
@@ -153,31 +162,62 @@ class Receptor:
         aff = blocks[:n_probes]
         elec, desolv_v, desolv_s = blocks[n_probes:]
 
-        # a tile is a run of whole (x, y) rows of nz grid points each
+        # a tile is a run of whole (x, y) rows of nz grid points each; its
+        # planes are allocated once and every step writes into them
         n_rows = nx * ny
         tile_rows = max(1, _TILE_PAIRS // max(1, nz * m_atoms))
+        planes = np.empty((7, tile_rows * nz, m_atoms))
+        xy = np.empty((tile_rows, m_atoms))
+        m10 = pm != 6
+        c_eps = -_MS_LAM * _MS_B
         for r0 in range(0, n_rows, tile_rows):
             r1 = min(r0 + tile_rows, n_rows)
             lo, hi = r0 * nz, r1 * nz
+            r, inv_r2, inv_r6, inv_r12, inv_r10, w1, w2 = planes[:, :hi - lo]
             ix, iy = np.divmod(np.arange(r0, r1), ny)
-            r2 = (dx2[ix] + dy2[iy])[:, None, :] + dz2[None, :, :]
-            r = np.maximum(np.sqrt(r2).reshape(hi - lo, m_atoms), RMIN)
-            inv_r2 = 1.0 / (r * r)
-            inv_r6 = inv_r2 ** 3
-            inv_r12 = inv_r6 ** 2
-            inv_r10 = inv_r2 ** 5
+            np.add(dx2[ix], dy2[iy], out=xy[:r1 - r0])
+            np.add(xy[:r1 - r0, None, :], dz2[None, :, :],
+                   out=r.reshape(r1 - r0, nz, m_atoms))
+            np.sqrt(r, out=r)
+            np.maximum(r, RMIN, out=r)
+            np.multiply(r, r, out=inv_r2)
+            np.divide(1.0, inv_r2, out=inv_r2)
+            np.power(inv_r2, 3, out=inv_r6)
+            np.square(inv_r6, out=inv_r12)
+            np.power(inv_r2, 5, out=inv_r10)
             for t_idx in range(n_probes):
-                inv_rm = inv_r6 if all_6[t_idx] \
-                    else np.where(pm[t_idx] == 6, inv_r6, inv_r10)
-                aff[t_idx, lo:hi] = (pc[t_idx] * inv_r12
-                                     - pd[t_idx] * inv_rm).sum(axis=1)
-            eps = dielectric(r)
-            elec[lo:hi] = (FE_WEIGHTS["elec"] * COULOMB
-                           * (self.charges[None, :] / (r * eps)).sum(axis=1))
-            gauss = np.exp(-0.5 * (r / _SIGMA) ** 2)
-            desolv_v[lo:hi] = FE_WEIGHTS["desolv"] * (gauss * rec_vol).sum(axis=1)
-            desolv_s[lo:hi] = FE_WEIGHTS["desolv"] * (gauss * rec_sol).sum(axis=1)
+                # np.where(pm == 6, inv_r6, inv_r10), selected in place
+                inv_rm = inv_r6
+                if not all_6[t_idx]:
+                    inv_rm = w2
+                    np.copyto(inv_rm, inv_r6)
+                    np.copyto(inv_rm, inv_r10, where=m10[t_idx])
+                np.multiply(pd[t_idx], inv_rm, out=w2)
+                np.multiply(pc[t_idx], inv_r12, out=w1)
+                np.subtract(w1, w2, out=w1)
+                w1.sum(axis=1, out=aff[t_idx, lo:hi])
+            # q / (r * dielectric(r)), energy.dielectric's chain in place
+            np.multiply(c_eps, r, out=w1)
+            np.exp(w1, out=w1)
+            np.multiply(_MS_RK, w1, out=w1)
+            np.add(1.0, w1, out=w1)
+            np.divide(_MS_B, w1, out=w1)
+            np.add(_MS_A, w1, out=w1)
+            np.multiply(r, w1, out=w1)
+            np.divide(self.charges, w1, out=w1)
+            w1.sum(axis=1, out=elec[lo:hi])
+            # gauss = exp(-0.5 * (r / _SIGMA) ** 2)
+            np.divide(r, _SIGMA, out=w1)
+            np.square(w1, out=w1)
+            np.multiply(-0.5, w1, out=w1)
+            np.exp(w1, out=w1)
+            np.multiply(w1, rec_vol, out=w2)
+            w2.sum(axis=1, out=desolv_v[lo:hi])
+            np.multiply(w1, rec_sol, out=w2)
+            w2.sum(axis=1, out=desolv_s[lo:hi])
 
+        elec *= FE_WEIGHTS["elec"] * COULOMB
+        blocks[n_probes + 1:] *= FE_WEIGHTS["desolv"]
         np.clip(aff, -ECLAMP, ECLAMP, out=aff)
         np.clip(elec, -ECLAMP, ECLAMP, out=elec)
 

@@ -134,16 +134,15 @@ def _config_from_doc(doc: dict) -> DockingConfig:
             return DockingConfig.from_dict(doc["config"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(400, f"bad config: {exc}") from None
-    evals = int(doc.get("evals", 4_000))
-    pop = int(doc.get("pop", 16))
     try:
         return DockingConfig(
             backend=doc.get("backend", "tcec-tf32"),
             device=doc.get("device", "A100"),
             block_size=int(doc.get("block_size", 64)),
-            lga=LGAConfig.screening(pop, evals,
+            lga=LGAConfig.screening(int(doc.get("pop", 16)),
+                                    int(doc.get("evals", 4_000)),
                                     int(doc.get("ls_iters", 20))))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ProtocolError(400, f"bad config: {exc}") from None
 
 
@@ -166,22 +165,28 @@ def job_from_request(doc: dict) -> tuple[DockingJob, str, float | None]:
     else:
         raise ProtocolError(400, "submission needs 'case' or 'spec'")
     seed = doc.get("seed", 0)
-    if isinstance(seed, dict) and "index" in seed:
-        seed = spawn_seed(int(seed.get("entropy", 0)),
-                          int(seed["index"]))
-    elif not isinstance(seed, (int, dict)):
+    config = _config_from_doc(doc)
+    try:
+        if isinstance(seed, dict) and "index" in seed:
+            seed = spawn_seed(int(seed.get("entropy", 0)),
+                              int(seed["index"]))
+        n_runs = int(doc.get("n_runs", 4))
+        priority = int(doc.get("priority", 0))
+        deadline_s = doc.get("deadline_s")
+        if deadline_s is not None:
+            deadline_s = float(deadline_s)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(400, f"bad field: {exc}") from None
+    if not isinstance(seed, (int, dict)):
         raise ProtocolError(400, "'seed' must be an int or an object")
-    deadline_s = doc.get("deadline_s")
-    if deadline_s is not None:
-        deadline_s = float(deadline_s)
-        if deadline_s <= 0:
-            raise ProtocolError(400, "'deadline_s' must be > 0")
+    if deadline_s is not None and deadline_s <= 0:
+        raise ProtocolError(400, "'deadline_s' must be > 0")
     job = DockingJob(
         spec=spec,
-        config=_config_from_doc(doc),
-        n_runs=int(doc.get("n_runs", 4)),
+        config=config,
+        n_runs=n_runs,
         seed=seed,
-        priority=int(doc.get("priority", 0)),
+        priority=priority,
         label=str(doc.get("label", "") or spec.get("case", "")),
     )
     return job, str(doc.get("tenant", "default")), deadline_s

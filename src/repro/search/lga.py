@@ -15,7 +15,7 @@ count at which it happened — the raw material of the E50 analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,10 +62,12 @@ class LGAConfig:
                   ls_iters: int) -> "LGAConfig":
         """The screening budget rule (CLI ``screen`` / ``inject``, gateway
         shorthand): generations capped at ``max_evals // pop_size``, a
-        quarter of the population refined per generation."""
-        return cls(pop_size=pop_size, max_evals=max_evals,
-                   max_gens=max(1, max_evals // pop_size),
-                   ls_iters=ls_iters, ls_rate=0.25)
+        quarter of the population refined per generation.  The budget is
+        validated before the division, so a ``pop_size`` below 2 raises
+        the constructor's ``ValueError``, never ``ZeroDivisionError``."""
+        cfg = cls(pop_size=pop_size, max_evals=max_evals,
+                  ls_iters=ls_iters, ls_rate=0.25)
+        return replace(cfg, max_gens=max(1, max_evals // pop_size))
 
 
 @dataclass

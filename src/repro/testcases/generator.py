@@ -37,6 +37,9 @@ __all__ = ["TestCase", "make_test_case", "WORKLOAD_SCALE"]
 
 _BOND_LENGTH = 1.5
 _GRID_SPACING = 0.5
+#: voxels per ``_sculpt_wells`` slab (whole x-planes, at least one):
+#: 128 KiB per float64 plane
+_SLAB_VOXELS = 1 << 14
 
 #: size ratio of the real set-of-42 molecules to the synthetic minis
 #: (see :meth:`TestCase.workload`)
@@ -270,21 +273,37 @@ def _sculpt_wells(maps, ligand: Ligand, native_coords: np.ndarray,
     """Stamp the two-scale gaussian well of every native atom into its
     type's affinity map (see :func:`make_test_case`).
 
-    Each well's squared distances come from per-axis tables added as
-    ``(dx2 + dy2) + dz2``: the values, in the order, of the sum over a
-    3-D meshgrid, without the meshgrid.  Nothing grid-sized outlives the
-    call.
+    The grid is stamped one x-slab of about ``_SLAB_VOXELS`` voxels at a
+    time, every well in place through one reused slab buffer, so nothing
+    grid-sized is allocated.  Each well's squared distances come from
+    per-axis tables added as ``(dx2 + dy2) + dz2``: the values, in the
+    order, of the sum over a 3-D meshgrid, without the meshgrid.  Every
+    voxel takes its subtractions in the same (atom, scale) order as a
+    whole-grid stamp, one ``aff -= depth * exp(-d2 / (2 sigma**2))`` at
+    a time, so the maps do not depend on the slab size.
     """
     well_depth = max(0.45, 12.0 / ligand.n_atoms)   # kcal/mol per atom
     well_scales = ((4.5, 0.4), (2.5, 0.6))          # (sigma Å, depth share)
     axes = [origin[k] + _GRID_SPACING * np.arange(n_side) for k in range(3)]
+    # (atoms, n_side) per axis: row i is (axes[k] - pos_i[k]) ** 2
+    dx2, dy2, dz2 = ((axes[k][None, :] - native_coords[:, k, None]) ** 2
+                     for k in range(3))
     type_idx = maps.type_index(ligand.atom_types)
-    for i, pos in enumerate(native_coords):
-        dx2, dy2, dz2 = ((axes[k] - pos[k]) ** 2 for k in range(3))
-        d2 = (dx2[:, None, None] + dy2[None, :, None]) + dz2[None, None, :]
-        for sigma, share in well_scales:
-            maps.affinity[type_idx[i]] -= (well_depth * share
-                                           * np.exp(-d2 / (2.0 * sigma ** 2)))
+    slab = max(1, _SLAB_VOXELS // (n_side * n_side))
+    buf = np.empty((2, slab, n_side, n_side))
+    for x0 in range(0, n_side, slab):
+        x1 = min(x0 + slab, n_side)
+        neg_d2, well = buf[:, :x1 - x0]
+        for i in range(len(native_coords)):
+            np.add(dx2[i, x0:x1, None, None] + dy2[i, None, :, None],
+                   dz2[i, None, None, :], out=neg_d2)
+            np.negative(neg_d2, out=neg_d2)
+            aff = maps.affinity[type_idx[i], x0:x1]
+            for sigma, share in well_scales:
+                np.divide(neg_d2, 2.0 * sigma ** 2, out=well)
+                np.exp(well, out=well)
+                np.multiply(well_depth * share, well, out=well)
+                np.subtract(aff, well, out=aff)
 
 
 def make_test_case(name: str, n_rot: int, seed: int,

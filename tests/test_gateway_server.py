@@ -16,7 +16,7 @@ import pytest
 from repro.cli import main
 from repro.gateway import (Gateway, GatewayConfig, GatewayClient,
                            GatewayRejected, job_from_request, server)
-from repro.gateway.protocol import HttpRequest
+from repro.gateway.protocol import HttpRequest, ProtocolError
 from repro.serve import load_manifest_jobs, rank_records, shard_for
 
 
@@ -161,6 +161,37 @@ class TestEndToEnd:
         resp = conn.getresponse()
         assert resp.status == 400
         conn.close()
+
+    def test_a_bad_shorthand_number_is_400_over_http(self, gateway):
+        """Regression: ``"pop": 0`` divided by zero, an HTTP 500."""
+        gw, _ = gateway
+        import http.client
+        conn = http.client.HTTPConnection("127.0.0.1", gw.port,
+                                          timeout=10)
+        conn.request("POST", "/v1/jobs",
+                     body=json.dumps(_doc(pop=0)).encode(),
+                     headers={"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        assert resp.status == 400
+        assert "pop_size" in json.loads(resp.read())["error"]
+        conn.close()
+
+
+class TestBadShorthand:
+    """Regression: shorthand numbers were parsed outside the 400 guard,
+    so a bad one raised ``ValueError`` (or ``ZeroDivisionError``) and
+    the gateway answered 500."""
+
+    @pytest.mark.parametrize("field", [
+        {"pop": "x"}, {"pop": 0}, {"pop": None}, {"evals": "many"},
+        {"n_runs": "x"}, {"priority": "hi"}, {"deadline_s": "soon"},
+        {"seed": {"entropy": 42, "index": "x"}}],
+        ids=["pop-str", "pop-zero", "pop-null", "evals-str", "n_runs-str",
+             "priority-str", "deadline_s-str", "seed-index-str"])
+    def test_a_bad_field_is_a_protocol_error(self, field):
+        with pytest.raises(ProtocolError) as exc:
+            job_from_request({**_doc(), **field})
+        assert exc.value.status == 400
 
 
 class TestManifestLog:

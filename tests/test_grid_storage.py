@@ -159,7 +159,9 @@ class TestWriteContract:
 class TestBuiltCaseMemory:
     def test_a_cold_build_holds_its_maps_once(self):
         """Regression: the case held its maps twice (2.1x, peak 2.6x)
-        once the first lookup had snapshotted them into the buffer."""
+        once the first lookup had snapshotted them into the buffer; and
+        the build's fresh per-tile and per-well temporaries peaked at
+        1.71x its maps, where reused scratch buffers peak at ~1.15x."""
         build_test_case("1u4d")          # imports stay out of the trace
         tracemalloc.start()
         try:
@@ -171,7 +173,7 @@ class TestBuiltCaseMemory:
         assert map_bytes == sum(getattr(case.maps, name).nbytes
                                 for name in CHANNELS)
         assert held <= 1.5 * map_bytes, (held, map_bytes)
-        assert peak <= 2.2 * map_bytes, (peak, map_bytes)
+        assert peak <= 1.3 * map_bytes, (peak, map_bytes)
         # the buffer plus its small index tables
         assert 0 < case.maps.nbytes - map_bytes < 0.01 * map_bytes
 

@@ -174,6 +174,15 @@ class TestLGA:
         with pytest.raises(ValueError):
             LGAConfig(ls_rate=1.5)
 
+    @pytest.mark.parametrize("pop", [0, 1, -3])
+    def test_screening_budget_validates_before_dividing(self, pop):
+        """Regression: ``pop=0`` raised ``ZeroDivisionError`` (the CLI's
+        ``screen`` / ``inject`` and the gateway shorthand use this rule)."""
+        with pytest.raises(ValueError, match="pop_size must be >= 2"):
+            LGAConfig.screening(pop, 1_000, 5)
+        cfg = LGAConfig.screening(8, 1_000, 5)
+        assert (cfg.max_gens, cfg.ls_rate, cfg.ls_iters) == (125, 0.25, 5)
+
     def _config(self):
         return LGAConfig(pop_size=10, max_evals=800, max_gens=20,
                          ls_iters=10, ls_rate=0.2)

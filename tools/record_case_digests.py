@@ -16,9 +16,13 @@ Recording always rebuilds all 42 cases.  ``--check`` rebuilds the named
 cases (all 42 by default) and also puts each one through a
 ``BlobStore`` under a temporary root, spilled with the codec the cache
 uses for ``case/<name>`` keys, and reads it back; the built and the
-store-loaded case must both carry the recorded digests.  It prints every
-field that differs and exits 1 if any does.  The committed file was
-recorded at commit 7001096, before ``Receptor.make_maps`` was tiled.
+store-loaded case must both carry the recorded digests.  Each rebuild
+runs under ``tracemalloc``, and its transient -- the traced peak minus
+what the finished case holds -- must stay within ``TRANSIENT_BOUND``,
+whatever the grid's size.  It prints every field that differs and every
+transient over the bound, and exits 1 if there is any.  The committed
+file was recorded at commit 7001096, before ``Receptor.make_maps`` was
+tiled.
 """
 
 from __future__ import annotations
@@ -28,12 +32,19 @@ import hashlib
 import json
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "tests" / "data" / "case_digests.json"
+#: the most a case rebuild may allocate beyond what the finished case
+#: holds: the map tiles and the well-sculpting slabs are fixed-size
+#: scratch buffers (~1 MiB on all 42 cases), so the bound does not grow
+#: with the grid; grid-sized temporaries (~5-6 MiB on 7cpa and 1z95)
+#: exceed it
+TRANSIENT_BOUND = 2 * 2**20
 
 
 def _sha256(*arrays: np.ndarray) -> str:
@@ -58,6 +69,19 @@ def build_digest(name: str) -> dict:
     cache) and digest it."""
     from repro.testcases.library import build_test_case
     return case_digest(build_test_case(name))
+
+
+def traced_build(name: str):
+    """``(case, transient)``: one case built from scratch under
+    ``tracemalloc``, and the traced peak minus what the case holds."""
+    from repro.testcases.library import build_test_case
+    tracemalloc.start()
+    try:
+        case = build_test_case(name)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return case, peak - held
 
 
 def store_round_trip(case, root: str | Path):
@@ -98,22 +122,30 @@ def main(argv=None) -> int:
     from repro.testcases.library import build_test_case
 
     recorded = json.loads(args.out.read_text()) if args.check else None
+    if recorded is not None:
+        build_test_case("1u4d")      # lazy imports stay out of the traces
     cases, failed = {}, []
     for name in names:
-        case = build_test_case(name)
+        if recorded is None:
+            cases[name] = case_digest(build_test_case(name))
+            continue
+        case, transient = traced_build(name)
         cases[name] = case_digest(case)
-        if recorded is not None:
-            bad = mismatches(recorded, name, cases[name])
-            with tempfile.TemporaryDirectory() as root:
-                stored = case_digest(store_round_trip(case, root))
-            bad += [f"{line} (store round trip)"
-                    for line in mismatches(recorded, name, stored)]
-            failed += bad
-            print(f"{name}: {'MISMATCH' if bad else 'ok'}", file=sys.stderr)
+        bad = mismatches(recorded, name, cases[name])
+        with tempfile.TemporaryDirectory() as root:
+            stored = case_digest(store_round_trip(case, root))
+        bad += [f"{line} (store round trip)"
+                for line in mismatches(recorded, name, stored)]
+        if transient > TRANSIENT_BOUND:
+            bad.append(f"{name}: build transient {transient / 2**20:.2f} "
+                       f"MiB > {TRANSIENT_BOUND / 2**20:.2f} MiB")
+        failed += bad
+        print(f"{name}: {'FAIL' if bad else 'ok'} (build transient "
+              f"{transient / 2**20:.2f} MiB)", file=sys.stderr)
     if recorded is not None:
         for line in failed:
             print(line)
-        print(f"checked {len(names)} case(s): {len(failed)} mismatch(es)",
+        print(f"checked {len(names)} case(s): {len(failed)} failure(s)",
               file=sys.stderr)
         return 1 if failed else 0
     args.out.write_text(json.dumps({"cases": cases}, indent=1,
